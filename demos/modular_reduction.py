@@ -23,14 +23,14 @@ print(f"  reconstruction: {recon} = x mod 5^4 "
       f"({mod_reduce(x, 5, 4).residue})")
 
 print()
-print("Residues behave like ring elements:")
-a = mod_reduce(Fraction(1, 3), 7, 2)
-b = mod_reduce(Fraction(1, 4), 7, 2)
-print(f"  1/3 mod 49 = {a.residue},  1/4 mod 49 = {b.residue}")
-print(f"  sum -> {(a + b).residue},  check 7/12 mod 49 = "
+print("Reduction is a ring homomorphism; residues are plain ints:")
+a = mod_reduce(Fraction(1, 3), 7, 2).residue
+b = mod_reduce(Fraction(1, 4), 7, 2).residue
+print(f"  1/3 mod 49 = {a},  1/4 mod 49 = {b}")
+print(f"  sum -> {(a + b) % 49},  check 7/12 mod 49 = "
       f"{mod_reduce(Fraction(7, 12), 7, 2).residue}")
-print(f"  product -> {(a * b).residue},  inverse of 12 -> "
-      f"{(a * b).inverse().residue}")
+print(f"  product -> {a * b % 49},  inverse of 1/12 -> "
+      f"{pow(a * b, -1, 49)}")
 
 print()
 print("A denominator divisible by p has no residue; the library says so")

@@ -53,22 +53,42 @@ def _prime_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _load_cache(path: str, convention: str) -> None:
-    """Advisory read: a missing or bad cache never stops a run."""
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value < 1:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        ) from None
+    return value
+
+
+def _load_cache(path: str, convention: str) -> int:
+    """Advisory read: a missing or bad cache never stops a run.
+
+    Returns how many entries the file holds; an unusable file holds none.
+    """
     try:
         loaded = cache_store.load(path, convention=convention)
     except FileNotFoundError:
-        return
+        return 0
     except (cache_store.CorruptCache, cache_store.ConventionMismatch,
             OSError) as exc:
         print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
-        return
+        return 0
     bernoulli_table(convention).merge(loaded)
+    return loaded.max_index + 1
 
 
-def _save_cache(path: str, convention: str) -> None:
+def _save_cache(path: str, convention: str, cached: int) -> None:
+    """Write the table back only if it now holds more than the file did."""
+    table = bernoulli_table(convention)
+    if table.max_index + 1 <= cached:
+        return
     try:
-        cache_store.save(bernoulli_table(convention), path)
+        cache_store.save(table, path)
     except OSError as exc:
         print(f"warning: could not write cache {path}: {exc}",
               file=sys.stderr)
@@ -130,12 +150,12 @@ def _cmd_verify(args: argparse.Namespace,
                 parser: argparse.ArgumentParser) -> int:
     lo, hi = args.primes
     if args.cache:
-        _load_cache(args.cache, MINUS_HALF)
+        cached = _load_cache(args.cache, MINUS_HALF)
     identities = args.identity if args.identity else "all"
     reports = sweep(identities, lo, hi, jobs=args.jobs,
                     modulus_override=args.modulus)
     if args.cache:
-        _save_cache(args.cache, MINUS_HALF)
+        _save_cache(args.cache, MINUS_HALF, cached)
     if args.verbose:
         for r in reports:
             print(f"{r.identity} {_params_text(r.params)} {r.status}",
@@ -168,10 +188,10 @@ def _cmd_compute(args: argparse.Namespace,
             if args.n < 0:
                 parser.error("n must be >= 0")
             if args.cache:
-                _load_cache(args.cache, args.convention)
+                cached = _load_cache(args.cache, args.convention)
             print(bernoulli(args.n, convention=args.convention))
             if args.cache:
-                _save_cache(args.cache, args.convention)
+                _save_cache(args.cache, args.convention, cached)
         elif what == "eulerian":
             if args.n < 0 or args.m < 0:
                 parser.error("n and m must be >= 0")
@@ -245,7 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--identity", action="append",
                         choices=["all"] + identity_ids(), metavar="ID",
                         help="identity to check (repeatable, default all)")
-    verify.add_argument("--modulus", type=int, default=None, metavar="K",
+    verify.add_argument("--modulus", type=_positive_int, default=None,
+                        metavar="K",
                         help="override the prime-power exponent")
     verify.add_argument("--format", choices=["json", "csv"], default="json")
     verify.add_argument("--out", metavar="PATH",
@@ -253,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--cache", metavar="PATH",
                         default=os.environ.get("BERNMOD_CACHE"),
                         help="Bernoulli cache file (default $BERNMOD_CACHE)")
-    verify.add_argument("--jobs", type=int, default=1, metavar="N",
+    verify.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                         help="worker processes for the sweep")
     verify.add_argument("--no-timestamps", action="store_true",
                         help="omit timestamp and elapsed_ms for "

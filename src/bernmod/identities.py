@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator
 
@@ -118,11 +119,14 @@ def _divided_convolution(t: int) -> Fraction:
 
 
 def _hc(ctx: PrimeContext, m: int) -> Fraction:
-    """H_1/(2m-1) + ... + H_{2m-1}/1 using the context's harmonic prefix."""
-    return sum(
-        (ctx.harmonics[k] / (2 * m - k) for k in range(1, 2 * m)),
-        Fraction(0),
-    )
+    """H_1/(2m-1) + ... + H_{2m-1}/1, by its closed form H_n^2 - H_n^(2), n = 2m.
+
+    Both equal 2 sum_{s<=n} H_{s-1}/s: the sum is sum 1/(ij) over i + j <= n,
+    grouped by s = i + j; H_n^2 - H_n^(2) is sum 1/(ij) over i != j <= n,
+    grouped by s = max(i, j).
+    """
+    n = 2 * m
+    return ctx.harmonics[n] ** 2 - ctx.gen_harmonics2[n]
 
 
 def _two_n_digits(ctx: PrimeContext) -> tuple[int, int]:
@@ -132,8 +136,7 @@ def _two_n_digits(ctx: PrimeContext) -> tuple[int, int]:
     return r % p, (r // p) % p
 
 
-def _theorem1_rhs(ctx: PrimeContext) -> Fraction:
-    p = ctx.p
+def _theorem1_rhs(ctx: PrimeContext, p: int) -> Fraction:
     half = (p - 3) // 2
     S = ctx.odd_harmonic_sum()
     G = sum((ctx.gen_harmonics2[2 * m] for m in range(1, half + 1)),
@@ -151,7 +154,7 @@ def _theorem1_rhs(ctx: PrimeContext) -> Fraction:
 
 def theorem1_rhs(p: int) -> Fraction:
     """Exact harmonic-sum side of the main convolution congruence."""
-    return _theorem1_rhs(get_prime_context(p))
+    return _theorem1_rhs(get_prime_context(p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +282,7 @@ def _result1_rhs(ctx, p):
     return ctx.odd_power_sum_total() - p * tails
 
 
-def _result2_lhs(ctx, p):
+def _q2_lhs(ctx, p):
     return Fraction(fermat_quotient_2(p))
 
 
@@ -338,13 +341,6 @@ def _alzer_rhs(ctx, n):
     return (harmonic(n) ** 2 + gen_harmonic(n, 2)) / 2
 
 
-def _cs_lhs(s):
-    def eval_lhs(ctx, n):
-        return sum((harmonic(j) / (j + s) for j in range(1, n + 1)),
-                   Fraction(0))
-    return eval_lhs
-
-
 def _cs1_rhs(ctx, n):
     return (harmonic(n + 1) ** 2 - gen_harmonic(n + 1, 2)) / 2
 
@@ -360,7 +356,7 @@ def _cs3_rhs(ctx, n):
             - Fraction(7, 4))
 
 
-def _prop1_lhs(ctx, n, s):
+def _h_over_shift_lhs(ctx, n, s):
     return sum((harmonic(j) / (j + s) for j in range(1, n + 1)), Fraction(0))
 
 
@@ -400,14 +396,6 @@ def _theorem1_lhs(ctx, p):
     return weighted_convolution(p, 2)
 
 
-def _theorem1_rhs_eval(ctx, p):
-    return _theorem1_rhs(ctx)
-
-
-def _remark1a_lhs(ctx, p):
-    return Fraction(fermat_quotient_2(p))
-
-
 def _remark1a_rhs(ctx, p):
     return odd_reciprocal_sum(p)
 
@@ -418,10 +406,6 @@ def _remark1b_lhs(ctx, p):
 
 def _remark1b_rhs(ctx, p):
     return (odd_reciprocal_sum(p) + 1) / 2
-
-
-def _eisenstein_lhs(ctx, p):
-    return Fraction(fermat_quotient_2(p))
 
 
 def _eisenstein_rhs(ctx, p):
@@ -438,16 +422,12 @@ def _zero_rhs(ctx, p):
     return Fraction(0)
 
 
-def _glaisher_lhs(ctx, p):
+def _factorial_lhs(ctx, p):
     return Fraction(factorial(p - 1))
 
 
 def _glaisher_rhs(ctx, p):
     return p * bernoulli(p - 1) - p
-
-
-def _wilson_lhs(ctx, p):
-    return Fraction(factorial(p - 1))
 
 
 def _wilson_rhs(ctx, p):
@@ -628,7 +608,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "result2",
         "Fermat quotient q_2 equals 2 N_{p-2} - 1 mod p",
         "even-ascent count analysis",
-        ("p",), 1, _result2_lhs, _result2_rhs,
+        ("p",), 1, _q2_lhs, _result2_rhs,
         domain=_prime_domain(5),
         points=_prime_points(5),
     )
@@ -692,7 +672,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "choi_srivastava_s1",
         "sum of H_j/(j+1) in closed form",
         "J. Choi & H. M. Srivastava",
-        ("n",), None, _cs_lhs(1), _cs1_rhs,
+        ("n",), None, partial(_h_over_shift_lhs, s=1), _cs1_rhs,
         domain=lambda n: n >= 1,
         points=_index_points(range(1, 101)),
     )
@@ -700,7 +680,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "choi_srivastava_s2",
         "sum of H_j/(j+2) in closed form",
         "J. Choi & H. M. Srivastava",
-        ("n",), None, _cs_lhs(2), _cs2_rhs,
+        ("n",), None, partial(_h_over_shift_lhs, s=2), _cs2_rhs,
         domain=lambda n: n >= 1,
         points=_index_points(range(1, 101)),
     )
@@ -708,7 +688,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "choi_srivastava_s3",
         "sum of H_j/(j+3) in closed form",
         "J. Choi & H. M. Srivastava",
-        ("n",), None, _cs_lhs(3), _cs3_rhs,
+        ("n",), None, partial(_h_over_shift_lhs, s=3), _cs3_rhs,
         domain=lambda n: n >= 1,
         points=_index_points(range(1, 101)),
     )
@@ -716,7 +696,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "prop1",
         "shifted harmonic sum sum_j H_j/(j+s) in closed form (s >= 3)",
         "generalizes the Choi-Srivastava family",
-        ("n", "s"), None, _prop1_lhs, _prop1_rhs,
+        ("n", "s"), None, _h_over_shift_lhs, _prop1_rhs,
         domain=lambda n, s: n >= 1 and s >= 3,
         points=lambda lo, hi: ({"n": n, "s": s}
                                for n in range(1, 51) for s in range(3, 21)),
@@ -745,7 +725,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "order-(p-1) convolution of 2^-j-weighted Bernoulli numbers via "
         "harmonic sums and Hensel digits mod p",
         "main convolution congruence",
-        ("p",), 1, _theorem1_lhs, _theorem1_rhs_eval,
+        ("p",), 1, _theorem1_lhs, _theorem1_rhs,
         domain=_prime_domain(5),
         points=_prime_points(5),
         bernoulli_need=lambda hi: hi,
@@ -754,7 +734,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "remark1a",
         "Fermat quotient q_2 equals the odd reciprocal sum mod p",
         "J. W. L. Glaisher",
-        ("p",), 1, _remark1a_lhs, _remark1a_rhs,
+        ("p",), 1, _q2_lhs, _remark1a_rhs,
         domain=_prime_domain(5),
         points=_prime_points(5),
     )
@@ -770,7 +750,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "eisenstein",
         "Fermat quotient q_2 as half the alternating harmonic sum mod p",
         "G. Eisenstein (1850)",
-        ("p",), 1, _eisenstein_lhs, _eisenstein_rhs,
+        ("p",), 1, _q2_lhs, _eisenstein_rhs,
         domain=_prime_domain(5),
         points=_prime_points(5),
     )
@@ -786,7 +766,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "glaisher",
         "(p-1)! equals p B_{p-1} - p mod p^2",
         "J. W. L. Glaisher",
-        ("p",), 2, _glaisher_lhs, _glaisher_rhs,
+        ("p",), 2, _factorial_lhs, _glaisher_rhs,
         domain=_prime_domain(5),
         points=_prime_points(5),
         bernoulli_need=lambda hi: hi,
@@ -795,7 +775,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "wilson",
         "(p-1)! is -1 mod p",
         "Wilson / Lagrange",
-        ("p",), 1, _wilson_lhs, _wilson_rhs,
+        ("p",), 1, _factorial_lhs, _wilson_rhs,
         domain=_prime_domain(5),
         points=_prime_points(5),
     )
@@ -928,13 +908,17 @@ def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
             key = ("p", point["p"]) if "p" in point else ("x", ident)
             batches.setdefault(key, []).append((ident, point))
 
-    if jobs <= 1 or len(batches) <= 1:
-        reports = [r for batch in batches.values()
+    # costliest first, so no long batch starts last: the fixed-size
+    # index-parameter batches, then the primes from the top of the range down
+    ordered = [batches[key] for key in sorted(
+        batches, key=lambda k: -k[1] if k[0] == "p" else float("-inf"))]
+    if jobs <= 1 or len(ordered) <= 1:
+        reports = [r for batch in ordered
                    for r in _check_batch(batch, modulus_override)]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_check_batch, batch, modulus_override)
-                       for batch in batches.values()]
+                       for batch in ordered]
             reports = [r for f in futures for r in f.result()]
     reports.sort(key=CheckReport.sort_key)
     return reports

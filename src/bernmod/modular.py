@@ -9,16 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import isqrt
 
 __all__ = [
     "NotPIntegral",
-    "NotInvertible",
     "ResidueValue",
-    "mod_inverse",
     "mod_reduce",
     "hensel_digit",
-    "binomial",
     "is_prime",
     "primes_in",
 ]
@@ -28,26 +25,12 @@ class NotPIntegral(ValueError):
     """The rational has the prime in its denominator, so no residue exists."""
 
 
-class NotInvertible(ValueError):
-    """The value shares a factor with the modulus and has no inverse."""
-
-
-def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m, in [0, m).  Raises NotInvertible if gcd(a, m) != 1."""
-    if m <= 0:
-        raise ValueError(f"modulus must be positive, got {m}")
-    a %= m
-    if gcd(a, m) != 1:
-        raise NotInvertible(f"{a} is not invertible modulo {m}")
-    return pow(a, -1, m)
-
-
 @dataclass(frozen=True)
 class ResidueValue:
     """Element of Z/p^k that remembers its prime and exponent.
 
-    Arithmetic is only defined between residues with identical (prime,
-    exponent); mixing moduli raises ValueError.  Plain ints coerce.
+    A report value, not a number type: it compares, hashes and converts to
+    int or str, and arithmetic goes through the plain `residue` int.
     """
 
     residue: int
@@ -68,60 +51,6 @@ class ResidueValue:
     @property
     def modulus(self) -> int:
         return self.prime ** self.exponent
-
-    def _coerce(self, other: "ResidueValue | int") -> int:
-        if isinstance(other, ResidueValue):
-            if (other.prime, other.exponent) != (self.prime, self.exponent):
-                raise ValueError(
-                    f"modulus mismatch: {self.prime}^{self.exponent} vs "
-                    f"{other.prime}^{other.exponent}"
-                )
-            return other.residue
-        if isinstance(other, int):
-            return other % self.modulus
-        return NotImplemented
-
-    def _make(self, value: int) -> "ResidueValue":
-        return ResidueValue(value % self.modulus, self.prime, self.exponent)
-
-    def __add__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return self._make(self.residue + r)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return self._make(self.residue - r)
-
-    def __rsub__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return self._make(r - self.residue)
-
-    def __mul__(self, other):
-        r = self._coerce(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return self._make(self.residue * r)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self._make(-self.residue)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return self._make(pow(self.residue, n, self.modulus))
-
-    def inverse(self) -> "ResidueValue":
-        return self._make(mod_inverse(self.residue, self.modulus))
 
     def __eq__(self, other):
         if isinstance(other, ResidueValue):
@@ -172,15 +101,6 @@ def hensel_digit(x: Fraction | int, p: int, i: int) -> int:
         raise ValueError(f"digit index must be >= 0, got {i}")
     r = mod_reduce(x, p, i + 1).residue
     return (r // p ** i) % p
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient; k outside [0, n] gives 0."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 # Deterministic Miller-Rabin witness set, sound for n < 3.3e24.

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .modular import ResidueValue, is_prime, mod_reduce
+from .modular import ResidueValue, is_prime
 
 __all__ = [
     "MINUS_HALF",
@@ -25,8 +25,6 @@ __all__ = [
     "harmonic",
     "gen_harmonic",
     "odd_reciprocal_sum",
-    "odd_harmonic_sum",
-    "harmonic_convolution",
     "sum_powers",
     "sum_powers_bernoulli",
     "eulerian",
@@ -208,20 +206,6 @@ def odd_reciprocal_sum(p: int) -> Fraction:
     if p < 3 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
     return sum((Fraction(1, j) for j in range(1, p - 1, 2)), Fraction(0))
-
-
-def odd_harmonic_sum(p: int) -> Fraction:
-    """Sum of H_m over odd m in [1, p-2] for an odd prime p."""
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"need an odd prime, got {p}")
-    return sum((harmonic(m) for m in range(1, p - 1, 2)), Fraction(0))
-
-
-def harmonic_convolution(m: int) -> Fraction:
-    """H_1/(2m-1) + H_2/(2m-2) + ... + H_{2m-1}/1 for m >= 1."""
-    if m < 1:
-        raise ValueError(f"index must be >= 1, got {m}")
-    return sum((harmonic(k) / (2 * m - k) for k in range(1, 2 * m)), Fraction(0))
 
 
 def sum_powers(n: int, k: int) -> int:
@@ -411,12 +395,6 @@ class PrimeContext:
         self._even_ascent: dict[int, int] = {}
         self._power_prefix: list[int] | None = None
         self._odd_harmonic_sum: Fraction | None = None
-
-    def harmonic(self, k: int) -> Fraction:
-        return self.harmonics[k]
-
-    def gen_harmonic2(self, k: int) -> Fraction:
-        return self.gen_harmonics2[k]
 
     def odd_harmonic_sum(self) -> Fraction:
         if self._odd_harmonic_sum is None:

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from bernmod.cache import load, save
 from bernmod.cli import main
+from bernmod.sequences import BernoulliTable
 
 EXPECTED_WILSON_CSV = """\
 identity,params,modulus,lhs,rhs,status
@@ -113,6 +115,10 @@ def test_verify_verbose_echoes_points(capsys):
     ["compute", "q2", "8"],
     ["compute", "nk"],
     ["compute", "bernoulli", "-5"],
+    ["verify", "--primes", "5..7", "--modulus", "0"],
+    ["verify", "--primes", "5..7", "--modulus", "-1"],
+    ["verify", "--primes", "5..7", "--jobs", "0"],
+    ["verify", "--primes", "5..7", "--jobs", "-2"],
 ])
 def test_usage_errors_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -161,6 +167,26 @@ def test_verify_cache_is_created_and_reused(tmp_path, capsys):
     code, _, err = run(argv, capsys)
     assert code == 0
     assert "warning" not in err
+
+
+def test_verify_cache_is_not_rewritten_when_covered(tmp_path, capsys):
+    cache = tmp_path / "bern.cache"
+    argv = ["verify", "--primes", "5..11", "--identity", "glaisher",
+            "--cache", str(cache), "--no-timestamps"]
+    assert run(argv, capsys)[0] == 0
+    before = cache.stat()
+    assert run(argv, capsys)[0] == 0
+    after = cache.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
+                                                 before.st_mtime_ns)
+
+
+def test_cache_is_rewritten_when_the_table_grows(tmp_path, capsys):
+    cache = tmp_path / "bern.cache"
+    save(BernoulliTable(), cache)  # holds B_0 and B_1 only
+    assert run(["compute", "bernoulli", "12", "--cache", str(cache)],
+               capsys)[0] == 0
+    assert load(cache).max_index >= 12
 
 
 def test_verify_corrupt_cache_warns_but_runs(tmp_path, capsys):

@@ -20,7 +20,12 @@ from bernmod.identities import (
     theorem1_rhs,
 )
 from bernmod.modular import mod_reduce
-from bernmod.sequences import weighted_convolution
+from bernmod.sequences import (
+    gen_harmonic,
+    get_prime_context,
+    harmonic,
+    weighted_convolution,
+)
 
 # hand-computed residue pairs; every entry is (identity, params,
 # lhs residue, rhs residue, modulus)
@@ -67,6 +72,23 @@ def test_theorem1_rhs_matches_convolution():
         lhs = mod_reduce(weighted_convolution(p, 2), p, 1)
         rhs = mod_reduce(theorem1_rhs(p), p, 1)
         assert lhs.residue == rhs.residue, p
+
+
+def _harmonic_convolution_oracle(n):
+    """H_1/(n-1) + H_2/(n-2) + ... + H_{n-1}/1, summed term by term."""
+    return sum((harmonic(k) / (n - k) for k in range(1, n)), Fraction(0))
+
+
+def test_harmonic_convolution_closed_form_matches_the_sum():
+    for n in range(1, 200):
+        closed = harmonic(n) ** 2 - gen_harmonic(n, 2)
+        assert closed == _harmonic_convolution_oracle(n), n
+    # the catalog's evaluator reads the same form off a prime's prefixes
+    ctx = get_prime_context(199)
+    assert idmod._hc(ctx, 1) == Fraction(1)
+    assert idmod._hc(ctx, 2) == Fraction(35, 12)
+    for m in range(1, 100):
+        assert idmod._hc(ctx, m) == _harmonic_convolution_oracle(2 * m), m
 
 
 def test_exact_identity_reports_carry_fractions():
@@ -166,6 +188,19 @@ def test_sweep_reports_are_sorted_and_complete():
                   if r.identity == "lemma2"]
     assert lemma2_pts == [(5, 1), (7, 1), (7, 2), (11, 1), (11, 2), (11, 3),
                           (11, 4), (13, 1), (13, 2), (13, 3), (13, 4), (13, 5)]
+
+
+def test_sweep_runs_costliest_batches_first(monkeypatch):
+    started = []
+    check_batch = idmod._check_batch
+
+    def record(tasks, modulus_override):
+        started.append(tasks[0][1].get("p", tasks[0][0]))
+        return check_batch(tasks, modulus_override)
+
+    monkeypatch.setattr(idmod, "_check_batch", record)
+    sweep(["wilson", "alzer", "lemma2"], 5, 13)
+    assert started == ["alzer", 13, 11, 7, 5]
 
 
 def test_sweep_is_deterministic_across_worker_counts():

@@ -28,8 +28,6 @@ from bernmod.sequences import (
     gen_harmonic,
     get_prime_context,
     harmonic,
-    harmonic_convolution,
-    odd_harmonic_sum,
     odd_reciprocal_sum,
     sum_powers,
     sum_powers_bernoulli,
@@ -152,12 +150,10 @@ def test_gen_harmonic_prefix_property(n, r):
 
 def test_odd_sums_frozen():
     assert odd_reciprocal_sum(5) == Fraction(4, 3)
-    assert odd_harmonic_sum(5) == Fraction(17, 6)
-    assert odd_harmonic_sum(7) == Fraction(307, 60)
-    assert harmonic_convolution(1) == Fraction(1)
-    assert harmonic_convolution(2) == Fraction(35, 12)
+    assert get_prime_context(5).odd_harmonic_sum() == Fraction(17, 6)
+    assert get_prime_context(7).odd_harmonic_sum() == Fraction(307, 60)
     with pytest.raises(ValueError):
-        odd_harmonic_sum(9)
+        odd_reciprocal_sum(9)
 
 
 def test_sum_powers_frozen_and_dual_paths():
@@ -304,7 +300,8 @@ def test_prime_context_tables():
     assert len(ctx.harmonics) == 11
     assert ctx.harmonics[4] == Fraction(25, 12)
     assert ctx.gen_harmonics2[3] == Fraction(49, 36)
-    assert ctx.odd_harmonic_sum() == odd_harmonic_sum(11)
+    assert ctx.odd_harmonic_sum() == sum(
+        (harmonic(m) for m in range(1, 10, 2)), Fraction(0))
     for t in range(11):
         assert ctx.power_sum(t) == sum_powers(t, 9)
     assert ctx.odd_power_sum_total() == sum(
