@@ -3,7 +3,8 @@
 Format: a header line ``BERNCACHE 1 <convention>`` followed by one
 ``n numerator denominator`` line per index, contiguous from 0.  Writes are
 atomic (temp file in the target directory, then replace) so a crashed or
-concurrent writer never leaves a torn file behind.
+concurrent writer never leaves a torn file behind; the file gets the
+permissions a plain ``open()`` would give under the current umask.
 """
 from __future__ import annotations
 
@@ -41,6 +42,10 @@ def save(table: BernoulliTable, path: str | os.PathLike) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.writelines(lines)
+        # mkstemp creates 0600; give the mode a plain open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -106,44 +106,37 @@ def _params_text(params: dict[str, int]) -> str:
     return ";".join(f"{k}={v}" for k, v in params.items())
 
 
+_COLUMNS = ("identity", "params", "modulus", "lhs", "rhs", "status")
+_TIMED_COLUMNS = _COLUMNS + ("elapsed_ms", "timestamp")
+
+
+def _report_row(r, with_times: bool) -> dict:
+    """The fields of one report in column order, for either output format."""
+    values = [r.identity, dict(r.params), r.modulus,
+              _fmt_value(r.lhs), _fmt_value(r.rhs), r.status]
+    if with_times:
+        values += [round(r.elapsed * 1000.0, 3),
+                   datetime.now(timezone.utc).isoformat()]
+    return dict(zip(_TIMED_COLUMNS, values))
+
+
+def _csv_field(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, dict):
+        return _params_text(value)
+    return str(value)
+
+
 def _write_reports(reports, out, fmt: str, with_times: bool) -> None:
+    rows = (_report_row(r, with_times) for r in reports)
     if fmt == "json":
-        for r in reports:
-            row = {
-                "identity": r.identity,
-                "params": dict(r.params),
-                "modulus": r.modulus,
-                "lhs": _fmt_value(r.lhs),
-                "rhs": _fmt_value(r.rhs),
-                "status": r.status,
-            }
-            if with_times:
-                row["elapsed_ms"] = round(r.elapsed * 1000.0, 3)
-                row["timestamp"] = datetime.now(timezone.utc).isoformat()
+        for row in rows:
             out.write(json.dumps(row) + "\n")
         return
-    columns = ["identity", "params", "modulus", "lhs", "rhs", "status"]
-    if with_times:
-        columns += ["elapsed_ms", "timestamp"]
-    out.write(",".join(columns) + "\n")
-    for r in reports:
-        fields = [
-            r.identity,
-            _params_text(r.params),
-            "" if r.modulus is None else str(r.modulus),
-            _csv_value(r.lhs),
-            _csv_value(r.rhs),
-            r.status,
-        ]
-        if with_times:
-            fields.append(str(round(r.elapsed * 1000.0, 3)))
-            fields.append(datetime.now(timezone.utc).isoformat())
-        out.write(",".join(fields) + "\n")
-
-
-def _csv_value(value) -> str:
-    formatted = _fmt_value(value)
-    return "" if formatted is None else str(formatted)
+    out.write(",".join(_TIMED_COLUMNS if with_times else _COLUMNS) + "\n")
+    for row in rows:
+        out.write(",".join(_csv_field(v) for v in row.values()) + "\n")
 
 
 def _cmd_verify(args: argparse.Namespace,

@@ -175,9 +175,7 @@ def _miki_lhs(ctx, n):
 
 
 def _miki_rhs(ctx, n):
-    plain = sum((divided_bernoulli(j) * divided_bernoulli(n - j)
-                 for j in range(2, n - 1)), Fraction(0))
-    return plain - 2 * divided_bernoulli(n) * harmonic(n)
+    return _divided_convolution(n) - 2 * divided_bernoulli(n) * harmonic(n)
 
 
 def _conv_p1_lhs(ctx, p):
@@ -277,8 +275,13 @@ def _result1_lhs(ctx, p):
 
 
 def _result1_rhs(ctx, p):
-    tails = sum((ctx.shifted_harmonic_tail(m)
-                 for m in range((p - 1) // 2)), Fraction(0))
+    # sum_m T_m regrouped by K: H_K meets 1/j once for every p < j < p + K
+    # with j = K (mod 2), so one running sum per parity of K covers it
+    tails = Fraction(0)
+    parity_sums = [Fraction(0), Fraction(0)]
+    for K in range(2, p - 1):
+        parity_sums[K % 2] += Fraction(1, p + K - 1)
+        tails += ctx.harmonics[K] * parity_sums[K % 2]
     return ctx.odd_power_sum_total() - p * tails
 
 
@@ -318,7 +321,7 @@ def _lehmer_i_rhs(ctx, p, k):
 
 
 def _lehmer_ii_lhs(ctx, p, k):
-    return Fraction(sum(r ** (2 * k) for r in range(1, (p - 1) // 2 + 1)))
+    return Fraction(sum_powers((p - 1) // 2, 2 * k))
 
 
 def _lehmer_ii_rhs(ctx, p, k):

@@ -266,13 +266,34 @@ def eulerian_explicit(n: int, m: int) -> int:
     )
 
 
-def eulerian_mod(n: int, m: int, p: int, k: int = 1) -> ResidueValue:
-    """E(n, m) mod p^k computed purely modularly.
+def _signed_binomials_mod(n: int, top: int, p: int, k: int) -> list[int]:
+    """(-1)^j C(n+1, j) mod p^k for j = 0..top, where top <= n.
 
-    The running binomial C(n+1, j) is kept as unit * p^v with the p-part
-    tracked separately so the incremental update stays valid when j or
-    n+2-j is divisible by p.
+    The running binomial is kept as unit * p^v with the p-part tracked
+    separately so the incremental update stays valid when j or n+2-j is
+    divisible by p.
     """
+    pk = p ** k
+    out = [1]
+    unit = 1
+    val = 0
+    for j in range(1, top + 1):
+        a = n + 2 - j
+        while a % p == 0:
+            a //= p
+            val += 1
+        b = j
+        while b % p == 0:
+            b //= p
+            val -= 1
+        unit = unit * a % pk * pow(b, -1, pk) % pk
+        c = unit * p ** val % pk
+        out.append(-c % pk if j % 2 else c)
+    return out
+
+
+def eulerian_mod(n: int, m: int, p: int, k: int = 1) -> ResidueValue:
+    """E(n, m) mod p^k computed purely modularly, in O(m) modular steps."""
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
     if not is_prime(p):
@@ -282,23 +303,8 @@ def eulerian_mod(n: int, m: int, p: int, k: int = 1) -> ResidueValue:
     pk = p ** k
     if m < 0 or m > n - 1:
         return ResidueValue(0, p, k)
-    total = 0
-    unit = 1
-    val = 0
-    for j in range(m + 1):
-        if j > 0:
-            a = n + 2 - j
-            while a % p == 0:
-                a //= p
-                val += 1
-            b = j
-            while b % p == 0:
-                b //= p
-                val -= 1
-            unit = unit * a % pk * pow(b, -1, pk) % pk
-        if val < k:
-            term = unit * p ** val % pk * pow(m + 1 - j, n, pk) % pk
-            total = (total - term) if j % 2 else (total + term)
+    total = sum(c * pow(m + 1 - j, n, pk)
+                for j, c in enumerate(_signed_binomials_mod(n, m, p, k)) if c)
     return ResidueValue(total % pk, p, k)
 
 
@@ -382,8 +388,8 @@ class PrimeContext:
     """Per-prime workspace shared by congruence evaluators.
 
     Holds the exact harmonic and order-2 harmonic prefixes H_0..H_{p-1} and
-    lazily built modular binomial/power tables, so a sweep touches each
-    expensive table once per prime.
+    lazily computed per-prime sums, so a sweep builds each of them once per
+    prime.
     """
 
     def __init__(self, p: int):
@@ -393,7 +399,7 @@ class PrimeContext:
         self.harmonics = tuple(harmonic(i) for i in range(p))
         self.gen_harmonics2 = tuple(gen_harmonic(i, 2) for i in range(p))
         self._even_ascent: dict[int, int] = {}
-        self._power_prefix: list[int] | None = None
+        self._odd_power_sum_total: int | None = None
         self._odd_harmonic_sum: Fraction | None = None
 
     def odd_harmonic_sum(self) -> Fraction:
@@ -411,42 +417,27 @@ class PrimeContext:
         if exponent not in self._even_ascent:
             p = self.p
             pk = p ** exponent
-            # C(p-1, j) mod p^exponent for j = 0..p-3; all j < p are units
-            binoms = [1]
-            for j in range(1, p - 2):
-                binoms.append(
-                    binoms[-1] * (p - j) % pk * pow(j, -1, pk) % pk
-                )
+            binoms = _signed_binomials_mod(p - 2, p - 3, p, exponent)
             pows = [pow(a, p - 2, pk) for a in range(p)]
             total = 0
             for mm in range(0, p - 2, 2):
-                s = 0
-                for j in range(mm + 1):
-                    term = binoms[j] * pows[mm + 1 - j] % pk
-                    s = (s - term) if j % 2 else (s + term)
-                total += s
+                total += sum(binoms[j] * pows[mm + 1 - j]
+                             for j in range(mm + 1))
             self._even_ascent[exponent] = total % pk
         return self._even_ascent[exponent]
 
-    def _prefix(self) -> list[int]:
-        if self._power_prefix is None:
-            p = self.p
-            acc = 0
-            prefix = [0]
-            for a in range(1, p):
-                acc += a ** (p - 2)
-                prefix.append(acc)
-            self._power_prefix = prefix
-        return self._power_prefix
-
-    def power_sum(self, t: int) -> int:
-        """S_{t, p-2} exactly, for 0 <= t <= p-1."""
-        return self._prefix()[t]
-
     def odd_power_sum_total(self) -> int:
-        """sum over m = 0..(p-3)/2 of S_{2m+1, p-2}, exactly."""
-        prefix = self._prefix()
-        return sum(prefix[t] for t in range(1, self.p - 1, 2))
+        """sum over m = 0..(p-3)/2 of S_{2m+1, p-2}, exactly.
+
+        Summed by power rather than by m: a^(p-2) occurs in S_{t, p-2} for
+        each of the (p-1)/2 - a//2 odd t in [a, p-2].
+        """
+        if self._odd_power_sum_total is None:
+            p = self.p
+            half = (p - 1) // 2
+            self._odd_power_sum_total = sum(
+                a ** (p - 2) * (half - a // 2) for a in range(1, p - 1))
+        return self._odd_power_sum_total
 
     def shifted_harmonic_tail(self, m: int) -> Fraction:
         """sum_{K=p-(2m+1)}^{p-2} H_K / (K + 2m + 2); empty at m = 0."""

@@ -1,5 +1,6 @@
 """Cache file round-trips, validation, and failure modes."""
 import os
+import stat
 
 import pytest
 
@@ -103,6 +104,22 @@ def test_save_is_atomic_replace(tmp_path):
     assert load(path).max_index == 20
     leftovers = [f for f in os.listdir(tmp_path) if f != "bern.cache"]
     assert leftovers == []  # no temp files left behind
+
+
+def test_save_gives_the_mode_of_a_plain_open(tmp_path):
+    old = os.umask(0o022)
+    try:
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600), (0o002, 0o664)):
+            os.umask(umask)
+            path = tmp_path / f"bern-{umask:03o}.cache"
+            save(fresh_table(6), path)
+            plain = tmp_path / f"plain-{umask:03o}"
+            plain.write_text("")
+            assert stat.S_IMODE(path.stat().st_mode) == mode
+            assert stat.S_IMODE(plain.stat().st_mode) == mode
+    finally:
+        os.umask(old)
+    assert not [f for f in os.listdir(tmp_path) if f.startswith(".berncache-")]
 
 
 def test_blank_lines_tolerated(tmp_path):

@@ -1,13 +1,17 @@
 """Command line behavior: output formats, exit codes, cache wiring."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from bernmod.cache import load, save
 from bernmod.cli import main
 from bernmod.sequences import BernoulliTable
+
+ROOT = Path(__file__).resolve().parent.parent
 
 EXPECTED_WILSON_CSV = """\
 identity,params,modulus,lhs,rhs,status
@@ -69,12 +73,30 @@ def test_no_timestamps_output_is_reproducible(capsys):
     assert out_a == out_b
 
 
+# runs the command line under the start method named by the first argument
+START_METHOD_MAIN = """
+import multiprocessing, sys
+multiprocessing.set_start_method(sys.argv[1])
+from bernmod.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
 def test_jobs_do_not_change_output(capsys):
     base = ["verify", "--primes", "5..19", "--identity", "eisenstein",
             "--identity", "result4", "--no-timestamps"]
     _, serial, _ = run(base, capsys)
     _, parallel, _ = run(base + ["--jobs", "2"], capsys)
     assert serial == parallel
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    for method in ("spawn", "forkserver"):
+        proc = subprocess.run(
+            [sys.executable, "-c", START_METHOD_MAIN, method, *base,
+             "--jobs", "2"],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == serial, method
 
 
 def test_verify_out_file(tmp_path, capsys):

@@ -19,7 +19,7 @@ from bernmod.identities import (
     sweep,
     theorem1_rhs,
 )
-from bernmod.modular import mod_reduce
+from bernmod.modular import mod_reduce, primes_in
 from bernmod.sequences import (
     gen_harmonic,
     get_prime_context,
@@ -89,6 +89,17 @@ def test_harmonic_convolution_closed_form_matches_the_sum():
     assert idmod._hc(ctx, 2) == Fraction(35, 12)
     for m in range(1, 100):
         assert idmod._hc(ctx, m) == _harmonic_convolution_oracle(2 * m), m
+
+
+def test_result1_rhs_matches_the_double_loop():
+    # the sum of the shifted tails, one tail at a time, is the oracle for
+    # the regrouped single loop
+    for p in primes_in(5, 199):
+        ctx = get_prime_context(p)
+        tails = sum((ctx.shifted_harmonic_tail(m)
+                     for m in range((p - 1) // 2)), Fraction(0))
+        want = ctx.odd_power_sum_total() - p * tails
+        assert idmod._result1_rhs(ctx, p) == want, p
 
 
 def test_exact_identity_reports_carry_fractions():

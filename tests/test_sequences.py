@@ -214,8 +214,11 @@ def test_eulerian_recurrence_matches_explicit():
 def test_eulerian_mod_matches_exact(p, k):
     pk = p ** k
     for n in range(1, 41, 3):
-        for m in range(0, n, 2):
+        for m in range(n):
             assert eulerian_mod(n, m, p, k).residue == eulerian(n, m) % pk
+    # a small m costs O(m) binomial steps, however large n is
+    n = 10 ** 5
+    assert eulerian_mod(n, 3, p, k).residue == eulerian_explicit(n, 3) % pk
 
 
 def test_eulerian_mod_rejects_bad_args():
@@ -230,7 +233,7 @@ def test_even_ascent_count_frozen():
         1, 1, 2, 12, 68, 360]
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+@pytest.mark.parametrize("p", list(sympy.primerange(5, 200)))
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_even_ascent_count_mod_matches_exact(p, k):
     want = even_ascent_count(p - 2) % p ** k
@@ -302,8 +305,6 @@ def test_prime_context_tables():
     assert ctx.gen_harmonics2[3] == Fraction(49, 36)
     assert ctx.odd_harmonic_sum() == sum(
         (harmonic(m) for m in range(1, 10, 2)), Fraction(0))
-    for t in range(11):
-        assert ctx.power_sum(t) == sum_powers(t, 9)
     assert ctx.odd_power_sum_total() == sum(
         sum_powers(2 * m + 1, 9) for m in range(5))
     assert ctx.even_ascent_residue(1) == even_ascent_count(9) % 11
@@ -311,6 +312,13 @@ def test_prime_context_tables():
         PrimeContext(9)
     with pytest.raises(ValueError):
         ctx.even_ascent_residue(0)
+
+
+def test_odd_power_sum_total_matches_the_double_loop():
+    # the sum over m of whole power sums is the oracle for the regrouped form
+    for p in sympy.primerange(5, 200):
+        want = sum(sum_powers(2 * m + 1, p - 2) for m in range((p - 1) // 2))
+        assert get_prime_context(p).odd_power_sum_total() == want, p
 
 
 def test_prime_context_shifted_tail():
