@@ -1,7 +1,7 @@
 """Command line front end: verify sweeps, single computations, brute-force oracle.
 
-Exit codes: 0 all checks passed, 1 at least one failed or hit a p-adic pole,
-2 usage error.
+Exit codes: 0 all checks passed, 1 at least one failed, hit a p-adic pole or
+raised an error, 2 usage error.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import cache as cache_store
-from .identities import FAILED, NOT_P_INTEGRAL, identity_ids, sweep
+from .identities import ERROR, FAILED, NOT_P_INTEGRAL, identity_ids, sweep
 from .modular import ResidueValue, is_prime
 from .permutations import profile
 from .sequences import (
@@ -33,7 +33,8 @@ from .sequences import (
 
 __all__ = ["main"]
 
-_STATUS_ORDER = ("verified", "failed", "inapplicable", "not_p_integral")
+_STATUS_ORDER = ("verified", "failed", "inapplicable", "not_p_integral",
+                 "error")
 
 
 def _prime_range(text: str) -> tuple[int, int]:
@@ -164,7 +165,7 @@ def _cmd_verify(args: argparse.Namespace,
         counts[r.status] = counts.get(r.status, 0) + 1
     summary = ", ".join(f"{counts[s]} {s}" for s in _STATUS_ORDER)
     print(f"checked {len(reports)} points: {summary}", file=sys.stderr)
-    bad = counts[FAILED] + counts[NOT_P_INTEGRAL]
+    bad = counts[FAILED] + counts[NOT_P_INTEGRAL] + counts[ERROR]
     return 1 if bad else 0
 
 

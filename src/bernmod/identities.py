@@ -3,11 +3,13 @@
 Each catalog entry carries independent evaluators for its two sides.  A check
 computes both sides exactly, reduces them at the declared prime power (or
 compares exactly), and reports verified / failed / inapplicable /
-not_p_integral.  Sweeps run the catalog over a prime range with deterministic
-report ordering regardless of worker parallelism.
+not_p_integral, or error when an evaluator raises.  Sweeps run the catalog
+over a prime range with deterministic report ordering regardless of worker
+parallelism.
 """
 from __future__ import annotations
 
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -35,7 +37,6 @@ from .sequences import (
     get_prime_context,
     harmonic,
     odd_reciprocal_sum,
-    sum_powers,
     von_staudt_denominator,
     weighted_convolution,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "FAILED",
     "INAPPLICABLE",
     "NOT_P_INTEGRAL",
+    "ERROR",
     "UnknownIdentity",
     "CheckReport",
     "IdentityDescriptor",
@@ -59,6 +61,7 @@ VERIFIED = "verified"
 FAILED = "failed"
 INAPPLICABLE = "inapplicable"
 NOT_P_INTEGRAL = "not_p_integral"
+ERROR = "error"
 
 
 class UnknownIdentity(KeyError):
@@ -316,12 +319,12 @@ def _lehmer_i_lhs(ctx, p, k):
 
 
 def _lehmer_i_rhs(ctx, p, k):
-    total = sum((p - 2 * a) ** (2 * k) for a in range(1, (p - 1) // 2 + 1))
-    return Fraction(total, 2 ** (2 * k - 1))
+    # p - 2a for a = 1..(p-1)/2 runs over the odd numbers below p
+    return Fraction(ctx.odd_even_power_sum(k), 1 << (2 * k - 1))
 
 
 def _lehmer_ii_lhs(ctx, p, k):
-    return Fraction(sum_powers((p - 1) // 2, 2 * k))
+    return Fraction(ctx.half_even_power_sum(k))
 
 
 def _lehmer_ii_rhs(ctx, p, k):
@@ -329,7 +332,7 @@ def _lehmer_ii_rhs(ctx, p, k):
 
 
 def _sun_lhs(ctx, p, k):
-    return Fraction(sum_powers(p - 1, k))
+    return Fraction(ctx.full_power_sum(k))
 
 
 def _sun_rhs(ctx, p, k):
@@ -851,6 +854,13 @@ def check(identity: str, params: dict[str, int], *,
     except NotPIntegral:
         return CheckReport(identity, ordered, NOT_P_INTEGRAL, None, None,
                            None, time.perf_counter() - start)
+    except Exception as exc:
+        # one broken evaluator must not sink the rest of a sweep
+        where = ";".join(f"{k}={v}" for k, v in ordered.items())
+        print(f"error: {identity} {where}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return CheckReport(identity, ordered, ERROR, None, None, None,
+                           time.perf_counter() - start)
     status = VERIFIED if equal else FAILED
     if status == FAILED and desc.counted is not None \
             and not desc.counted(**ordered):
@@ -899,7 +909,8 @@ def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
         raise ValueError(f"empty sweep range {lo}..{hi}")
     ids = _resolve_ids(identities)
 
-    # warm the shared Bernoulli table before any fork so workers inherit it
+    # warm the shared Bernoulli table here and in each worker: a forked
+    # worker inherits it, a spawned or forkserver one builds it once
     need = max((_CATALOG[i].bernoulli_need(hi) for i in ids), default=0)
     if need:
         bernoulli(need)
@@ -919,7 +930,8 @@ def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
         reports = [r for batch in ordered
                    for r in _check_batch(batch, modulus_override)]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=bernoulli,
+                                 initargs=(need,)) as pool:
             futures = [pool.submit(_check_batch, batch, modulus_override)
                        for batch in ordered]
             reports = [r for f in futures for r in f.result()]

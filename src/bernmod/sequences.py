@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
+from operator import mul
+from typing import Iterable
 
 from .modular import ResidueValue, is_prime
 
@@ -384,12 +386,37 @@ def bernoulli_mod_row(p: int) -> list[int]:
     return row
 
 
+class _PowerRow:
+    """Exact sums of b^k over a fixed set of bases b, one exponent at a time.
+
+    Only the current powers are kept.  Asking for the exponent one past the
+    last one multiplies each power by its base; any other exponent raises
+    every base from scratch, so the sum never depends on the request order.
+    """
+
+    def __init__(self, bases: Iterable[int]):
+        self._bases = tuple(bases)
+        self._k = 0
+        self._powers = [1] * len(self._bases)
+
+    def total(self, k: int) -> int:
+        if k < 0:
+            raise ValueError(f"exponent must be >= 0, got {k}")
+        if k == self._k + 1:
+            self._powers = list(map(mul, self._powers, self._bases))
+        else:
+            self._powers = [b ** k for b in self._bases]
+        self._k = k
+        return sum(self._powers)
+
+
 class PrimeContext:
     """Per-prime workspace shared by congruence evaluators.
 
-    Holds the exact harmonic and order-2 harmonic prefixes H_0..H_{p-1} and
-    lazily computed per-prime sums, so a sweep builds each of them once per
-    prime.
+    Holds the exact harmonic and order-2 harmonic prefixes H_0..H_{p-1},
+    lazily computed per-prime sums, and the integer kernels behind the
+    power-sum and shifted-tail evaluators, so a sweep builds each of them
+    once per prime.
     """
 
     def __init__(self, p: int):
@@ -401,6 +428,11 @@ class PrimeContext:
         self._even_ascent: dict[int, int] = {}
         self._odd_power_sum_total: int | None = None
         self._odd_harmonic_sum: Fraction | None = None
+        self._tail_kernel: tuple[list[int], list[int], int] | None = None
+        self._full_row = _PowerRow(range(1, p))
+        self._half_square_row = _PowerRow(
+            b * b for b in range(1, (p - 1) // 2 + 1))
+        self._odd_square_row = _PowerRow(x * x for x in range(1, p - 1, 2))
 
     def odd_harmonic_sum(self) -> Fraction:
         if self._odd_harmonic_sum is None:
@@ -439,19 +471,48 @@ class PrimeContext:
                 a ** (p - 2) * (half - a // 2) for a in range(1, p - 1))
         return self._odd_power_sum_total
 
+    def full_power_sum(self, k: int) -> int:
+        """S_{p-1,k} = 1^k + 2^k + ... + (p-1)^k."""
+        return self._full_row.total(k)
+
+    def half_even_power_sum(self, k: int) -> int:
+        """S_{(p-1)/2, 2k} = 1^(2k) + 2^(2k) + ... + ((p-1)/2)^(2k)."""
+        return self._half_square_row.total(k)
+
+    def odd_even_power_sum(self, k: int) -> int:
+        """1^(2k) + 3^(2k) + ... + (p-2)^(2k), the odd bases below p."""
+        return self._odd_square_row.total(k)
+
     def shifted_harmonic_tail(self, m: int) -> Fraction:
-        """sum_{K=p-(2m+1)}^{p-2} H_K / (K + 2m + 2); empty at m = 0."""
+        """sum_{K=p-(2m+1)}^{p-2} H_K / (K + 2m + 2); empty at m = 0.
+
+        Every term is put over the one denominator L M, where
+        L = lcm(1..p-2) clears each H_K and M = lcm(p+1..2p-3) clears each
+        divisor K + 2m + 2, so the tail is one integer dot product.
+        """
         p = self.p
         if m < 0 or 2 * m + 1 > p - 1:
             raise ValueError(f"need 0 <= m <= (p-3)/2, got m={m}, p={p}")
-        return sum(
-            (self.harmonics[K] / (K + 2 * m + 2)
-             for K in range(p - 2 * m - 1, p - 1)),
-            Fraction(0),
-        )
+        if self._tail_kernel is None:
+            L = lcm(*range(1, p - 1))
+            M = lcm(*range(p + 1, 2 * p - 2))
+            h_times_l = [0]  # H_K * L for K = 0..p-2
+            for K in range(1, p - 1):
+                h_times_l.append(h_times_l[-1] + L // K)
+            # M // d for the divisors d = p+1..2p-3, in order
+            cofactors = [M // d for d in range(p + 1, 2 * p - 2)]
+            self._tail_kernel = (h_times_l, cofactors, L * M)
+        h_times_l, cofactors, denominator = self._tail_kernel
+        # K = p-2m-1+i meets the divisor p+1+i for i = 0..2m-1
+        terms = h_times_l[p - 2 * m - 1:p - 1]
+        return Fraction(sum(map(mul, terms, cofactors)), denominator)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def get_prime_context(p: int) -> PrimeContext:
-    """Shared PrimeContext per prime (contexts are immutable once warmed)."""
+    """The PrimeContext of the last prime asked for.
+
+    A sweep batch holds the points of one prime, so one live context is
+    enough, and the power rows and tail kernel of earlier primes are freed.
+    """
     return PrimeContext(p)

@@ -1,4 +1,5 @@
 """Command line behavior: output formats, exit codes, cache wiring."""
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import bernmod.identities as idmod
 from bernmod.cache import load, save
 from bernmod.cli import main
 from bernmod.sequences import BernoulliTable
@@ -118,6 +120,35 @@ def test_verify_modulus_override_failure_exits_one(capsys):
     statuses = [json.loads(line)["status"] for line in out.splitlines()]
     assert "failed" in statuses
     assert "failed" in err
+
+
+def test_an_evaluator_that_raises_reports_error(monkeypatch, capsys):
+    argv = ["verify", "--primes", "5..13", "--identity", "lemma2",
+            "--identity", "wilson", "--no-timestamps"]
+    _, clean, _ = run(argv, capsys)
+    desc = idmod._CATALOG["lemma2"]
+
+    def lhs(ctx, p, m):
+        if (p, m) == (11, 2):
+            raise ZeroDivisionError("deliberate")
+        return desc.lhs(ctx, p, m)
+
+    monkeypatch.setitem(idmod._CATALOG, "lemma2",
+                        dataclasses.replace(desc, lhs=lhs))
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    # the sweep finished and only the raising point changed
+    changed = [(a, b) for a, b in zip(clean.splitlines(), out.splitlines())
+               if a != b]
+    assert len(out.splitlines()) == len(clean.splitlines()) == 16
+    assert len(changed) == 1
+    assert json.loads(changed[0][1]) == {
+        "identity": "lemma2", "params": {"p": 11, "m": 2}, "modulus": None,
+        "lhs": None, "rhs": None, "status": "error"}
+    lines = err.splitlines()
+    assert [line for line in lines if line.startswith("error:")] == [
+        "error: lemma2 p=11;m=2: ZeroDivisionError: deliberate"]
+    assert lines[-1].endswith("0 not_p_integral, 1 error")
 
 
 def test_verify_verbose_echoes_points(capsys):

@@ -92,12 +92,13 @@ def test_harmonic_convolution_closed_form_matches_the_sum():
 
 
 def test_result1_rhs_matches_the_double_loop():
-    # the sum of the shifted tails, one tail at a time, is the oracle for
-    # the regrouped single loop
+    # the sum of the shifted tails, one Fraction term at a time, is the
+    # oracle for the regrouped single loop
     for p in primes_in(5, 199):
         ctx = get_prime_context(p)
-        tails = sum((ctx.shifted_harmonic_tail(m)
-                     for m in range((p - 1) // 2)), Fraction(0))
+        tails = sum((harmonic(K) / (K + 2 * m + 2)
+                     for m in range((p - 1) // 2)
+                     for K in range(p - 2 * m - 1, p - 1)), Fraction(0))
         want = ctx.odd_power_sum_total() - p * tails
         assert idmod._result1_rhs(ctx, p) == want, p
 

@@ -331,6 +331,57 @@ def test_prime_context_shifted_tail():
         ctx.shifted_harmonic_tail(4)
 
 
+def test_shifted_harmonic_tail_matches_the_fraction_sum():
+    # the term-by-term Fraction sum is the oracle for the integer kernel;
+    # p = 5 is the edge where the divisors are only 6 and 7
+    for p in sympy.primerange(5, 200):
+        ctx = get_prime_context(p)
+        for m in range((p - 1) // 2):
+            want = sum((harmonic(K) / (K + 2 * m + 2)
+                        for K in range(p - 2 * m - 1, p - 1)), Fraction(0))
+            assert ctx.shifted_harmonic_tail(m) == want, (p, m)
+
+
+def _odd_even_power_sum_oracle(p, k):
+    """(p-2)^(2k) + (p-4)^(2k) + ... + 1^(2k), as Lehmer's sum is written."""
+    return sum((p - 2 * a) ** (2 * k) for a in range(1, (p - 1) // 2 + 1))
+
+
+def test_power_rows_match_direct_sums_at_catalog_exponents():
+    # the exponents in the order a sweep asks for them; lehmer_i skips the
+    # k with p - 1 | 2k - 2, so its row jumps once per prime
+    for p in sympy.primerange(5, 200):
+        ctx = get_prime_context(p)
+        for k in range(2, p + 1):
+            assert ctx.full_power_sum(k) == sum_powers(p - 1, k), (p, k)
+        for k in range(2, p):
+            if (2 * k - 2) % (p - 1):
+                assert (ctx.odd_even_power_sum(k)
+                        == _odd_even_power_sum_oracle(p, k)), (p, k)
+        for k in range(1, p + 1):
+            assert (ctx.half_even_power_sum(k)
+                    == sum_powers((p - 1) // 2, 2 * k)), (p, k)
+
+
+def test_power_rows_do_not_depend_on_request_order():
+    p = 31
+    half = (p - 1) // 2
+    # descending, repeated, jumps, back to 0, then a run again
+    ks = [7, 6, 5, 5, 5, 6, 20, 21, 22, 3, 0, 1, 2, 2, 40, 41]
+    ctx = PrimeContext(p)
+    for k in ks:
+        assert ctx.full_power_sum(k) == sum_powers(p - 1, k), k
+    # two rows of one context interleaved, each keeps its own exponent
+    ctx = PrimeContext(p)
+    for k in ks:
+        assert ctx.half_even_power_sum(k) == sum_powers(half, 2 * k), k
+        assert (ctx.odd_even_power_sum(k + 1)
+                == _odd_even_power_sum_oracle(p, k + 1)), k
+        assert ctx.half_even_power_sum(k + 1) == sum_powers(half, 2 * k + 2)
+    with pytest.raises(ValueError):
+        ctx.full_power_sum(-1)
+
+
 def test_pole_detection_on_reduction():
     # B_{p-1} is not p-integral, a wrong-modulus request must say so
     with pytest.raises(NotPIntegral):
