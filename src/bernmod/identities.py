@@ -30,6 +30,7 @@ from .sequences import (
     PrimeContext,
     agoh_giuga_quotient,
     bernoulli,
+    bernoulli_table,
     divided_bernoulli,
     euler_number_sides,
     fermat_quotient_2,
@@ -97,7 +98,6 @@ class IdentityDescriptor:
     rhs: Callable[..., Fraction]
     domain: Callable[..., bool]
     points: Callable[[int, int], Iterator[dict[str, int]]]
-    bernoulli_need: Callable[[int], int] = lambda hi: 0
     counted: Callable[..., bool] | None = None  # None: every domain point counts
 
 
@@ -498,7 +498,6 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         ("n",), None, _euler_lhs, _euler_rhs,
         domain=lambda n: n >= 1,
         points=_index_points(range(1, 61)),
-        bernoulli_need=lambda hi: 60,
     )
     add(
         "miki_identity",
@@ -508,7 +507,6 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         ("n",), None, _miki_lhs, _miki_rhs,
         domain=lambda n: n >= 4,
         points=_index_points(range(4, 41)),
-        bernoulli_need=lambda hi: 40,
     )
     add(
         "conv_order_p1",
@@ -518,7 +516,6 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         ("p",), 1, _conv_p1_lhs, _one_rhs,
         domain=_prime_domain(5),
         points=_prime_points(5),
-        bernoulli_need=lambda hi: hi,
     )
     add(
         "zhao_p3",
@@ -527,7 +524,6 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         ("p",), 1, _zhao_p3_lhs, _zhao_p3_rhs,
         domain=_prime_domain(11),
         points=_prime_points(11),
-        bernoulli_need=lambda hi: hi,
     )
     add(
         "zhao_p5",
@@ -536,7 +532,6 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         ("p",), 1, _zhao_p5_lhs, _zhao_p5_rhs,
         domain=_prime_domain(13),
         points=_prime_points(13),
-        bernoulli_need=lambda hi: hi,
     )
     add(
         "lev3_div_p1",
@@ -545,7 +540,6 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         ("p",), 1, _lev3_p1_lhs, _lev3_p1_rhs,
         domain=_prime_domain(5),
         points=_prime_points(5),
-        bernoulli_need=lambda hi: 2 * hi,
     )
     add(
         "lev3_div_p3",
@@ -554,7 +548,6 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         ("p",), 1, _lev3_p3_lhs, _lev3_p3_rhs,
         domain=_prime_domain(11),
         points=_prime_points(11),
-        bernoulli_need=lambda hi: 2 * hi,
     )
     add(
         "lev3_div_p5",
@@ -563,7 +556,6 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         ("p",), 1, _lev3_p5_lhs, _lev3_p5_rhs,
         domain=_prime_domain(13),
         points=_prime_points(13),
-        bernoulli_need=lambda hi: 2 * hi,
     )
     add(
         "sub_h_over_k2k",
@@ -572,7 +564,6 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         ("p",), 2, _sub_h_lhs, _sub_h_rhs,
         domain=_prime_domain(5),
         points=_prime_points(5),
-        bernoulli_need=lambda hi: hi,
     )
     add(
         "sub_h2_over_k2k",
@@ -581,7 +572,6 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         ("p",), 1, _sub_h2_lhs, _sub_h2_rhs,
         domain=_prime_domain(5),
         points=_prime_points(5),
-        bernoulli_need=lambda hi: hi,
     )
     add(
         "lev3_b_over_k2k",
@@ -590,7 +580,6 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         ("p",), 1, _lev3_b_lhs, _lev3_b_rhs,
         domain=_prime_domain(5),
         points=_prime_points(5),
-        bernoulli_need=lambda hi: hi,
     )
     add(
         "euler_tangent_relation",
@@ -599,7 +588,6 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         ("n",), None, _tangent_lhs, _tangent_rhs,
         domain=lambda n: n >= 1 and n % 2 == 1,
         points=_index_points(range(1, 32, 2)),
-        bernoulli_need=lambda hi: 32,
     )
     add(
         "result1",
@@ -626,7 +614,6 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         ("p",), 2, _result3_lhs, _result3_rhs,
         domain=_prime_domain(5),
         points=_prime_points(5),
-        bernoulli_need=lambda hi: hi,
     )
     add(
         "result4",
@@ -644,7 +631,6 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         domain=lambda p, k: (is_prime(p) and p >= 5 and k >= 1
                              and (2 * k - 2) % (p - 1) != 0),
         points=_per_prime_points(5, lambda p: (("k", k) for k in range(2, p))),
-        bernoulli_need=lambda hi: 2 * hi,
     )
     add(
         "lehmer_ii",
@@ -653,7 +639,6 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         ("p", "k"), 2, _lehmer_ii_lhs, _lehmer_ii_rhs,
         domain=lambda p, k: is_prime(p) and p >= 5 and k >= 1,
         points=_per_prime_points(5, lambda p: (("k", k) for k in range(1, p + 1))),
-        bernoulli_need=lambda hi: 2 * hi,
     )
     add(
         "sun_lemma",
@@ -662,9 +647,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         ("p", "k"), 2, _sun_lhs, _sun_rhs,
         domain=lambda p, k: is_prime(p) and p >= 5 and 2 <= k <= p,
         points=_per_prime_points(5, lambda p: (("k", k) for k in range(2, p + 1))),
-        bernoulli_need=lambda hi: hi,
-        counted=lambda p, k: (k <= p - 2 and k % (p - 1) != 0
-                              and (k - 1) % (p - 1) != 0),
+        counted=lambda p, k: k <= p - 2,
     )
     add(
         "alzer",
@@ -715,7 +698,6 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         ("p",), 2, _lemma1_lhs, _lemma1_rhs,
         domain=_prime_domain(5),
         points=_prime_points(5),
-        bernoulli_need=lambda hi: hi,
     )
     add(
         "lemma2",
@@ -734,7 +716,6 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         ("p",), 1, _theorem1_lhs, _theorem1_rhs,
         domain=_prime_domain(5),
         points=_prime_points(5),
-        bernoulli_need=lambda hi: hi,
     )
     add(
         "remark1a",
@@ -775,7 +756,6 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         ("p",), 2, _factorial_lhs, _glaisher_rhs,
         domain=_prime_domain(5),
         points=_prime_points(5),
-        bernoulli_need=lambda hi: hi,
     )
     add(
         "wilson",
@@ -792,7 +772,6 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         ("n",), None, _cvs_lhs, _cvs_rhs,
         domain=lambda n: n >= 2 and n % 2 == 0,
         points=_index_points(range(2, 201, 2)),
-        bernoulli_need=lambda hi: 200,
     )
 
     cat = {d.id: d for d in entries}
@@ -895,6 +874,12 @@ def _check_batch(tasks: list[tuple[str, dict[str, int]]],
             for i, prm in tasks]
 
 
+def _pool_batch(tasks: list[tuple[str, dict[str, int]]],
+                modulus_override: int | None) -> tuple[list[CheckReport], int]:
+    """A batch run in a pool worker, and how far its Bernoulli table grew."""
+    return _check_batch(tasks, modulus_override), bernoulli_table().max_index
+
+
 def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
           jobs: int = 1, modulus_override: int | None = None) -> list[CheckReport]:
     """Check every selected identity over its parameter points in [lo, hi].
@@ -908,12 +893,6 @@ def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
     if lo > hi:
         raise ValueError(f"empty sweep range {lo}..{hi}")
     ids = _resolve_ids(identities)
-
-    # warm the shared Bernoulli table here and in each worker: a forked
-    # worker inherits it, a spawned or forkserver one builds it once
-    need = max((_CATALOG[i].bernoulli_need(hi) for i in ids), default=0)
-    if need:
-        bernoulli(need)
 
     batches: dict[object, list[tuple[str, dict[str, int]]]] = {}
     for ident in ids:
@@ -930,10 +909,13 @@ def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
         reports = [r for batch in ordered
                    for r in _check_batch(batch, modulus_override)]
     else:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=bernoulli,
-                                 initargs=(need,)) as pool:
-            futures = [pool.submit(_check_batch, batch, modulus_override)
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(_pool_batch, batch, modulus_override)
                        for batch in ordered]
-            reports = [r for f in futures for r in f.result()]
+            done = [f.result() for f in futures]
+        reports = [r for batch, _ in done for r in batch]
+        # grow this process's table as far as any worker's grew, so that a
+        # cache saved after the sweep holds every entry the workers read
+        bernoulli(max(top for _, top in done))
     reports.sort(key=CheckReport.sort_key)
     return reports

@@ -1,10 +1,11 @@
 """Exact generators for the number families under study.
 
-Bernoulli numbers (both B_1 conventions), divided Bernoulli numbers, harmonic
-and generalized harmonic numbers, sums of powers, the Eulerian triangle with
-its even-ascent column sums, the Fermat quotient of 2, the Agoh-Giuga
-quotient, and the power-weighted Bernoulli convolution.  Everything returns
-exact ints or Fractions; the *_mod variants work purely in modular arithmetic.
+Bernoulli numbers (both B_1 conventions; built from the tangent numbers),
+divided Bernoulli numbers, harmonic and generalized harmonic numbers, sums of
+powers, the Eulerian triangle with its even-ascent column sums, the Fermat
+quotient of 2, the Agoh-Giuga quotient, and the power-weighted Bernoulli
+convolution.  Everything returns exact ints or Fractions; the *_mod variants
+work purely in modular arithmetic.
 """
 from __future__ import annotations
 
@@ -47,8 +48,6 @@ MINUS_HALF = "minus_half"
 PLUS_HALF = "plus_half"
 _CONVENTIONS = (MINUS_HALF, PLUS_HALF)
 
-_HALF = Fraction(1, 2)
-
 
 def von_staudt_denominator(n: int) -> int:
     """Product of the primes q with (q-1) | n; the denominator of B_n for even n."""
@@ -61,12 +60,30 @@ def von_staudt_denominator(n: int) -> int:
     return d
 
 
+def _b1(convention: str) -> Fraction:
+    """B_1 under a convention: -1/2 or +1/2."""
+    return Fraction(-1 if convention == MINUS_HALF else 1, 2)
+
+
+def _tangent_numbers(m: int) -> list[int]:
+    """[0, T_1, ..., T_m], tan x = sum T_k x^(2k-1)/(2k-1)!, in O(m^2) integer
+    steps (R. P. Brent and D. Harvey, arXiv:1108.0286, TangentNumbers)."""
+    t = [0, 1] + [0] * (m - 1)
+    for k in range(2, m + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
 class BernoulliTable:
     """Memoized Bernoulli numbers B_0..B_max under a fixed B_1 convention.
 
-    Entries are extended on demand by the defining recurrence
-    sum_{j=0}^{n} C(n+1, j) B_j = 0 (iterated over even n only; odd entries
-    beyond B_1 vanish).
+    Entries are extended on demand from the tangent numbers T_m, by
+    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)); odd entries beyond B_1
+    vanish.  Each extension rebuilds the tangent numbers from scratch to at
+    least twice the current size, so the table keeps no triangle as state.
     """
 
     def __init__(self, convention: str = MINUS_HALF,
@@ -75,8 +92,7 @@ class BernoulliTable:
             raise ValueError(f"unknown convention {convention!r}")
         self.convention = convention
         if entries is None:
-            b1 = -_HALF if convention == MINUS_HALF else _HALF
-            entries = {0: Fraction(1), 1: b1}
+            entries = {0: Fraction(1), 1: _b1(convention)}
         else:
             entries = dict(entries)
             if sorted(entries) != list(range(len(entries))):
@@ -99,17 +115,16 @@ class BernoulliTable:
         return self._entries[n]
 
     def _extend(self, target: int) -> None:
+        top = max(target, 2 * self._max)
+        tangents = _tangent_numbers(top // 2)
         e = self._entries
-        for n in range(self._max + 1, target + 1):
+        for n in range(self._max + 1, top + 1):
             if n % 2 == 1:
-                e[n] = Fraction(0)
-                continue
-            # C(n+1,1) * B_1 with the recurrence's own convention (-1/2)
-            acc = Fraction(-(n + 1), 2)
-            for j in range(0, n, 2):
-                acc += comb(n + 1, j) * e[j]
-            e[n] = -acc / (n + 1)
-        self._max = max(self._max, target)
+                e[n] = _b1(self.convention) if n == 1 else Fraction(0)
+            else:  # 1 << n is 4^m for n = 2m
+                e[n] = Fraction((-1) ** (n // 2 - 1) * n * tangents[n // 2],
+                                (1 << n) * ((1 << n) - 1))
+        self._max = top
 
     def merge(self, other: "BernoulliTable") -> None:
         """Adopt entries from another table of the same convention."""
@@ -132,7 +147,7 @@ class BernoulliTable:
         e = self._entries
         if e[0] != 1:
             raise ValueError("B_0 must be 1")
-        want_b1 = -_HALF if self.convention == MINUS_HALF else _HALF
+        want_b1 = _b1(self.convention)
         if self._max >= 1 and e[1] != want_b1:
             raise ValueError(f"B_1 must be {want_b1} under {self.convention}")
         for n in range(3, self._max + 1, 2):

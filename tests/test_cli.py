@@ -234,6 +234,29 @@ def test_verify_cache_is_not_rewritten_when_covered(tmp_path, capsys):
                                                  before.st_mtime_ns)
 
 
+def test_parallel_verify_fills_the_cache(tmp_path):
+    # a fresh interpreter, so the parent's table starts empty: only the
+    # workers read B_j, and the cache must still hold what they read
+    cache = tmp_path / "bern.cache"
+    argv = [sys.executable, "-m", "bernmod", "verify", "--identity",
+            "lev3_div_p1", "--primes", "5..61", "--jobs", "2",
+            "--cache", str(cache), "--no-timestamps"]
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert load(cache).max_index >= 120
+    before = cache.stat()
+    again = subprocess.run(argv, capture_output=True, text=True, timeout=120,
+                           env=env)
+    assert again.returncode == 0, again.stderr
+    assert again.stdout == proc.stdout
+    after = cache.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
+                                                 before.st_mtime_ns)
+
+
 def test_cache_is_rewritten_when_the_table_grows(tmp_path, capsys):
     cache = tmp_path / "bern.cache"
     save(BernoulliTable(), cache)  # holds B_0 and B_1 only

@@ -1,6 +1,7 @@
 """Bernoulli, harmonic, Eulerian and derived quantities against independent
 oracles: sympy, direct summation, and hand-frozen values."""
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 import pytest
@@ -128,6 +129,74 @@ def test_bernoulli_table_merge_and_validate():
     plus.value(8)
     with pytest.raises(ValueError):
         a.merge(plus)
+
+
+@cache
+def recurrence_oracle(top: int) -> list[Fraction]:
+    """B_0..B_top with B_1 = -1/2 from sum_{j=0}^{n} C(n+1, j) B_j = 0: the
+    O(n^2) Fraction recurrence, kept here as the oracle for the table."""
+    b = [Fraction(1), Fraction(-1, 2)]
+    for n in range(2, top + 1):
+        if n % 2 == 1:
+            b.append(Fraction(0))
+        else:
+            b.append(-sum(comb(n + 1, j) * b[j] for j in range(n)) / (n + 1))
+    return b
+
+
+@pytest.mark.parametrize("convention", [MINUS_HALF, PLUS_HALF])
+def test_bernoulli_table_matches_the_recurrence(convention):
+    want = list(recurrence_oracle(400))
+    if convention == PLUS_HALF:
+        want[1] = Fraction(1, 2)
+    table = BernoulliTable(convention)
+    assert [table.value(n) for n in range(401)] == want
+    assert bernoulli(400, convention) == want[400]
+
+
+def test_bernoulli_table_does_not_depend_on_request_order():
+    want = recurrence_oracle(400)
+
+    def agrees(table):  # every entry held, up to where the oracle stops
+        held = table.items()[:len(want)]
+        return held == list(enumerate(want))[:len(held)]
+
+    one_by_one = BernoulliTable()
+    for n in range(201):
+        assert one_by_one.value(n) == want[n], n
+    assert agrees(one_by_one)
+
+    jump = BernoulliTable()
+    assert jump.value(397) == 0 and jump.value(396) == want[396]
+    assert jump.max_index == 397 and agrees(jump)
+
+    descending = BernoulliTable()
+    assert [descending.value(n) for n in range(300, -1, -1)] == want[300::-1]
+    assert agrees(descending)
+
+    mixed = BernoulliTable()
+    for n in (250, 7, 120, 3, 251, 0, 399, 2):
+        assert mixed.value(n) == want[n], n
+    assert agrees(mixed)
+
+    loaded = BernoulliTable(MINUS_HALF, entries=dict(enumerate(want[:30])))
+    merged = BernoulliTable()
+    merged.merge(loaded)
+    assert merged.max_index == 29
+    assert merged.value(100) == want[100]
+    assert agrees(merged)
+
+    for convention, b1 in ((MINUS_HALF, Fraction(-1, 2)),
+                           (PLUS_HALF, Fraction(1, 2))):
+        only_b0 = BernoulliTable(convention, entries={0: Fraction(1)})
+        assert [only_b0.value(n) for n in range(5)] == [1, b1, *want[2:5]]
+
+
+def test_bernoulli_table_built_to_800_validates():
+    table = BernoulliTable()
+    table.value(800)
+    table.validate()
+    assert table.value(800).denominator == von_staudt_denominator(800)
 
 
 def test_harmonic_frozen_and_recurrence():
