@@ -10,9 +10,9 @@ from bernmod import (
 
 x = Fraction(7, 3)
 print(f"x = {x}")
-print(f"x mod 5   -> {mod_reduce(x, 5).residue}")
-print(f"x mod 5^2 -> {mod_reduce(x, 5, 2).residue}")
-print(f"x mod 5^3 -> {mod_reduce(x, 5, 3).residue}")
+print(f"x mod 5   -> {mod_reduce(x, 5)}")
+print(f"x mod 5^2 -> {mod_reduce(x, 5, 2)}")
+print(f"x mod 5^3 -> {mod_reduce(x, 5, 3)}")
 
 print()
 print("Base-5 digits of x, least significant first:")
@@ -20,15 +20,15 @@ digits = [hensel_digit(x, 5, i) for i in range(4)]
 print(f"  {digits}")
 recon = sum(d * 5 ** i for i, d in enumerate(digits))
 print(f"  reconstruction: {recon} = x mod 5^4 "
-      f"({mod_reduce(x, 5, 4).residue})")
+      f"({mod_reduce(x, 5, 4)})")
 
 print()
 print("Reduction is a ring homomorphism; residues are plain ints:")
-a = mod_reduce(Fraction(1, 3), 7, 2).residue
-b = mod_reduce(Fraction(1, 4), 7, 2).residue
+a = mod_reduce(Fraction(1, 3), 7, 2)
+b = mod_reduce(Fraction(1, 4), 7, 2)
 print(f"  1/3 mod 49 = {a},  1/4 mod 49 = {b}")
 print(f"  sum -> {(a + b) % 49},  check 7/12 mod 49 = "
-      f"{mod_reduce(Fraction(7, 12), 7, 2).residue}")
+      f"{mod_reduce(Fraction(7, 12), 7, 2)}")
 print(f"  product -> {a * b % 49},  inverse of 1/12 -> "
       f"{pow(a * b, -1, 49)}")
 

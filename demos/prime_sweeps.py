@@ -32,7 +32,5 @@ print("\nper-identity residue pairs for one prime (p = 31):")
 for r in reports:
     if r.params.get("p") == 31 and r.params.get("k") is None \
             and r.params.get("m") is None:
-        lhs = r.lhs.residue if r.modulus else r.lhs
-        rhs = r.rhs.residue if r.modulus else r.rhs
         print(f"  {r.identity:<18} modulus={r.modulus:<6} "
-              f"lhs={lhs:<8} rhs={rhs:<8} {r.status}")
+              f"lhs={r.lhs:<8} rhs={r.rhs:<8} {r.status}")

@@ -13,8 +13,8 @@ from bernmod import check, mod_reduce, sweep, theorem1_rhs, weighted_convolution
 print("p    CB(p) exact (truncated)        lhs  rhs  status")
 for p in (5, 7, 11, 13, 17, 19, 23):
     cb = weighted_convolution(p, 2)
-    lhs = mod_reduce(cb, p, 1).residue
-    rhs = mod_reduce(theorem1_rhs(p), p, 1).residue
+    lhs = mod_reduce(cb, p, 1)
+    rhs = mod_reduce(theorem1_rhs(p), p, 1)
     shown = str(cb)
     if len(shown) > 28:
         shown = shown[:25] + "..."
@@ -24,8 +24,8 @@ for p in (5, 7, 11, 13, 17, 19, 23):
 print()
 print("The catalog wraps the same comparison with status bookkeeping:")
 report = check("theorem1", {"p": 101})
-print(f"  p=101: status={report.status}, lhs={report.lhs.residue}, "
-      f"rhs={report.rhs.residue}, modulus={report.modulus}")
+print(f"  p=101: status={report.status}, lhs={report.lhs}, "
+      f"rhs={report.rhs}, modulus={report.modulus}")
 
 print()
 print("And a sweep covers a whole range at once:")

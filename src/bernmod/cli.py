@@ -9,12 +9,12 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from datetime import datetime, timezone
-from fractions import Fraction
 
 from . import cache as cache_store
 from .identities import ERROR, FAILED, NOT_P_INTEGRAL, identity_ids, sweep
-from .modular import ResidueValue, is_prime
+from .modular import is_prime
 from .permutations import profile
 from .sequences import (
     MINUS_HALF,
@@ -95,12 +95,11 @@ def _save_cache(path: str, convention: str, cached: int) -> None:
               file=sys.stderr)
 
 
-def _fmt_value(value) -> str | int | None:
-    if value is None:
-        return None
-    if isinstance(value, ResidueValue):
-        return value.residue
-    return str(Fraction(value))
+def _fmt_value(value, modulus: int | None) -> str | int | None:
+    """A residue stays an integer; an exact value is written as a string."""
+    if value is None or modulus is not None:
+        return value
+    return str(value)
 
 
 def _params_text(params: dict[str, int]) -> str:
@@ -114,7 +113,8 @@ _TIMED_COLUMNS = _COLUMNS + ("elapsed_ms", "timestamp")
 def _report_row(r, with_times: bool) -> dict:
     """The fields of one report in column order, for either output format."""
     values = [r.identity, dict(r.params), r.modulus,
-              _fmt_value(r.lhs), _fmt_value(r.rhs), r.status]
+              _fmt_value(r.lhs, r.modulus), _fmt_value(r.rhs, r.modulus),
+              r.status]
     if with_times:
         values += [round(r.elapsed * 1000.0, 3),
                    datetime.now(timezone.utc).isoformat()]
@@ -143,23 +143,24 @@ def _write_reports(reports, out, fmt: str, with_times: bool) -> None:
 def _cmd_verify(args: argparse.Namespace,
                 parser: argparse.ArgumentParser) -> int:
     lo, hi = args.primes
+    try:
+        # opened before the sweep, so an unwritable path costs no work
+        out = open(args.out, "w") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        parser.error(f"cannot write --out {args.out}: {exc.strerror}")
     if args.cache:
         cached = _load_cache(args.cache, MINUS_HALF)
     identities = args.identity if args.identity else "all"
-    reports = sweep(identities, lo, hi, jobs=args.jobs,
-                    modulus_override=args.modulus)
-    if args.cache:
-        _save_cache(args.cache, MINUS_HALF, cached)
-    if args.verbose:
-        for r in reports:
-            print(f"{r.identity} {_params_text(r.params)} {r.status}",
-                  file=sys.stderr)
-    with_times = not args.no_timestamps
-    if args.out:
-        with open(args.out, "w") as out:
-            _write_reports(reports, out, args.format, with_times)
-    else:
-        _write_reports(reports, sys.stdout, args.format, with_times)
+    with out as stream:
+        reports = sweep(identities, lo, hi, jobs=args.jobs,
+                        modulus_override=args.modulus)
+        if args.cache:
+            _save_cache(args.cache, MINUS_HALF, cached)
+        if args.verbose:
+            for r in reports:
+                print(f"{r.identity} {_params_text(r.params)} {r.status}",
+                      file=sys.stderr)
+        _write_reports(reports, stream, args.format, not args.no_timestamps)
     counts = {status: 0 for status in _STATUS_ORDER}
     for r in reports:
         counts[r.status] = counts.get(r.status, 0) + 1
@@ -191,7 +192,7 @@ def _cmd_compute(args: argparse.Namespace,
                 parser.error("n and m must be >= 0")
             if args.p is not None:
                 _require_prime(parser, args.p, minimum=2)
-                print(eulerian_mod(args.n, args.m, args.p, args.k).residue)
+                print(eulerian_mod(args.n, args.m, args.p, args.k))
             else:
                 print(eulerian(args.n, args.m))
         elif what == "harmonic":
@@ -204,7 +205,7 @@ def _cmd_compute(args: argparse.Namespace,
         elif what == "nk":
             if args.p is not None:
                 _require_prime(parser, args.p)
-                print(even_ascent_count_mod(args.p, args.k).residue)
+                print(even_ascent_count_mod(args.p, args.k))
             elif args.n is None:
                 parser.error("give N for the exact count or --p for a residue")
             else:

@@ -20,7 +20,6 @@ from typing import Callable, Iterable, Iterator
 
 from .modular import (
     NotPIntegral,
-    ResidueValue,
     hensel_digit,
     is_prime,
     mod_reduce,
@@ -76,8 +75,10 @@ class CheckReport:
     identity: str
     params: dict[str, int]
     status: str
-    lhs: ResidueValue | Fraction | None
-    rhs: ResidueValue | Fraction | None
+    # a residue in [0, modulus) at a modular point, the exact value at an
+    # exact one, None when no value was reached
+    lhs: int | Fraction | None
+    rhs: int | Fraction | None
     modulus: int | None  # None for exact comparisons
     elapsed: float = 0.0
 
@@ -817,19 +818,14 @@ def check(identity: str, params: dict[str, int], *,
     if exponent is not None and modulus_override is not None:
         exponent = modulus_override
     try:
-        lv = desc.lhs(ctx, **ordered)
-        rv = desc.rhs(ctx, **ordered)
-        if exponent is None:
-            lhs: Fraction | ResidueValue = lv
-            rhs: Fraction | ResidueValue = rv
-            modulus = None
-            equal = lv == rv
-        else:
+        lhs: int | Fraction = desc.lhs(ctx, **ordered)
+        rhs: int | Fraction = desc.rhs(ctx, **ordered)
+        modulus = None
+        if exponent is not None:
             p = ordered["p"]
-            lhs = mod_reduce(lv, p, exponent)
-            rhs = mod_reduce(rv, p, exponent)
+            lhs = mod_reduce(lhs, p, exponent)
+            rhs = mod_reduce(rhs, p, exponent)
             modulus = p ** exponent
-            equal = lhs.residue == rhs.residue
     except NotPIntegral:
         return CheckReport(identity, ordered, NOT_P_INTEGRAL, None, None,
                            None, time.perf_counter() - start)
@@ -840,7 +836,7 @@ def check(identity: str, params: dict[str, int], *,
               file=sys.stderr)
         return CheckReport(identity, ordered, ERROR, None, None, None,
                            time.perf_counter() - start)
-    status = VERIFIED if equal else FAILED
+    status = VERIFIED if lhs == rhs else FAILED
     if status == FAILED and desc.counted is not None \
             and not desc.counted(**ordered):
         # exploratory point outside the stated domain: report, don't count

@@ -1,19 +1,17 @@
 """Exact residue arithmetic on p-integral rationals.
 
-Everything here is exact: rationals are `fractions.Fraction`, residues are
-canonical non-negative integers below the modulus, and reduction mod p^k is
-the ring homomorphism num * den^-1 (mod p^k), defined exactly when p does not
-divide the denominator.
+Everything here is exact: rationals are `fractions.Fraction`, a residue is a
+plain int in [0, p^k), and reduction mod p^k is the ring homomorphism
+num * den^-1 (mod p^k), defined exactly when p does not divide the
+denominator.  The caller knows p and k, so a residue carries neither.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 __all__ = [
     "NotPIntegral",
-    "ResidueValue",
     "mod_reduce",
     "hensel_digit",
     "is_prime",
@@ -25,56 +23,8 @@ class NotPIntegral(ValueError):
     """The rational has the prime in its denominator, so no residue exists."""
 
 
-@dataclass(frozen=True)
-class ResidueValue:
-    """Element of Z/p^k that remembers its prime and exponent.
-
-    A report value, not a number type: it compares, hashes and converts to
-    int or str, and arithmetic goes through the plain `residue` int.
-    """
-
-    residue: int
-    prime: int
-    exponent: int = 1
-
-    def __post_init__(self) -> None:
-        if self.prime < 2:
-            raise ValueError(f"prime must be >= 2, got {self.prime}")
-        if self.exponent < 1:
-            raise ValueError(f"exponent must be >= 1, got {self.exponent}")
-        if not 0 <= self.residue < self.modulus:
-            raise ValueError(
-                f"residue {self.residue} outside [0, {self.modulus}) for "
-                f"p={self.prime}, k={self.exponent}"
-            )
-
-    @property
-    def modulus(self) -> int:
-        return self.prime ** self.exponent
-
-    def __eq__(self, other):
-        if isinstance(other, ResidueValue):
-            return (self.residue, self.prime, self.exponent) == (
-                other.residue,
-                other.prime,
-                other.exponent,
-            )
-        if isinstance(other, int):
-            return self.residue == other % self.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.residue, self.prime, self.exponent))
-
-    def __int__(self) -> int:
-        return self.residue
-
-    def __str__(self) -> str:
-        return str(self.residue)
-
-
-def mod_reduce(x: Fraction | int, p: int, k: int = 1) -> ResidueValue:
-    """Canonical residue of a p-integral rational modulo p^k.
+def mod_reduce(x: Fraction | int, p: int, k: int = 1) -> int:
+    """Canonical residue in [0, p^k) of a p-integral rational modulo p^k.
 
     Raises NotPIntegral when p divides the denominator of x.
     """
@@ -87,8 +37,7 @@ def mod_reduce(x: Fraction | int, p: int, k: int = 1) -> ResidueValue:
     if x.denominator % p == 0:
         raise NotPIntegral(f"{x} is not p-integral at p={p}")
     m = p ** k
-    r = x.numerator * pow(x.denominator, -1, m) % m
-    return ResidueValue(r, p, k)
+    return x.numerator * pow(x.denominator, -1, m) % m
 
 
 def hensel_digit(x: Fraction | int, p: int, i: int) -> int:
@@ -99,8 +48,7 @@ def hensel_digit(x: Fraction | int, p: int, i: int) -> int:
     """
     if i < 0:
         raise ValueError(f"digit index must be >= 0, got {i}")
-    r = mod_reduce(x, p, i + 1).residue
-    return (r // p ** i) % p
+    return mod_reduce(x, p, i + 1) // p ** i
 
 
 # Deterministic Miller-Rabin witness set, sound for n < 3.3e24.

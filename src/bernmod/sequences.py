@@ -15,7 +15,7 @@ from math import comb, lcm
 from operator import mul
 from typing import Iterable
 
-from .modular import ResidueValue, is_prime
+from .modular import is_prime
 
 __all__ = [
     "MINUS_HALF",
@@ -39,7 +39,6 @@ __all__ = [
     "fermat_quotient_2",
     "agoh_giuga_quotient",
     "weighted_convolution",
-    "bernoulli_mod_row",
     "PrimeContext",
     "get_prime_context",
 ]
@@ -309,8 +308,8 @@ def _signed_binomials_mod(n: int, top: int, p: int, k: int) -> list[int]:
     return out
 
 
-def eulerian_mod(n: int, m: int, p: int, k: int = 1) -> ResidueValue:
-    """E(n, m) mod p^k computed purely modularly, in O(m) modular steps."""
+def eulerian_mod(n: int, m: int, p: int, k: int = 1) -> int:
+    """E(n, m) mod p^k in [0, p^k), computed purely modularly in O(m) steps."""
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
     if not is_prime(p):
@@ -319,10 +318,10 @@ def eulerian_mod(n: int, m: int, p: int, k: int = 1) -> ResidueValue:
         raise ValueError(f"exponent must be >= 1, got {k}")
     pk = p ** k
     if m < 0 or m > n - 1:
-        return ResidueValue(0, p, k)
+        return 0
     total = sum(c * pow(m + 1 - j, n, pk)
                 for j, c in enumerate(_signed_binomials_mod(n, m, p, k)) if c)
-    return ResidueValue(total % pk, p, k)
+    return total % pk
 
 
 def even_ascent_count(n: int) -> int:
@@ -332,10 +331,10 @@ def even_ascent_count(n: int) -> int:
     return sum(eulerian(n, m) for m in range(0, n, 2))
 
 
-def even_ascent_count_mod(p: int, k: int = 1) -> ResidueValue:
-    """N_{p-2} mod p^k for a prime p >= 5, via the modular Eulerian path."""
-    ctx = get_prime_context(p)
-    return ResidueValue(ctx.even_ascent_residue(k), p, k)
+def even_ascent_count_mod(p: int, k: int = 1) -> int:
+    """N_{p-2} mod p^k, in [0, p^k), for a prime p >= 5, via the modular
+    Eulerian path."""
+    return get_prime_context(p).even_ascent_residue(k)
 
 
 def euler_number_sides(n: int) -> tuple[Fraction, Fraction]:
@@ -380,25 +379,6 @@ def weighted_convolution(p: int, a: int = 2) -> Fraction:
     for i in range(2, p - 2, 2):
         acc += bernoulli(i) / a ** i * bernoulli(p - 1 - i)
     return acc
-
-
-def bernoulli_mod_row(p: int) -> list[int]:
-    """B_j mod p for j = 0..p-3, from power sums read through Sun's congruence.
-
-    For 2 <= j <= p-3 the congruence S_{p-1,j} = p B_j (mod p^2) holds (the
-    B_{j-1} correction term is itself divisible by p^2 there), so one modular
-    power sum per index pins B_j mod p without touching the exact table.
-    """
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"need a prime >= 5, got {p}")
-    p2 = p * p
-    row = [1, (p - 1) // 2]  # B_0 = 1, B_1 = -1/2 mod p
-    for j in range(2, p - 2):
-        t = sum(pow(a, j, p2) for a in range(1, p)) % p2
-        if t % p:
-            raise AssertionError(f"power sum S_(p-1),{j} not divisible by {p}")
-        row.append((t // p) % p)
-    return row
 
 
 class _PowerRow:

@@ -1,5 +1,6 @@
 """Command line behavior: output formats, exit codes, cache wiring."""
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -110,6 +111,48 @@ def test_verify_out_file(tmp_path, capsys):
     assert out == ""
     rows = [json.loads(line) for line in target.read_text().splitlines()]
     assert [r["params"]["p"] for r in rows] == [5, 7]
+
+
+def test_verify_unwritable_out_exits_two_before_sweeping(
+        tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr("bernmod.cli.sweep",
+                        lambda *args, **kwargs: calls.append(args))
+    target = tmp_path / "missing" / "reports.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--primes", "5..7", "--identity", "wilson",
+              "--out", str(target)])
+    assert exc.value.code == 2
+    assert calls == []
+    assert "cannot write --out" in capsys.readouterr().err
+    assert not target.parent.exists()
+
+
+# SHA-256 of the stdout of `verify --identity all --primes 5..61
+# --no-timestamps` (3503 points), which pins every field of every report
+REPORT_DIGESTS = {
+    "json": "f3168a2e0c7118afbcddc8240b3fe386b4520a2806a4465f1abe6e5659f5fccb",
+    "csv": "0e44d8e82b581cafc4787a6598130fa0526f1164f28a1521f7226e47a834e590",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_stream_is_pinned(fmt, jobs, capsys):
+    code, out, _ = run(
+        ["verify", "--identity", "all", "--primes", "5..61",
+         "--no-timestamps", "--jobs", jobs, "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[fmt]
+    if fmt == "json":
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == 3503
+        # a residue is a JSON integer, an exact value a string, and a point
+        # outside its domain has no values
+        kinds = {(r["modulus"] is None, type(r["lhs"]), type(r["rhs"]))
+                 for r in rows}
+        assert kinds == {(False, int, int), (True, str, str),
+                         (True, type(None), type(None))}
 
 
 def test_verify_modulus_override_failure_exits_one(capsys):

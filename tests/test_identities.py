@@ -52,8 +52,8 @@ FROZEN_ANCHORS = [
 def test_frozen_residue_anchors(identity, params, lhs, rhs, modulus):
     report = check(identity, params)
     assert report.status == VERIFIED
-    assert report.lhs.residue == lhs
-    assert report.rhs.residue == rhs
+    assert report.lhs == lhs
+    assert report.rhs == rhs
     assert report.modulus == modulus
 
 
@@ -71,7 +71,7 @@ def test_theorem1_rhs_matches_convolution():
     for p in (5, 7, 11, 13, 17, 19):
         lhs = mod_reduce(weighted_convolution(p, 2), p, 1)
         rhs = mod_reduce(theorem1_rhs(p), p, 1)
-        assert lhs.residue == rhs.residue, p
+        assert lhs == rhs, p
 
 
 def _harmonic_convolution_oracle(n):
@@ -150,7 +150,7 @@ def test_modulus_override_can_refute_a_weaker_congruence():
     pushed = check("conv_order_p1", {"p": 5}, modulus_override=2)
     assert pushed.status == FAILED
     assert pushed.modulus == 25
-    assert pushed.lhs.residue != pushed.rhs.residue
+    assert pushed.lhs != pushed.rhs
 
 
 def test_not_p_integral_status_via_pole_evaluator():

@@ -1,4 +1,4 @@
-"""Residue values, p-adic reduction, digits, primality."""
+"""p-adic reduction, digits, primality."""
 from fractions import Fraction
 
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from bernmod.modular import (
     NotPIntegral,
-    ResidueValue,
     hensel_digit,
     is_prime,
     mod_reduce,
@@ -26,11 +25,10 @@ def brute_reduce(x: Fraction, modulus: int) -> int:
 
 
 def test_mod_reduce_frozen_values():
-    assert mod_reduce(Fraction(7, 3), 5, 2).residue == 19
-    assert mod_reduce(Fraction(7, 3), 5, 2).modulus == 25
-    assert mod_reduce(Fraction(-1, 2), 7, 1).residue == 3
-    assert mod_reduce(Fraction(22), 5).residue == 2
-    assert mod_reduce(0, 11, 3).residue == 0
+    assert mod_reduce(Fraction(7, 3), 5, 2) == 19
+    assert mod_reduce(Fraction(-1, 2), 7, 1) == 3
+    assert mod_reduce(Fraction(22), 5) == 2
+    assert mod_reduce(0, 11, 3) == 0
 
 
 def test_hensel_digit_frozen_values():
@@ -45,7 +43,7 @@ def test_mod_reduce_pole_raises():
     with pytest.raises(NotPIntegral):
         mod_reduce(Fraction(3, 50), 5, 2)
     # coprime denominator sharing no factor with p is fine
-    assert mod_reduce(Fraction(3, 14), 5, 1).residue == brute_reduce(
+    assert mod_reduce(Fraction(3, 14), 5, 1) == brute_reduce(
         Fraction(3, 14), 5)
 
 
@@ -58,7 +56,7 @@ def test_mod_reduce_matches_exhaustive_scan(p, k):
             if den % p == 0:
                 continue
             x = Fraction(num, den)
-            assert mod_reduce(x, p, k).residue == brute_reduce(x, modulus)
+            assert mod_reduce(x, p, k) == brute_reduce(x, modulus)
 
 
 @st.composite
@@ -75,10 +73,10 @@ def test_mod_reduce_is_a_ring_homomorphism(data, p, k):
     x = data.draw(p_integral(p))
     y = data.draw(p_integral(p))
     m = p ** k
-    rx, ry = mod_reduce(x, p, k).residue, mod_reduce(y, p, k).residue
-    assert (rx + ry) % m == mod_reduce(x + y, p, k).residue
-    assert (rx - ry) % m == mod_reduce(x - y, p, k).residue
-    assert rx * ry % m == mod_reduce(x * y, p, k).residue
+    rx, ry = mod_reduce(x, p, k), mod_reduce(y, p, k)
+    assert (rx + ry) % m == mod_reduce(x + y, p, k)
+    assert (rx - ry) % m == mod_reduce(x - y, p, k)
+    assert rx * ry % m == mod_reduce(x * y, p, k)
 
 
 @given(data=st.data(), p=st.sampled_from(PRIMES),
@@ -86,33 +84,9 @@ def test_mod_reduce_is_a_ring_homomorphism(data, p, k):
 def test_hensel_digits_reconstruct_the_residue(data, p, k):
     x = data.draw(p_integral(p))
     total = sum(hensel_digit(x, p, i) * p ** i for i in range(k))
-    assert total == mod_reduce(x, p, k).residue
+    assert total == mod_reduce(x, p, k)
     for i in range(k):
         assert 0 <= hensel_digit(x, p, i) < p
-
-
-def test_residue_value_equality_and_hash():
-    a = ResidueValue(7, 5, 2)
-    assert a == ResidueValue(7, 5, 2)
-    assert a != ResidueValue(2, 5, 1)
-    assert a != ResidueValue(7, 7, 2)
-    assert a == 7
-    assert a == 32  # compared mod 25
-    assert a != 8
-    assert hash(a) == hash(ResidueValue(7, 5, 2))
-    assert int(a) == 7
-    assert str(a) == "7"
-
-
-def test_residue_value_construction_bounds():
-    with pytest.raises(ValueError):
-        ResidueValue(25, 5, 2)
-    with pytest.raises(ValueError):
-        ResidueValue(-1, 5, 1)
-    with pytest.raises(ValueError):
-        ResidueValue(0, 5, 0)
-    with pytest.raises(ValueError):
-        ResidueValue(0, 1, 1)
 
 
 def test_is_prime_small_table():
