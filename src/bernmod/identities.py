@@ -129,8 +129,7 @@ def _hc(ctx: PrimeContext, m: int) -> Fraction:
     grouped by s = i + j; H_n^2 - H_n^(2) is sum 1/(ij) over i != j <= n,
     grouped by s = max(i, j).
     """
-    n = 2 * m
-    return ctx.harmonics[n] ** 2 - ctx.gen_harmonics2[n]
+    return harmonic(2 * m) ** 2 - gen_harmonic(2 * m, 2)
 
 
 def _two_n_digits(ctx: PrimeContext) -> tuple[int, int]:
@@ -143,9 +142,9 @@ def _two_n_digits(ctx: PrimeContext) -> tuple[int, int]:
 def _theorem1_rhs(ctx: PrimeContext, p: int) -> Fraction:
     half = (p - 3) // 2
     S = ctx.odd_harmonic_sum()
-    G = sum((ctx.gen_harmonics2[2 * m] for m in range(1, half + 1)),
+    G = sum((gen_harmonic(2 * m, 2) for m in range(1, half + 1)),
             Fraction(0))
-    X = sum((ctx.harmonics[2 * m] * ctx.harmonics[2 * m + 1]
+    X = sum((harmonic(2 * m) * harmonic(2 * m + 1)
              for m in range(1, half + 1)), Fraction(0))
     T = sum((_hc(ctx, m) for m in range(2, half + 1)), Fraction(0))
     # digit terms, inside-out: inner digits are plain integers in [0, p)
@@ -240,7 +239,7 @@ def _lev3_p5_rhs(ctx, p):
 
 
 def _sub_h_lhs(ctx, p):
-    return sum((ctx.harmonics[k] / (k * 2 ** k) for k in range(1, p)),
+    return sum((harmonic(k) / (k * 2 ** k) for k in range(1, p)),
                Fraction(0))
 
 
@@ -249,7 +248,7 @@ def _sub_h_rhs(ctx, p):
 
 
 def _sub_h2_lhs(ctx, p):
-    return sum((ctx.gen_harmonics2[k] / (k * 2 ** k) for k in range(1, p)),
+    return sum((gen_harmonic(k, 2) / (k * 2 ** k) for k in range(1, p)),
                Fraction(0))
 
 
@@ -285,7 +284,7 @@ def _result1_rhs(ctx, p):
     parity_sums = [Fraction(0), Fraction(0)]
     for K in range(2, p - 1):
         parity_sums[K % 2] += Fraction(1, p + K - 1)
-        tails += ctx.harmonics[K] * parity_sums[K % 2]
+        tails += harmonic(K) * parity_sums[K % 2]
     return ctx.odd_power_sum_total() - p * tails
 
 
@@ -394,8 +393,8 @@ def _lemma2_lhs(ctx, p, m):
 
 
 def _lemma2_rhs(ctx, p, m):
-    return p * (2 * ctx.gen_harmonics2[2 * m]
-                - 2 * ctx.harmonics[2 * m] * ctx.harmonics[2 * m + 1]
+    return p * (2 * gen_harmonic(2 * m, 2)
+                - 2 * harmonic(2 * m) * harmonic(2 * m + 1)
                 + _hc(ctx, m))
 
 
@@ -422,7 +421,7 @@ def _eisenstein_rhs(ctx, p):
 
 
 def _wolstenholme_lhs(ctx, p):
-    return ctx.harmonics[p - 1]
+    return harmonic(p - 1)
 
 
 def _zero_rhs(ctx, p):
@@ -855,13 +854,7 @@ def _resolve_ids(identities: str | Iterable[str]) -> list[str]:
         else:
             _descriptor(ident)  # raises UnknownIdentity
             ids.append(ident)
-    seen = set()
-    out = []
-    for i in ids:
-        if i not in seen:
-            seen.add(i)
-            out.append(i)
-    return out
+    return list(dict.fromkeys(ids))  # first occurrence order
 
 
 def _check_batch(tasks: list[tuple[str, dict[str, int]]],
@@ -905,7 +898,8 @@ def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
         reports = [r for batch in ordered
                    for r in _check_batch(batch, modulus_override)]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork pool starts all its workers at once: no more than batches
+        with ProcessPoolExecutor(max_workers=min(jobs, len(ordered))) as pool:
             futures = [pool.submit(_pool_batch, batch, modulus_override)
                        for batch in ordered]
             done = [f.result() for f in futures]

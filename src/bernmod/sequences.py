@@ -5,10 +5,12 @@ divided Bernoulli numbers, harmonic and generalized harmonic numbers, sums of
 powers, the Eulerian triangle with its even-ascent column sums, the Fermat
 quotient of 2, the Agoh-Giuga quotient, and the power-weighted Bernoulli
 convolution.  Everything returns exact ints or Fractions; the *_mod variants
-work purely in modular arithmetic.
+work purely in modular arithmetic.  PrimeContext caches per-prime sums and
+kernels; harmonic numbers live only in the module memos.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -189,18 +191,14 @@ def divided_bernoulli(n: int) -> Fraction:
     return bernoulli(n) / n
 
 
-_HARMONIC: list[Fraction] = [Fraction(0)]
-_GEN_HARMONIC: dict[int, list[Fraction]] = {}
+# H_0^(r), H_1^(r), ... per order r, as far as read: the one harmonic store
+_GEN_HARMONIC: defaultdict[int, list[Fraction]] = defaultdict(
+    lambda: [Fraction(0)])
 
 
 def harmonic(n: int) -> Fraction:
     """H_n = sum_{j=1}^{n} 1/j, with H_0 = 0."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    h = _HARMONIC
-    while len(h) <= n:
-        h.append(h[-1] + Fraction(1, len(h)))
-    return h[n]
+    return gen_harmonic(n, 1)
 
 
 def gen_harmonic(n: int, r: int) -> Fraction:
@@ -209,9 +207,7 @@ def gen_harmonic(n: int, r: int) -> Fraction:
         raise ValueError(f"index must be >= 0, got {n}")
     if r < 1:
         raise ValueError(f"order must be >= 1, got {r}")
-    if r == 1:
-        return harmonic(n)
-    h = _GEN_HARMONIC.setdefault(r, [Fraction(0)])
+    h = _GEN_HARMONIC[r]
     while len(h) <= n:
         h.append(h[-1] + Fraction(1, len(h) ** r))
     return h[n]
@@ -408,18 +404,17 @@ class _PowerRow:
 class PrimeContext:
     """Per-prime workspace shared by congruence evaluators.
 
-    Holds the exact harmonic and order-2 harmonic prefixes H_0..H_{p-1},
-    lazily computed per-prime sums, and the integer kernels behind the
-    power-sum and shifted-tail evaluators, so a sweep builds each of them
-    once per prime.
+    Caches the per-prime sums, each computed on its first request, and the
+    integer kernels behind the power-sum and shifted-tail evaluators, so a
+    sweep builds each of them once per prime.  It copies no harmonic
+    numbers: evaluators read the module memos through harmonic() and
+    gen_harmonic().
     """
 
     def __init__(self, p: int):
         if p < 5 or not is_prime(p):
             raise ValueError(f"need a prime >= 5, got {p}")
         self.p = p
-        self.harmonics = tuple(harmonic(i) for i in range(p))
-        self.gen_harmonics2 = tuple(gen_harmonic(i, 2) for i in range(p))
         self._even_ascent: dict[int, int] = {}
         self._odd_power_sum_total: int | None = None
         self._odd_harmonic_sum: Fraction | None = None
@@ -432,25 +427,27 @@ class PrimeContext:
     def odd_harmonic_sum(self) -> Fraction:
         if self._odd_harmonic_sum is None:
             self._odd_harmonic_sum = sum(
-                (self.harmonics[m] for m in range(1, self.p - 1, 2)),
-                Fraction(0),
-            )
+                (harmonic(m) for m in range(1, self.p - 1, 2)), Fraction(0))
         return self._odd_harmonic_sum
 
     def even_ascent_residue(self, exponent: int = 1) -> int:
-        """N_{p-2} mod p^exponent from the explicit Eulerian sums."""
+        """N_{p-2} mod p^exponent, in O(p).
+
+        The explicit sums E(p-2, mm) over even mm, grouped by j: (-1)^j
+        C(p-1, j) meets a^(p-2) for each a <= p-2-j of the parity of p-2-j,
+        the prefix P[p-2-j]; 0^(p-2) = 0, so one prefix list serves both.
+        """
         if exponent < 1:
             raise ValueError(f"exponent must be >= 1, got {exponent}")
         if exponent not in self._even_ascent:
             p = self.p
             pk = p ** exponent
             binoms = _signed_binomials_mod(p - 2, p - 3, p, exponent)
-            pows = [pow(a, p - 2, pk) for a in range(p)]
-            total = 0
-            for mm in range(0, p - 2, 2):
-                total += sum(binoms[j] * pows[mm + 1 - j]
-                             for j in range(mm + 1))
-            self._even_ascent[exponent] = total % pk
+            P = [pow(a, p - 2, pk) for a in range(p - 1)]
+            for t in range(2, p - 1):
+                P[t] += P[t - 2]
+            self._even_ascent[exponent] = sum(
+                b * P[p - 2 - j] for j, b in enumerate(binoms)) % pk
         return self._even_ascent[exponent]
 
     def odd_power_sum_total(self) -> int:

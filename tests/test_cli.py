@@ -12,7 +12,7 @@ import pytest
 import bernmod.identities as idmod
 from bernmod.cache import load, save
 from bernmod.cli import main
-from bernmod.sequences import BernoulliTable
+from bernmod.sequences import BernoulliTable, bernoulli, fermat_quotient_2
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -327,6 +327,40 @@ def test_compute_bernoulli_env_cache(tmp_path, capsys, monkeypatch):
     assert out.strip() == "5/66"
     assert cache.exists()
     assert "10 5 66" in cache.read_text()
+
+
+def _str_unlimited(value) -> str:
+    """str() of an int of any length, whatever the interpreter's limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_compute_prints_integers_beyond_the_str_digit_limit(capsys):
+    want = _str_unlimited(fermat_quotient_2(16843))
+    assert len(want) > 4300
+    code, out, _ = run(["compute", "q2", "16843"], capsys)
+    assert code == 0
+    assert out.strip() == want
+
+
+def test_cache_holds_integers_beyond_the_str_digit_limit(tmp_path, capsys):
+    # B_2100 has a numerator of more than 4300 digits
+    cache = tmp_path / "bern.cache"
+    argv = ["compute", "bernoulli", "2100", "--cache", str(cache)]
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    assert out.strip() == _str_unlimited(bernoulli(2100))
+    before = cache.stat()
+    code, _, err = run(argv, capsys)
+    assert code == 0
+    assert "warning: ignoring cache" not in err
+    assert cache.stat().st_mtime_ns == before.st_mtime_ns
 
 
 def test_console_entry_point_subprocess():

@@ -1,4 +1,5 @@
 """Catalog checks: frozen residue anchors, status plumbing, sweep behavior."""
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bernmod.identities as idmod
+from bernmod import sequences
 from bernmod.identities import (
     FAILED,
     INAPPLICABLE,
@@ -213,6 +215,46 @@ def test_sweep_runs_costliest_batches_first(monkeypatch):
     monkeypatch.setattr(idmod, "_check_batch", record)
     sweep(["wilson", "alzer", "lemma2"], 5, 13)
     assert started == ["alzer", 13, 11, 7, 5]
+
+
+def test_sweep_starts_no_more_workers_than_batches(monkeypatch):
+    # a fork pool starts every worker up front, so a huge --jobs must be
+    # capped by the batch count; this fake pool runs each batch inline
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(idmod, "ProcessPoolExecutor", InlinePool)
+    parallel = sweep("wilson", 5, 31, jobs=10**6)
+    assert started == [9]  # one batch per prime in 5..31
+    untimed = lambda rs: [(r.identity, r.params, r.status, r.lhs, r.rhs,
+                           r.modulus) for r in rs]
+    assert untimed(parallel) == untimed(sweep("wilson", 5, 31))
+
+
+def test_prime_context_builds_no_harmonic_numbers():
+    # neither check reads a harmonic number, so neither may build one, even
+    # at the Wolstenholme prime where H_1..H_{p-1} would cost ~180 MB
+    def memo_sizes():
+        return [len(sequences._GEN_HARMONIC.get(r, [])) for r in (1, 2)]
+
+    before = memo_sizes()
+    for ident in ("wilson", "result2"):
+        assert check(ident, {"p": 16843}).status == VERIFIED, ident
+    assert memo_sizes() == before
 
 
 def test_sweep_is_deterministic_across_worker_counts():
