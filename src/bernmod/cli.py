@@ -27,7 +27,6 @@ from .sequences import (
     eulerian_mod,
     fermat_quotient_2,
     gen_harmonic,
-    harmonic,
     weighted_convolution,
 )
 
@@ -198,10 +197,7 @@ def _cmd_compute(args: argparse.Namespace,
         elif what == "harmonic":
             if args.n < 0:
                 parser.error("n must be >= 0")
-            if args.order == 1:
-                print(harmonic(args.n))
-            else:
-                print(gen_harmonic(args.n, args.order))
+            print(gen_harmonic(args.n, args.order))
         elif what == "nk":
             if args.p is not None:
                 _require_prime(parser, args.p)

@@ -21,7 +21,6 @@ from typing import Callable, Iterable, Iterator
 from .modular import (
     NotPIntegral,
     hensel_digit,
-    is_prime,
     mod_reduce,
     primes_in,
 )
@@ -273,8 +272,8 @@ def _tangent_rhs(ctx, n):
     return euler_number_sides(n)[1]
 
 
-def _result1_lhs(ctx, p):
-    return Fraction(ctx.even_ascent_residue(2))
+def _even_ascent_lhs(ctx, p):
+    return Fraction(ctx.even_ascent_residue(ctx.exponent))
 
 
 def _result1_rhs(ctx, p):
@@ -293,7 +292,7 @@ def _q2_lhs(ctx, p):
 
 
 def _result2_rhs(ctx, p):
-    return Fraction(2 * ctx.even_ascent_residue(1) - 1)
+    return Fraction(2 * ctx.even_ascent_residue(ctx.exponent) - 1)
 
 
 def _result3_lhs(ctx, p):
@@ -306,11 +305,7 @@ def _result3_rhs(ctx, p):
     return d0 - 1 + p * (ag + d1 - (d0 - 1) ** 2 - 2)
 
 
-def _result4_lhs(ctx, p):
-    return Fraction(ctx.even_ascent_residue(1))
-
-
-def _result4_rhs(ctx, p):
+def _odd_harmonic_sum(ctx, p):
     return ctx.odd_harmonic_sum()
 
 
@@ -406,10 +401,6 @@ def _remark1a_rhs(ctx, p):
     return odd_reciprocal_sum(p)
 
 
-def _remark1b_lhs(ctx, p):
-    return ctx.odd_harmonic_sum()
-
-
 def _remark1b_rhs(ctx, p):
     return (odd_reciprocal_sum(p) + 1) / 2
 
@@ -452,7 +443,7 @@ def _cvs_rhs(ctx, n):
 # catalog assembly
 
 def _prime_domain(min_p: int) -> Callable[..., bool]:
-    return lambda p: p >= min_p and is_prime(p)
+    return lambda p: p >= min_p
 
 
 def _prime_points(min_p: int) -> Callable[[int, int], Iterator[dict[str, int]]]:
@@ -594,7 +585,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "even-ascent count N_{p-2} from odd power sums and shifted "
         "harmonic tails mod p^2",
         "even-ascent count analysis",
-        ("p",), 2, _result1_lhs, _result1_rhs,
+        ("p",), 2, _even_ascent_lhs, _result1_rhs,
         domain=_prime_domain(5),
         points=_prime_points(5),
     )
@@ -619,7 +610,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "result4",
         "N_{p-2} equals the odd-index harmonic sum mod p",
         "even-ascent count analysis",
-        ("p",), 1, _result4_lhs, _result4_rhs,
+        ("p",), 1, _even_ascent_lhs, _odd_harmonic_sum,
         domain=_prime_domain(5),
         points=_prime_points(5),
     )
@@ -628,8 +619,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "p B_{2k} from the half-range odd power sum mod p^3",
         "E. Lehmer (1938)",
         ("p", "k"), 3, _lehmer_i_lhs, _lehmer_i_rhs,
-        domain=lambda p, k: (is_prime(p) and p >= 5 and k >= 1
-                             and (2 * k - 2) % (p - 1) != 0),
+        domain=lambda p, k: k >= 1 and (2 * k - 2) % (p - 1) != 0,
         points=_per_prime_points(5, lambda p: (("k", k) for k in range(2, p))),
     )
     add(
@@ -637,7 +627,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "half-range even power sum via B_{2k} mod p^2",
         "E. Lehmer (1938)",
         ("p", "k"), 2, _lehmer_ii_lhs, _lehmer_ii_rhs,
-        domain=lambda p, k: is_prime(p) and p >= 5 and k >= 1,
+        domain=lambda p, k: k >= 1,
         points=_per_prime_points(5, lambda p: (("k", k) for k in range(1, p + 1))),
     )
     add(
@@ -645,7 +635,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "full-range power sum S_{p-1,k} = p B_k + (p^2/2) k B_{k-1} mod p^2",
         "Z.-H. Sun",
         ("p", "k"), 2, _sun_lhs, _sun_rhs,
-        domain=lambda p, k: is_prime(p) and p >= 5 and 2 <= k <= p,
+        domain=lambda p, k: 2 <= k <= p,
         points=_per_prime_points(5, lambda p: (("k", k) for k in range(2, p + 1))),
         counted=lambda p, k: k <= p - 2,
     )
@@ -704,7 +694,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "shifted harmonic tail equals a quadratic harmonic form mod p^2",
         "even-ascent count analysis",
         ("p", "m"), 2, _lemma2_lhs, _lemma2_rhs,
-        domain=lambda p, m: is_prime(p) and p >= 5 and 1 <= m <= (p - 3) // 2,
+        domain=lambda p, m: 1 <= m <= (p - 3) // 2,
         points=_per_prime_points(
             5, lambda p: (("m", m) for m in range(1, (p - 3) // 2 + 1))),
     )
@@ -729,7 +719,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "remark1b",
         "odd-index harmonic sum equals (H'_{p-1} + 1)/2 mod p",
         "even-ascent count analysis",
-        ("p",), 1, _remark1b_lhs, _remark1b_rhs,
+        ("p",), 1, _odd_harmonic_sum, _remark1b_rhs,
         domain=_prime_domain(5),
         points=_prime_points(5),
     )
@@ -801,7 +791,10 @@ def _descriptor(identity: str) -> IdentityDescriptor:
 
 def check(identity: str, params: dict[str, int], *,
           modulus_override: int | None = None) -> CheckReport:
-    """Evaluate both sides of one identity at one parameter point."""
+    """Evaluate both sides of one identity at one parameter point.
+
+    The PrimeContext is the one prime test, so it comes before the domain
+    predicate; it carries the exponent of the reduction to its residues."""
     desc = _descriptor(identity)
     if set(params) != set(desc.params):
         raise ValueError(
@@ -809,13 +802,20 @@ def check(identity: str, params: dict[str, int], *,
         )
     ordered = {name: params[name] for name in desc.params}
     start = time.perf_counter()
-    if not desc.domain(**ordered):
+    try:
+        ctx = get_prime_context(ordered["p"]) if "p" in ordered else None
+    except ValueError:  # not a prime >= 5
+        applicable = False
+    else:
+        applicable = desc.domain(**ordered)
+    if not applicable:
         return CheckReport(identity, ordered, INAPPLICABLE, None, None, None,
                            time.perf_counter() - start)
-    ctx = get_prime_context(ordered["p"]) if "p" in ordered else None
     exponent = desc.exponent
     if exponent is not None and modulus_override is not None:
         exponent = modulus_override
+    if ctx is not None:
+        ctx.exponent = exponent
     try:
         lhs: int | Fraction = desc.lhs(ctx, **ordered)
         rhs: int | Fraction = desc.rhs(ctx, **ordered)

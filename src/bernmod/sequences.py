@@ -406,15 +406,16 @@ class PrimeContext:
 
     Caches the per-prime sums, each computed on its first request, and the
     integer kernels behind the power-sum and shifted-tail evaluators, so a
-    sweep builds each of them once per prime.  It copies no harmonic
-    numbers: evaluators read the module memos through harmonic() and
-    gen_harmonic().
+    sweep builds each of them once per prime.  It holds no harmonic numbers.
+    Building one is a check's prime test, and check sets `exponent` to the
+    power of p it reduces at, for the evaluators that read residues.
     """
 
     def __init__(self, p: int):
         if p < 5 or not is_prime(p):
             raise ValueError(f"need a prime >= 5, got {p}")
         self.p = p
+        self.exponent: int | None = None
         self._even_ascent: dict[int, int] = {}
         self._odd_power_sum_total: int | None = None
         self._odd_harmonic_sum: Fraction | None = None
@@ -425,9 +426,13 @@ class PrimeContext:
         self._odd_square_row = _PowerRow(x * x for x in range(1, p - 1, 2))
 
     def odd_harmonic_sum(self) -> Fraction:
+        """H_1 + H_3 + ... + H_{p-2} over L = lcm(1..p-2), by reciprocal:
+        1/a occurs in H_m for each of the (p-1)/2 - a//2 odd m in [a, p-2]."""
         if self._odd_harmonic_sum is None:
-            self._odd_harmonic_sum = sum(
-                (harmonic(m) for m in range(1, self.p - 1, 2)), Fraction(0))
+            p = self.p
+            L = lcm(*range(1, p - 1))
+            self._odd_harmonic_sum = Fraction(sum(
+                ((p - 1) // 2 - a // 2) * (L // a) for a in range(1, p - 1)), L)
         return self._odd_harmonic_sum
 
     def even_ascent_residue(self, exponent: int = 1) -> int:

@@ -21,8 +21,9 @@ from bernmod.identities import (
     sweep,
     theorem1_rhs,
 )
-from bernmod.modular import mod_reduce, primes_in
+from bernmod.modular import is_prime, mod_reduce, primes_in
 from bernmod.sequences import (
+    even_ascent_count,
     gen_harmonic,
     get_prime_context,
     harmonic,
@@ -143,6 +144,11 @@ def test_out_of_domain_is_inapplicable():
     assert check("miki_identity", {"n": 3}).status == INAPPLICABLE
     assert check("euler_tangent_relation", {"n": 4}).status == INAPPLICABLE
     assert check("lehmer_i", {"p": 5, "k": 3}).status == INAPPLICABLE
+    # the prime test comes before the domain predicate: lehmer_i's
+    # (2k - 2) % (p - 1) would divide by zero at p = 1
+    assert check("lehmer_i", {"p": 1, "k": 2}).status == INAPPLICABLE
+    assert check("lemma2", {"p": 9, "m": 1}).status == INAPPLICABLE
+    assert check("sun_lemma", {"p": 4, "k": 2}).status == INAPPLICABLE
 
 
 def test_modulus_override_can_refute_a_weaker_congruence():
@@ -153,6 +159,41 @@ def test_modulus_override_can_refute_a_weaker_congruence():
     assert pushed.status == FAILED
     assert pushed.modulus == 25
     assert pushed.lhs != pushed.rhs
+
+
+def test_modulus_override_computes_the_even_ascent_sides_at_that_power():
+    # a side read at a fixed precision would be truncated under an override
+    for p in primes_in(5, 61):
+        n = even_ascent_count(p - 2)
+        for k in range(1, 5):
+            for ident in ("result1", "result4"):
+                report = check(ident, {"p": p}, modulus_override=k)
+                assert report.lhs == n % p ** k, (ident, p, k)
+            report = check("result2", {"p": p}, modulus_override=k)
+            assert report.rhs == (2 * n - 1) % p ** k, (p, k)
+
+
+def test_modulus_override_verdicts_on_the_even_ascent_count():
+    # N_5 = 68 = H_1 + H_3 + H_5 mod 49, but N_9 differs from the odd
+    # harmonic sum mod 121, and q_2(7) = 9 is not 2 N_5 - 1 = 135 mod 49
+    assert check("result4", {"p": 7}, modulus_override=2).status == VERIFIED
+    assert check("result4", {"p": 11}, modulus_override=2).status == FAILED
+    assert check("result2", {"p": 7}, modulus_override=2).status == FAILED
+
+
+def test_one_primality_test_per_prime(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(sequences, "is_prime", counted)
+    monkeypatch.setattr(idmod, "is_prime", counted, raising=False)
+    get_prime_context.cache_clear()
+    reports = sweep(["lehmer_i", "lehmer_ii", "sun_lemma", "lemma2"], 5, 61)
+    assert all(r.status in (VERIFIED, INAPPLICABLE) for r in reports)
+    assert sorted(calls) == primes_in(5, 61)  # 16 primes, one test each
 
 
 def test_not_p_integral_status_via_pole_evaluator():
@@ -252,7 +293,7 @@ def test_prime_context_builds_no_harmonic_numbers():
         return [len(sequences._GEN_HARMONIC.get(r, [])) for r in (1, 2)]
 
     before = memo_sizes()
-    for ident in ("wilson", "result2"):
+    for ident in ("wilson", "result2", "remark1b", "result4"):
         assert check(ident, {"p": 16843}).status == VERIFIED, ident
     assert memo_sizes() == before
 

@@ -371,6 +371,13 @@ def test_prime_context_tables():
         ctx.even_ascent_residue(0)
 
 
+def test_odd_harmonic_sum_matches_the_memo_sum():
+    # the sum of the memoized H_m is the oracle for the sum by reciprocal
+    for p in sympy.primerange(5, 200):
+        want = sum((harmonic(m) for m in range(1, p - 1, 2)), Fraction(0))
+        assert get_prime_context(p).odd_harmonic_sum() == want, p
+
+
 def test_odd_power_sum_total_matches_the_double_loop():
     # the sum over m of whole power sums is the oracle for the regrouped form
     for p in sympy.primerange(5, 200):
