@@ -9,7 +9,9 @@ permissions a plain ``open()`` would give under the current umask.
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
@@ -31,6 +33,20 @@ class ConventionMismatch(ValueError):
     """Cache file stores the other sign convention for B_1."""
 
 
+@contextmanager
+def unlimited_int_digits():
+    """Lift the int/str digit limit, which B_2064 passes, and restore it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 3.10.7+
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@unlimited_int_digits()
 def save(table: BernoulliTable, path: str | os.PathLike) -> None:
     """Write the table atomically; readers see old or new, never partial."""
     path = os.fspath(path)
@@ -66,6 +82,7 @@ def _parse_header(line: str, path: str) -> str:
     return fields[2]
 
 
+@unlimited_int_digits()
 def load(path: str | os.PathLike,
          convention: str | None = None) -> BernoulliTable:
     """Read and fully validate a cache file.

@@ -323,16 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # B_n passes Python's 4300-digit int/str limit from n = 2064; every
-    # number converted here was computed or validated here
-    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+    # every number converted here was computed or validated here
+    with cache_store.unlimited_int_digits():
         return args.func(args, parser)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return args.func(args, parser)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Callable, Iterable, Iterator
 
 from .modular import (
@@ -32,10 +32,12 @@ from .sequences import (
     divided_bernoulli,
     euler_number_sides,
     fermat_quotient_2,
+    fraction_sum,
     gen_harmonic,
     get_prime_context,
     harmonic,
     odd_reciprocal_sum,
+    product_term,
     von_staudt_denominator,
     weighted_convolution,
 )
@@ -106,19 +108,15 @@ class IdentityDescriptor:
 
 def _bernoulli_convolution(t: int) -> Fraction:
     """sum_{j=2}^{t-2} B_j B_{t-j}; odd j contribute nothing."""
-    return sum(
-        (bernoulli(j) * bernoulli(t - j) for j in range(2, t - 1, 2)),
-        Fraction(0),
-    )
+    return fraction_sum(product_term(bernoulli(j), bernoulli(t - j))
+                        for j in range(2, t - 1, 2))
 
 
 def _divided_convolution(t: int) -> Fraction:
     """sum_{j=2}^{t-2} (B_j/j)(B_{t-j}/(t-j)); odd j contribute nothing."""
-    return sum(
-        (divided_bernoulli(j) * divided_bernoulli(t - j)
-         for j in range(2, t - 1, 2)),
-        Fraction(0),
-    )
+    return fraction_sum(product_term(
+        bernoulli(j), bernoulli(t - j), Fraction(1, j * (t - j)))
+        for j in range(2, t - 1, 2))
 
 
 def _hc(ctx: PrimeContext, m: int) -> Fraction:
@@ -141,11 +139,13 @@ def _two_n_digits(ctx: PrimeContext) -> tuple[int, int]:
 def _theorem1_rhs(ctx: PrimeContext, p: int) -> Fraction:
     half = (p - 3) // 2
     S = ctx.odd_harmonic_sum()
-    G = sum((gen_harmonic(2 * m, 2) for m in range(1, half + 1)),
-            Fraction(0))
-    X = sum((harmonic(2 * m) * harmonic(2 * m + 1)
-             for m in range(1, half + 1)), Fraction(0))
-    T = sum((_hc(ctx, m) for m in range(2, half + 1)), Fraction(0))
+    G = fraction_sum(product_term(gen_harmonic(2 * m, 2))
+                     for m in range(1, half + 1))
+    X = fraction_sum(product_term(harmonic(2 * m), harmonic(2 * m + 1))
+                     for m in range(1, half + 1))
+    # T sums _hc(ctx, m) = H_{2m}^2 - H_{2m}^(2) over m >= 2; H_2^(2) = 5/4
+    T = fraction_sum(product_term(harmonic(2 * m), harmonic(2 * m))
+                     for m in range(2, half + 1)) - (G - Fraction(5, 4))
     # digit terms, inside-out: inner digits are plain integers in [0, p)
     d = hensel_digit(2 * S, p, 0)
     term2 = 2 * hensel_digit(Fraction(d, 2), p, 1)
@@ -163,8 +163,8 @@ def theorem1_rhs(p: int) -> Fraction:
 # evaluators (ctx is a PrimeContext when the identity is prime-indexed)
 
 def _euler_lhs(ctx, n):
-    return sum((comb(n, j) * bernoulli(j) * bernoulli(n - j)
-                for j in range(n + 1)), Fraction(0))
+    return fraction_sum(product_term(comb(n, j), bernoulli(j), bernoulli(n - j))
+                        for j in range(n + 1))
 
 
 def _euler_rhs(ctx, n):
@@ -172,8 +172,9 @@ def _euler_rhs(ctx, n):
 
 
 def _miki_lhs(ctx, n):
-    return sum((comb(n, j) * divided_bernoulli(j) * divided_bernoulli(n - j)
-                for j in range(2, n - 1)), Fraction(0))
+    return fraction_sum(product_term(
+        comb(n, j), bernoulli(j), bernoulli(n - j), Fraction(1, j * (n - j)))
+        for j in range(2, n - 1))
 
 
 def _miki_rhs(ctx, n):
@@ -237,18 +238,13 @@ def _lev3_p5_rhs(ctx, p):
             + 2 * hensel_digit(diff, p, 1))
 
 
-def _sub_h_lhs(ctx, p):
-    return sum((harmonic(k) / (k * 2 ** k) for k in range(1, p)),
-               Fraction(0))
+def _sub_h_lhs(ctx, p, r=1):
+    return fraction_sum(product_term(gen_harmonic(k, r), Fraction(1, k << k))
+                        for k in range(1, p))
 
 
 def _sub_h_rhs(ctx, p):
     return Fraction(7, 24) * p * bernoulli(p - 3)
-
-
-def _sub_h2_lhs(ctx, p):
-    return sum((gen_harmonic(k, 2) / (k * 2 ** k) for k in range(1, p)),
-               Fraction(0))
 
 
 def _sub_h2_rhs(ctx, p):
@@ -256,8 +252,8 @@ def _sub_h2_rhs(ctx, p):
 
 
 def _lev3_b_lhs(ctx, p):
-    return sum((bernoulli(k) / (k * 2 ** k) for k in range(1, p - 1)),
-               Fraction(0))
+    return fraction_sum(product_term(bernoulli(k), Fraction(1, k << k))
+                        for k in range(1, p - 1))
 
 
 def _lev3_b_rhs(ctx, p):
@@ -278,13 +274,15 @@ def _even_ascent_lhs(ctx, p):
 
 def _result1_rhs(ctx, p):
     # sum_m T_m regrouped by K: H_K meets 1/j once for every p < j < p + K
-    # with j = K (mod 2), so one running sum per parity of K covers it
-    tails = Fraction(0)
-    parity_sums = [Fraction(0), Fraction(0)]
+    # with j = K (mod 2), so one running sum per parity of K covers it, all
+    # in integers: H_K times L, the parity sums times M = lcm(p+1..2p-3)
+    L, M = ctx.harmonic_lcm, lcm(*range(p + 1, 2 * p - 2))
+    h_times_l, parity_sums, tails = L, [0, 0], 0  # h_times_l = H_1 L
     for K in range(2, p - 1):
-        parity_sums[K % 2] += Fraction(1, p + K - 1)
-        tails += harmonic(K) * parity_sums[K % 2]
-    return ctx.odd_power_sum_total() - p * tails
+        h_times_l += L // K
+        parity_sums[K % 2] += M // (p + K - 1)
+        tails += h_times_l * parity_sums[K % 2]
+    return ctx.odd_power_sum_total() - p * Fraction(tails, L * M)
 
 
 def _q2_lhs(ctx, p):
@@ -334,10 +332,6 @@ def _sun_rhs(ctx, p, k):
     return p * bernoulli(k) + Fraction(p * p, 2) * k * bernoulli(k - 1)
 
 
-def _alzer_lhs(ctx, n):
-    return sum((harmonic(j) / j for j in range(1, n + 1)), Fraction(0))
-
-
 def _alzer_rhs(ctx, n):
     return (harmonic(n) ** 2 + gen_harmonic(n, 2)) / 2
 
@@ -358,16 +352,19 @@ def _cs3_rhs(ctx, n):
 
 
 def _h_over_shift_lhs(ctx, n, s):
-    return sum((harmonic(j) / (j + s) for j in range(1, n + 1)), Fraction(0))
+    return fraction_sum(product_term(harmonic(j), Fraction(1, j + s))
+                        for j in range(1, n + 1))
 
 
 def _prop1_rhs(ctx, n, s):
     main = (harmonic(n + s) ** 2 - gen_harmonic(n + s, 2)) / 2
-    corr = sum(((harmonic(s - 1) - harmonic(i)) / (n + s - i)
-                for i in range(s - 1)), Fraction(0))
+    corr = fraction_sum(product_term(harmonic(s - 1) - harmonic(i),
+                                     Fraction(1, n + s - i))
+                        for i in range(s - 1))
     base = (harmonic(s) ** 2 - gen_harmonic(s, 2)) / 2
     cross = harmonic(s - 1) * harmonic(s)
-    tail = sum((harmonic(k) / (s - k) for k in range(1, s)), Fraction(0))
+    tail = fraction_sum(product_term(harmonic(k), Fraction(1, s - k))
+                        for k in range(1, s))
     return main + corr - base - cross + tail
 
 
@@ -412,7 +409,9 @@ def _eisenstein_rhs(ctx, p):
 
 
 def _wolstenholme_lhs(ctx, p):
-    return harmonic(p - 1)
+    # H_{p-1} as one integer over lcm(1..p-1), so no memo holds H_1..H_{p-1}
+    L = lcm(ctx.harmonic_lcm, p - 1)
+    return Fraction(sum(L // a for a in range(1, p)), L)
 
 
 def _zero_rhs(ctx, p):
@@ -560,7 +559,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "sub_h2_over_k2k",
         "sum of H_k^(2)/(k 2^k) over k < p is -(3/8) B_{p-3} mod p",
         "power-of-two harmonic sum congruences",
-        ("p",), 1, _sub_h2_lhs, _sub_h2_rhs,
+        ("p",), 1, partial(_sub_h_lhs, r=2), _sub_h2_rhs,
         domain=_prime_domain(5),
         points=_prime_points(5),
     )
@@ -643,7 +642,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "alzer",
         "sum of H_j/j in closed form",
         "H. Alzer",
-        ("n",), None, _alzer_lhs, _alzer_rhs,
+        ("n",), None, partial(_h_over_shift_lhs, s=0), _alzer_rhs,
         domain=lambda n: n >= 1,
         points=_index_points(range(1, 101)),
     )

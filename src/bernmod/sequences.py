@@ -5,14 +5,16 @@ divided Bernoulli numbers, harmonic and generalized harmonic numbers, sums of
 powers, the Eulerian triangle with its even-ascent column sums, the Fermat
 quotient of 2, the Agoh-Giuga quotient, and the power-weighted Bernoulli
 convolution.  Everything returns exact ints or Fractions; the *_mod variants
-work purely in modular arithmetic.  PrimeContext caches per-prime sums and
-kernels; harmonic numbers live only in the module memos.
+work purely in modular arithmetic; fraction_sum adds exact terms over one
+denominator.  PrimeContext caches per-prime sums and kernels; harmonic
+numbers live only in the module memos.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import comb, lcm
 from operator import mul
 from typing import Iterable
@@ -40,6 +42,8 @@ __all__ = [
     "euler_number_sides",
     "fermat_quotient_2",
     "agoh_giuga_quotient",
+    "fraction_sum",
+    "product_term",
     "weighted_convolution",
     "PrimeContext",
     "get_prime_context",
@@ -234,12 +238,9 @@ def sum_powers_bernoulli(n: int, k: int) -> int:
     """
     if n < 0 or k < 0:
         raise ValueError(f"need n, k >= 0, got n={n}, k={k}")
-    acc = Fraction(0)
-    for j in range(k + 1):
-        b = bernoulli(j, PLUS_HALF)
-        if b:
-            acc += comb(k + 1, j) * b * n ** (k + 1 - j)
-    acc /= k + 1
+    acc = fraction_sum(
+        product_term(comb(k + 1, j) * n ** (k + 1 - j), bernoulli(j, PLUS_HALF))
+        for j in range(k + 1)) / (k + 1)
     if acc.denominator != 1:
         raise AssertionError(f"power-sum formula gave non-integer {acc}")
     return int(acc)
@@ -364,31 +365,47 @@ def agoh_giuga_quotient(p: int) -> Fraction:
     return (1 + p * bernoulli(p - 1)) / p
 
 
+def fraction_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """sum n/d over (n, d) int pairs, d != 0, unreduced, as one Fraction: one
+    lcm D, one dot product sum n (D // d) and one gcd, not two gcds a term."""
+    terms = list(terms)
+    D = lcm(*(d for _, d in terms))
+    return Fraction(sum(n * (D // d) for n, d in terms), D)
+
+
+def product_term(*factors: int | Fraction) -> tuple[int, int]:
+    """Unreduced (numerator, denominator) of a product of ints and Fractions."""
+    n = d = 1
+    for f in factors:
+        n *= f.numerator
+        d *= f.denominator
+    return n, d
+
+
 def weighted_convolution(p: int, a: int = 2) -> Fraction:
     """CB_w^(a)(p-1) = sum_{i=2}^{p-3} (B_i / a^i) B_{p-1-i}, exact."""
     if p < 5 or not is_prime(p):
         raise ValueError(f"need a prime >= 5, got {p}")
     if not 1 <= a <= p - 1:
         raise ValueError(f"weight must be in [1, {p - 1}], got {a}")
-    acc = Fraction(0)
     # odd i contribute nothing: B_i = 0 for odd i >= 3
-    for i in range(2, p - 2, 2):
-        acc += bernoulli(i) / a ** i * bernoulli(p - 1 - i)
-    return acc
+    return fraction_sum(
+        product_term(bernoulli(i), Fraction(1, a ** i), bernoulli(p - 1 - i))
+        for i in range(2, p - 2, 2))
 
 
 class _PowerRow:
     """Exact sums of b^k over a fixed set of bases b, one exponent at a time.
 
-    Only the current powers are kept.  Asking for the exponent one past the
-    last one multiplies each power by its base; any other exponent raises
-    every base from scratch, so the sum never depends on the request order.
+    Only the current powers are kept, from the first request on.  Asking for
+    the exponent one past the last one multiplies each power by its base; any
+    other exponent raises every base, so the sum never depends on the order.
     """
 
     def __init__(self, bases: Iterable[int]):
-        self._bases = tuple(bases)
-        self._k = 0
-        self._powers = [1] * len(self._bases)
+        self._bases = bases  # made a tuple on the first request
+        self._k = -2  # no powers yet: no k >= 0 is one past it
+        self._powers: list[int] = []
 
     def total(self, k: int) -> int:
         if k < 0:
@@ -396,6 +413,7 @@ class _PowerRow:
         if k == self._k + 1:
             self._powers = list(map(mul, self._powers, self._bases))
         else:
+            self._bases = tuple(self._bases)
             self._powers = [b ** k for b in self._bases]
         self._k = k
         return sum(self._powers)
@@ -404,9 +422,9 @@ class _PowerRow:
 class PrimeContext:
     """Per-prime workspace shared by congruence evaluators.
 
-    Caches the per-prime sums, each computed on its first request, and the
-    integer kernels behind the power-sum and shifted-tail evaluators, so a
-    sweep builds each of them once per prime.  It holds no harmonic numbers.
+    Caches the per-prime sums, L = lcm(1..p-2) and the integer kernels of
+    the power-sum and shifted-tail evaluators, each built on its first
+    request, so once per prime at most.  It holds no harmonic numbers.
     Building one is a check's prime test, and check sets `exponent` to the
     power of p it reduces at, for the evaluators that read residues.
     """
@@ -419,18 +437,21 @@ class PrimeContext:
         self._even_ascent: dict[int, int] = {}
         self._odd_power_sum_total: int | None = None
         self._odd_harmonic_sum: Fraction | None = None
-        self._tail_kernel: tuple[list[int], list[int], int] | None = None
         self._full_row = _PowerRow(range(1, p))
         self._half_square_row = _PowerRow(
             b * b for b in range(1, (p - 1) // 2 + 1))
         self._odd_square_row = _PowerRow(x * x for x in range(1, p - 1, 2))
 
+    @cached_property
+    def harmonic_lcm(self) -> int:
+        """L = lcm(1..p-2), a common denominator of H_1..H_{p-2}."""
+        return lcm(*range(1, self.p - 1))
+
     def odd_harmonic_sum(self) -> Fraction:
         """H_1 + H_3 + ... + H_{p-2} over L = lcm(1..p-2), by reciprocal:
         1/a occurs in H_m for each of the (p-1)/2 - a//2 odd m in [a, p-2]."""
         if self._odd_harmonic_sum is None:
-            p = self.p
-            L = lcm(*range(1, p - 1))
+            p, L = self.p, self.harmonic_lcm
             self._odd_harmonic_sum = Fraction(sum(
                 ((p - 1) // 2 - a // 2) * (L // a) for a in range(1, p - 1)), L)
         return self._odd_harmonic_sum
@@ -490,19 +511,18 @@ class PrimeContext:
         p = self.p
         if m < 0 or 2 * m + 1 > p - 1:
             raise ValueError(f"need 0 <= m <= (p-3)/2, got m={m}, p={p}")
-        if self._tail_kernel is None:
-            L = lcm(*range(1, p - 1))
-            M = lcm(*range(p + 1, 2 * p - 2))
-            h_times_l = [0]  # H_K * L for K = 0..p-2
-            for K in range(1, p - 1):
-                h_times_l.append(h_times_l[-1] + L // K)
-            # M // d for the divisors d = p+1..2p-3, in order
-            cofactors = [M // d for d in range(p + 1, 2 * p - 2)]
-            self._tail_kernel = (h_times_l, cofactors, L * M)
         h_times_l, cofactors, denominator = self._tail_kernel
         # K = p-2m-1+i meets the divisor p+1+i for i = 0..2m-1
         terms = h_times_l[p - 2 * m - 1:p - 1]
         return Fraction(sum(map(mul, terms, cofactors)), denominator)
+
+    @cached_property
+    def _tail_kernel(self) -> tuple[list[int], list[int], int]:
+        """H_K L for K = 0..p-2, M // d for the divisors d = p+1..2p-3, L M."""
+        p, L = self.p, self.harmonic_lcm
+        M = lcm(*range(p + 1, 2 * p - 2))
+        return (list(accumulate((L // K for K in range(1, p - 1)), initial=0)),
+                [M // d for d in range(p + 1, 2 * p - 2)], L * M)
 
 
 @lru_cache(maxsize=1)

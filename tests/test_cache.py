@@ -1,10 +1,20 @@
 """Cache file round-trips, validation, and failure modes."""
 import os
 import stat
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from bernmod.cache import ConventionMismatch, CorruptCache, load, save
+from bernmod.cache import (
+    ConventionMismatch,
+    CorruptCache,
+    load,
+    save,
+    unlimited_int_digits,
+)
 from bernmod.sequences import MINUS_HALF, PLUS_HALF, BernoulliTable
 
 
@@ -120,6 +130,56 @@ def test_save_gives_the_mode_of_a_plain_open(tmp_path):
     finally:
         os.umask(old)
     assert not [f for f in os.listdir(tmp_path) if f.startswith(".berncache-")]
+
+
+# in a fresh interpreter that keeps the default 4300-digit int/str limit:
+# B_2100 has a numerator of more than 4300 digits
+_BIG_ROUND_TRIP = textwrap.dedent("""
+    import sys
+    import bernmod
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert limit in (0, 4300), limit
+    b = bernmod.bernoulli(2100)
+    bernmod.save(bernmod.bernoulli_table(), sys.argv[1])
+    back = bernmod.load(sys.argv[1])
+    assert back.value(2100) == b
+    assert back.max_index == bernmod.bernoulli_table().max_index
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    print("ok")
+""")
+
+
+def test_round_trip_past_the_int_digit_limit_in_a_fresh_process(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    env = {k: v for k, v in os.environ.items()
+           if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = os.pathsep.join(path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _BIG_ROUND_TRIP, str(tmp_path / "big.cache")],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int/str digit limit before Python 3.10.7")
+def test_unlimited_int_digits_restores_the_limit():
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(5000)
+        with unlimited_int_digits():
+            assert sys.get_int_max_str_digits() == 0
+            assert len(str(10 ** 6000)) == 6001
+        assert sys.get_int_max_str_digits() == 5000
+        with pytest.raises(KeyError):
+            with unlimited_int_digits():
+                raise KeyError("inside")
+        assert sys.get_int_max_str_digits() == 5000
+        with pytest.raises(ValueError):
+            str(10 ** 6000)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_blank_lines_tolerated(tmp_path):

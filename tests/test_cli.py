@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bernmod.identities as idmod
-from bernmod.cache import load, save
+from bernmod.cache import load, save, unlimited_int_digits
 from bernmod.cli import main
 from bernmod.sequences import BernoulliTable, bernoulli, fermat_quotient_2
 
@@ -331,14 +331,8 @@ def test_compute_bernoulli_env_cache(tmp_path, capsys, monkeypatch):
 
 def _str_unlimited(value) -> str:
     """str() of an int of any length, whatever the interpreter's limit."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
+    with unlimited_int_digits():
         return str(value)
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 def test_compute_prints_integers_beyond_the_str_digit_limit(capsys):

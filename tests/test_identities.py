@@ -1,6 +1,7 @@
 """Catalog checks: frozen residue anchors, status plumbing, sweep behavior."""
 from concurrent.futures import Future
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +22,10 @@ from bernmod.identities import (
     sweep,
     theorem1_rhs,
 )
-from bernmod.modular import is_prime, mod_reduce, primes_in
+from bernmod.modular import hensel_digit, is_prime, mod_reduce, primes_in
 from bernmod.sequences import (
+    bernoulli,
+    divided_bernoulli,
     even_ascent_count,
     gen_harmonic,
     get_prime_context,
@@ -104,6 +107,124 @@ def test_result1_rhs_matches_the_double_loop():
                      for K in range(p - 2 * m - 1, p - 1)), Fraction(0))
         want = ctx.odd_power_sum_total() - p * tails
         assert idmod._result1_rhs(ctx, p) == want, p
+
+
+# ---------------------------------------------------------------------------
+# the sums over one common denominator against the running Fraction sums
+# they replaced, written here term by term
+
+def _bernoulli_convolution_oracle(t):
+    return sum((bernoulli(j) * bernoulli(t - j) for j in range(2, t - 1, 2)),
+               Fraction(0))
+
+
+def _divided_convolution_oracle(t):
+    return sum((divided_bernoulli(j) * divided_bernoulli(t - j)
+                for j in range(2, t - 1, 2)), Fraction(0))
+
+
+def _weighted_convolution_oracle(p):
+    acc = Fraction(0)
+    for i in range(2, p - 2, 2):
+        acc += bernoulli(i) / 2 ** i * bernoulli(p - 1 - i)
+    return acc
+
+
+def _theorem1_rhs_oracle(ctx, p):
+    half = (p - 3) // 2
+    S = sum((harmonic(m) for m in range(1, p - 1, 2)), Fraction(0))
+    G = sum((gen_harmonic(2 * m, 2) for m in range(1, half + 1)),
+            Fraction(0))
+    X = sum((harmonic(2 * m) * harmonic(2 * m + 1)
+             for m in range(1, half + 1)), Fraction(0))
+    T = sum((_harmonic_convolution_oracle(2 * m) for m in range(2, half + 1)),
+            Fraction(0))
+    d = hensel_digit(2 * S, p, 0)
+    term2 = 2 * hensel_digit(Fraction(d, 2), p, 1)
+    term3 = hensel_digit(2 * hensel_digit(S, p, 0), p, 1)
+    return -1 + term2 + term3 + 6 * S + 4 * G - 4 * X - 4 * S * S + 2 * T
+
+
+def _lemma1_rhs_oracle(ctx, p):
+    d0, d1 = idmod._two_n_digits(ctx)
+    cb = _weighted_convolution_oracle(p)
+    return (Fraction(d0, 2) + p * (Fraction(d0, 2) + Fraction(d1, 2)
+                                   - Fraction((d0 - 1) ** 2, 2) - cb / 2 - 1))
+
+
+def _h_over_shift_oracle(s):
+    return lambda ctx, n: sum((harmonic(j) / (j + s) for j in range(1, n + 1)),
+                              Fraction(0))
+
+
+def _prop1_rhs_oracle(ctx, n, s):
+    main = (harmonic(n + s) ** 2 - gen_harmonic(n + s, 2)) / 2
+    corr = sum(((harmonic(s - 1) - harmonic(i)) / (n + s - i)
+                for i in range(s - 1)), Fraction(0))
+    base = (harmonic(s) ** 2 - gen_harmonic(s, 2)) / 2
+    cross = harmonic(s - 1) * harmonic(s)
+    tail = sum((harmonic(k) / (s - k) for k in range(1, s)), Fraction(0))
+    return main + corr - base - cross + tail
+
+
+def _over_k2k_oracle(value, top):
+    return lambda ctx, p: sum((value(k) / (k * 2 ** k)
+                               for k in range(1, p + top)), Fraction(0))
+
+
+# (identity, side) -> the old evaluator, called like the catalog's
+SUM_ORACLES = {
+    ("conv_order_p1", "lhs"): lambda ctx, p: _bernoulli_convolution_oracle(
+        p - 1),
+    ("zhao_p3", "lhs"): lambda ctx, p: _bernoulli_convolution_oracle(p - 3),
+    ("zhao_p5", "lhs"): lambda ctx, p: _bernoulli_convolution_oracle(p - 5),
+    ("lev3_div_p1", "lhs"): lambda ctx, p: _divided_convolution_oracle(p - 1),
+    ("lev3_div_p3", "lhs"): lambda ctx, p: _divided_convolution_oracle(p - 3),
+    ("lev3_div_p5", "lhs"): lambda ctx, p: _divided_convolution_oracle(p - 5),
+    ("euler_identity", "lhs"): lambda ctx, n: sum(
+        (comb(n, j) * bernoulli(j) * bernoulli(n - j) for j in range(n + 1)),
+        Fraction(0)),
+    ("miki_identity", "lhs"): lambda ctx, n: sum(
+        (comb(n, j) * divided_bernoulli(j) * divided_bernoulli(n - j)
+         for j in range(2, n - 1)), Fraction(0)),
+    ("miki_identity", "rhs"): lambda ctx, n: (
+        _divided_convolution_oracle(n)
+        - 2 * divided_bernoulli(n) * harmonic(n)),
+    ("sub_h_over_k2k", "lhs"): _over_k2k_oracle(harmonic, 0),
+    ("sub_h2_over_k2k", "lhs"): _over_k2k_oracle(
+        lambda k: gen_harmonic(k, 2), 0),
+    ("lev3_b_over_k2k", "lhs"): _over_k2k_oracle(bernoulli, -1),
+    ("alzer", "lhs"): _h_over_shift_oracle(0),
+    ("choi_srivastava_s1", "lhs"): _h_over_shift_oracle(1),
+    ("choi_srivastava_s2", "lhs"): _h_over_shift_oracle(2),
+    ("choi_srivastava_s3", "lhs"): _h_over_shift_oracle(3),
+    ("prop1", "lhs"): lambda ctx, n, s: _h_over_shift_oracle(s)(ctx, n),
+    ("prop1", "rhs"): _prop1_rhs_oracle,
+    ("theorem1", "lhs"): lambda ctx, p: _weighted_convolution_oracle(p),
+    ("theorem1", "rhs"): _theorem1_rhs_oracle,
+    ("lemma1", "rhs"): _lemma1_rhs_oracle,
+    ("wolstenholme", "lhs"): lambda ctx, p: harmonic(p - 1),
+}
+
+# the convolution ids read the most Bernoulli numbers, so they go further
+_CONVOLUTION_IDS = {"conv_order_p1", "zhao_p3", "zhao_p5",
+                    "lev3_div_p1", "lev3_div_p3", "lev3_div_p5"}
+
+
+@pytest.mark.parametrize("identity,side", list(SUM_ORACLES))
+def test_sums_over_one_denominator_match_the_running_fraction_sums(
+        identity, side):
+    desc = catalog()[identity]
+    evaluator = getattr(desc, side)
+    oracle = SUM_ORACLES[identity, side]
+    hi = 401 if identity in _CONVOLUTION_IDS else 199
+    points = list(desc.points(5, hi))
+    assert points
+    for params in points:
+        ctx = get_prime_context(params["p"]) if "p" in params else None
+        got = evaluator(ctx, **params)
+        assert isinstance(got, Fraction)
+        assert got == oracle(ctx, **params), params
 
 
 def test_exact_identity_reports_carry_fractions():
@@ -287,13 +408,14 @@ def test_sweep_starts_no_more_workers_than_batches(monkeypatch):
 
 
 def test_prime_context_builds_no_harmonic_numbers():
-    # neither check reads a harmonic number, so neither may build one, even
-    # at the Wolstenholme prime where H_1..H_{p-1} would cost ~180 MB
+    # no check of the large-prime set may fill the harmonic memo, even at
+    # the Wolstenholme prime, where H_1..H_{p-1} would hold ~55 MB for good
     def memo_sizes():
         return [len(sequences._GEN_HARMONIC.get(r, [])) for r in (1, 2)]
 
     before = memo_sizes()
-    for ident in ("wilson", "result2", "remark1b", "result4"):
+    for ident in ("wolstenholme", "wilson", "eisenstein", "remark1a",
+                  "remark1b", "result2", "result4"):
         assert check(ident, {"p": 16843}).status == VERIFIED, ident
     assert memo_sizes() == before
 

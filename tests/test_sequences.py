@@ -1,5 +1,7 @@
 """Bernoulli, harmonic, Eulerian and derived quantities against independent
 oracles: sympy, direct summation, and hand-frozen values."""
+import itertools
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
@@ -25,10 +27,12 @@ from bernmod.sequences import (
     even_ascent_count,
     even_ascent_count_mod,
     fermat_quotient_2,
+    fraction_sum,
     gen_harmonic,
     get_prime_context,
     harmonic,
     odd_reciprocal_sum,
+    product_term,
     sum_powers,
     sum_powers_bernoulli,
     von_staudt_denominator,
@@ -355,6 +359,61 @@ def test_weighted_convolution_unweighted_is_one_mod_p():
         assert mod_reduce(weighted_convolution(p, 1), p, 1) == 1
 
 
+def _weighted_convolution_oracle(p, a):
+    """The convolution with one Fraction add per term."""
+    acc = Fraction(0)
+    for i in range(2, p - 2, 2):
+        acc += bernoulli(i) / a ** i * bernoulli(p - 1 - i)
+    return acc
+
+
+def test_weighted_convolution_matches_the_running_fraction_sum():
+    # a = 2 is theorem1's lhs and part of lemma1's rhs at every sweep prime
+    for p in sympy.primerange(5, 200):
+        for a in (1, 2, 3):
+            assert weighted_convolution(p, a) == _weighted_convolution_oracle(
+                p, a), (p, a)
+
+
+_TERMS = st.lists(st.tuples(
+    st.integers(min_value=-10**30, max_value=10**30),
+    st.integers(min_value=-10**6, max_value=10**6).filter(bool)),
+    max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=_TERMS)
+def test_fraction_sum_equals_the_running_fraction_sum(terms):
+    want = sum((Fraction(n, d) for n, d in terms), Fraction(0))
+    got = fraction_sum(terms)
+    assert got == want
+    assert isinstance(got, Fraction)
+    # an iterator is read once, like a generator at the call sites
+    assert fraction_sum(iter(terms)) == want
+
+
+def test_fraction_sum_edge_cases():
+    assert fraction_sum([]) == 0
+    assert fraction_sum(iter(())) == Fraction(0)
+    assert fraction_sum([(3, 6)]) == Fraction(1, 2)
+    assert fraction_sum([(0, 7), (0, -5)]) == 0
+    assert fraction_sum([(1, -3), (-1, 3)]) == Fraction(-2, 3)
+    assert fraction_sum([(1, 4), (1, 4), (1, 4), (1, 4)]) == 1
+    assert fraction_sum([(5, 2), (-5, 2)]) == 0
+    # unreduced pairs, as product_term gives them
+    assert fraction_sum([(2, 4), (6, 9)]) == Fraction(7, 6)
+    with pytest.raises(ZeroDivisionError):
+        fraction_sum([(1, 2), (1, 0)])
+
+
+def test_product_term():
+    assert product_term() == (1, 1)
+    assert product_term(3) == (3, 1)
+    assert product_term(Fraction(1, 6), Fraction(-1, 30), 4) == (-4, 180)
+    assert Fraction(*product_term(Fraction(2, 3), Fraction(3, 4))) == Fraction(
+        1, 2)
+
+
 def test_prime_context_tables():
     ctx = get_prime_context(11)
     assert ctx is get_prime_context(11)  # shared per prime
@@ -444,6 +503,37 @@ def test_power_rows_do_not_depend_on_request_order():
         assert ctx.half_even_power_sum(k + 1) == sum_powers(half, 2 * k + 2)
     with pytest.raises(ValueError):
         ctx.full_power_sum(-1)
+
+
+def test_power_rows_do_not_depend_on_which_row_is_read_first():
+    # each row is built on its first read, in whatever order they come
+    reads = {
+        "full": lambda ctx, p, k: (ctx.full_power_sum(k),
+                                   sum_powers(p - 1, k)),
+        "half": lambda ctx, p, k: (ctx.half_even_power_sum(k),
+                                   sum_powers((p - 1) // 2, 2 * k)),
+        "odd": lambda ctx, p, k: (ctx.odd_even_power_sum(k),
+                                  _odd_even_power_sum_oracle(p, k)),
+    }
+    for p in (5, 13, 31):
+        for order in itertools.permutations(reads):
+            ctx = PrimeContext(p)
+            for k in (3, 1, 2, 2, 5):
+                for name in order:
+                    got, want = reads[name](ctx, p, k)
+                    assert got == want, (p, order, name, k)
+
+
+def test_building_a_prime_context_builds_no_power_row():
+    # at p = 16843 the three rows of bases and powers held about 1.6 MB
+    tracemalloc.start()
+    try:
+        ctx = PrimeContext(16843)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert ctx.full_power_sum(1) == 16842 * 16843 // 2
 
 
 def test_pole_detection_on_reduction():
