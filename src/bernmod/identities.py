@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial, lcm
+from operator import mul
 from typing import Callable, Iterable, Iterator
 
 from .modular import (
@@ -96,8 +97,8 @@ class IdentityDescriptor:
     source: str
     params: tuple[str, ...]
     exponent: int | None  # prime-power exponent; None compares exactly
-    lhs: Callable[..., Fraction]
-    rhs: Callable[..., Fraction]
+    lhs: Callable[..., int | Fraction]
+    rhs: Callable[..., int | Fraction]
     domain: Callable[..., bool]
     points: Callable[[int, int], Iterator[dict[str, int]]]
     counted: Callable[..., bool] | None = None  # None: every domain point counts
@@ -119,14 +120,13 @@ def _divided_convolution(t: int) -> Fraction:
         for j in range(2, t - 1, 2))
 
 
-def _hc(ctx: PrimeContext, m: int) -> Fraction:
-    """H_1/(2m-1) + ... + H_{2m-1}/1, by its closed form H_n^2 - H_n^(2), n = 2m.
-
-    Both equal 2 sum_{s<=n} H_{s-1}/s: the sum is sum 1/(ij) over i + j <= n,
-    grouped by s = i + j; H_n^2 - H_n^(2) is sum 1/(ij) over i != j <= n,
-    grouped by s = max(i, j).
-    """
-    return harmonic(2 * m) ** 2 - gen_harmonic(2 * m, 2)
+def _p_bernoulli(ctx: PrimeContext, n: int) -> int:
+    """p B_n mod p^N, N = ctx.exponent, from the exact B_n's numerator and
+    denominator; the denominator is squarefree, so p B_n is p-integral."""
+    b, p, q = bernoulli(n), ctx.p, ctx.p ** ctx.exponent
+    if b.denominator % p:
+        return p * b.numerator * pow(b.denominator, -1, q) % q
+    return b.numerator * pow(b.denominator // p, -1, q) % q
 
 
 def _two_n_digits(ctx: PrimeContext) -> tuple[int, int]:
@@ -143,7 +143,8 @@ def _theorem1_rhs(ctx: PrimeContext, p: int) -> Fraction:
                      for m in range(1, half + 1))
     X = fraction_sum(product_term(harmonic(2 * m), harmonic(2 * m + 1))
                      for m in range(1, half + 1))
-    # T sums _hc(ctx, m) = H_{2m}^2 - H_{2m}^(2) over m >= 2; H_2^(2) = 5/4
+    # T sums H_1/(2m-1) + ... + H_{2m-1}/1 over m >= 2 by its closed form
+    # H_{2m}^2 - H_{2m}^(2) (see _lemma2_rhs); H_2^(2) = 5/4
     T = fraction_sum(product_term(harmonic(2 * m), harmonic(2 * m))
                      for m in range(2, half + 1)) - (G - Fraction(5, 4))
     # digit terms, inside-out: inner digits are plain integers in [0, p)
@@ -186,7 +187,7 @@ def _conv_p1_lhs(ctx, p):
 
 
 def _one_rhs(ctx, p):
-    return Fraction(1)
+    return 1
 
 
 def _zhao_p3_lhs(ctx, p):
@@ -269,7 +270,7 @@ def _tangent_rhs(ctx, n):
 
 
 def _even_ascent_lhs(ctx, p):
-    return Fraction(ctx.even_ascent_residue(ctx.exponent))
+    return ctx.even_ascent_residue(ctx.exponent)
 
 
 def _result1_rhs(ctx, p):
@@ -286,15 +287,15 @@ def _result1_rhs(ctx, p):
 
 
 def _q2_lhs(ctx, p):
-    return Fraction(fermat_quotient_2(p))
+    return fermat_quotient_2(p)
 
 
 def _result2_rhs(ctx, p):
-    return Fraction(2 * ctx.even_ascent_residue(ctx.exponent) - 1)
+    return 2 * ctx.even_ascent_residue(ctx.exponent) - 1
 
 
 def _result3_lhs(ctx, p):
-    return Fraction(sum(x ** (p - 2) for x in range(1, p - 1, 2)))
+    return sum(x ** (p - 2) for x in range(1, p - 1, 2))
 
 
 def _result3_rhs(ctx, p):
@@ -308,28 +309,36 @@ def _odd_harmonic_sum(ctx, p):
 
 
 def _lehmer_i_lhs(ctx, p, k):
-    return p * bernoulli(2 * k)
+    return _p_bernoulli(ctx, 2 * k)
 
 
 def _lehmer_i_rhs(ctx, p, k):
-    # p - 2a for a = 1..(p-1)/2 runs over the odd numbers below p
-    return Fraction(ctx.odd_even_power_sum(k), 1 << (2 * k - 1))
+    # p - 2a for a = 1..(p-1)/2 runs over the odd numbers below p, the full
+    # range less the even bases 2a: (S_{p-1,2k} - 4^k S_{h,2k}) / 2^(2k-1)
+    n, q = ctx.exponent, p ** ctx.exponent
+    return 2 * (pow(4, -k, q) * ctx.full_power_residue(2 * k, n)
+                - ctx.half_power_residues(n)[2 * k]) % q
 
 
 def _lehmer_ii_lhs(ctx, p, k):
-    return Fraction(ctx.half_even_power_sum(k))
+    return ctx.half_power_residues(ctx.exponent)[2 * k]
 
 
 def _lehmer_ii_rhs(ctx, p, k):
-    return (Fraction(1, 2 ** (2 * k - 1)) - 1) * bernoulli(2 * k) * p / 2
+    # (2^(1-2k) - 1) p B_{2k} / 2 = (2^(-2k) - 2^(-1)) p B_{2k}
+    q = p ** ctx.exponent
+    return (pow(2, -2 * k, q) - pow(2, -1, q)) * _p_bernoulli(ctx, 2 * k) % q
 
 
 def _sun_lhs(ctx, p, k):
-    return Fraction(ctx.full_power_sum(k))
+    return ctx.full_power_residue(k, ctx.exponent)
 
 
 def _sun_rhs(ctx, p, k):
-    return p * bernoulli(k) + Fraction(p * p, 2) * k * bernoulli(k - 1)
+    # p B_k + (p^2 / 2) k B_{k-1}
+    q = p ** ctx.exponent
+    return (_p_bernoulli(ctx, k)
+            + p * k * _p_bernoulli(ctx, k - 1) * pow(2, -1, q)) % q
 
 
 def _alzer_rhs(ctx, n):
@@ -369,7 +378,7 @@ def _prop1_rhs(ctx, n, s):
 
 
 def _lemma1_lhs(ctx, p):
-    return Fraction(ctx.odd_power_sum_total())
+    return ctx.odd_power_sum_total()
 
 
 def _lemma1_rhs(ctx, p):
@@ -381,13 +390,19 @@ def _lemma1_rhs(ctx, p):
 
 
 def _lemma2_lhs(ctx, p, m):
-    return -p * ctx.shifted_harmonic_tail(m)
+    # -p times the tail sum_{K=p-2m-1}^{p-2} H_K / (K + 2m + 2), so the tail
+    # counts only mod p^(N-1); K = p-2m-1+i meets the divisor p+1+i
+    h, _, inverses = ctx.harmonic_residues(ctx.exponent - 1)
+    tail = sum(map(mul, h[p - 2 * m - 1:p - 1], inverses))
+    return -p * tail % p ** ctx.exponent
 
 
 def _lemma2_rhs(ctx, p, m):
-    return p * (2 * gen_harmonic(2 * m, 2)
-                - 2 * harmonic(2 * m) * harmonic(2 * m + 1)
-                + _hc(ctx, m))
+    # p (2 H_n^(2) - 2 H_n H_{n+1} + sum_{s<n} H_s/(n-s)) at n = 2m; that
+    # sum is H_n^2 - H_n^(2), since both equal 2 sum_{s<=n} H_{s-1}/s
+    h, h2, _ = ctx.harmonic_residues(ctx.exponent - 1)
+    n = 2 * m
+    return p * (h2[n] + h[n] * (h[n] - 2 * h[n + 1])) % p ** ctx.exponent
 
 
 def _theorem1_lhs(ctx, p):
@@ -415,11 +430,11 @@ def _wolstenholme_lhs(ctx, p):
 
 
 def _zero_rhs(ctx, p):
-    return Fraction(0)
+    return 0
 
 
 def _factorial_lhs(ctx, p):
-    return Fraction(factorial(p - 1))
+    return factorial(p - 1)
 
 
 def _glaisher_rhs(ctx, p):
@@ -427,7 +442,7 @@ def _glaisher_rhs(ctx, p):
 
 
 def _wilson_rhs(ctx, p):
-    return Fraction(-1)
+    return -1
 
 
 def _cvs_lhs(ctx, n):

@@ -24,7 +24,7 @@ class NotPIntegral(ValueError):
 
 
 def mod_reduce(x: Fraction | int, p: int, k: int = 1) -> int:
-    """Canonical residue in [0, p^k) of a p-integral rational modulo p^k.
+    """Canonical residue in [0, p^k) of an int or p-integral rational mod p^k.
 
     Raises NotPIntegral when p divides the denominator of x.
     """
@@ -32,8 +32,8 @@ def mod_reduce(x: Fraction | int, p: int, k: int = 1) -> int:
         raise ValueError(f"prime must be >= 2, got {p}")
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
+    if isinstance(x, int):
+        return x % p ** k
     if x.denominator % p == 0:
         raise NotPIntegral(f"{x} is not p-integral at p={p}")
     m = p ** k

@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb, lcm
-from operator import mul
 from typing import Iterable
 
 from .modular import is_prime
@@ -394,39 +393,15 @@ def weighted_convolution(p: int, a: int = 2) -> Fraction:
         for i in range(2, p - 2, 2))
 
 
-class _PowerRow:
-    """Exact sums of b^k over a fixed set of bases b, one exponent at a time.
-
-    Only the current powers are kept, from the first request on.  Asking for
-    the exponent one past the last one multiplies each power by its base; any
-    other exponent raises every base, so the sum never depends on the order.
-    """
-
-    def __init__(self, bases: Iterable[int]):
-        self._bases = bases  # made a tuple on the first request
-        self._k = -2  # no powers yet: no k >= 0 is one past it
-        self._powers: list[int] = []
-
-    def total(self, k: int) -> int:
-        if k < 0:
-            raise ValueError(f"exponent must be >= 0, got {k}")
-        if k == self._k + 1:
-            self._powers = list(map(mul, self._powers, self._bases))
-        else:
-            self._bases = tuple(self._bases)
-            self._powers = [b ** k for b in self._bases]
-        self._k = k
-        return sum(self._powers)
-
-
 class PrimeContext:
     """Per-prime workspace shared by congruence evaluators.
 
-    Caches the per-prime sums, L = lcm(1..p-2) and the integer kernels of
-    the power-sum and shifted-tail evaluators, each built on its first
-    request, so once per prime at most.  It holds no harmonic numbers.
-    Building one is a check's prime test, and check sets `exponent` to the
-    power of p it reduces at, for the evaluators that read residues.
+    Caches the per-prime sums, L = lcm(1..p-2) and the residue tables of
+    the power-sum and harmonic evaluators mod p^N, each built on its first
+    request, so once per (prime, exponent) at most.  It holds no harmonic
+    numbers.  Building one is a check's prime test, and check sets
+    `exponent` to the power of p it reduces at, for the evaluators that
+    read residues.
     """
 
     def __init__(self, p: int):
@@ -435,12 +410,10 @@ class PrimeContext:
         self.p = p
         self.exponent: int | None = None
         self._even_ascent: dict[int, int] = {}
+        self._half_power: dict[int, list[int]] = {}
+        self._harmonic: dict[int, tuple[list[int], list[int], list[int]]] = {}
         self._odd_power_sum_total: int | None = None
         self._odd_harmonic_sum: Fraction | None = None
-        self._full_row = _PowerRow(range(1, p))
-        self._half_square_row = _PowerRow(
-            b * b for b in range(1, (p - 1) // 2 + 1))
-        self._odd_square_row = _PowerRow(x * x for x in range(1, p - 1, 2))
 
     @cached_property
     def harmonic_lcm(self) -> int:
@@ -489,40 +462,51 @@ class PrimeContext:
                 a ** (p - 2) * (half - a // 2) for a in range(1, p - 1))
         return self._odd_power_sum_total
 
-    def full_power_sum(self, k: int) -> int:
-        """S_{p-1,k} = 1^k + 2^k + ... + (p-1)^k."""
-        return self._full_row.total(k)
+    def half_power_residues(self, exponent: int) -> list[int]:
+        """S_{h,j} = 1^j + 2^j + ... + h^j mod p^exponent, h = (p-1)/2, for
+        j = 0..2p, in one stepped pass: row j is row j-1 times the bases.
+        A table at a higher exponent, if one is built, is reduced instead."""
+        if exponent < 1:
+            raise ValueError(f"exponent must be >= 1, got {exponent}")
+        if exponent not in self._half_power:
+            q = self.p ** exponent
+            finer = [e for e in self._half_power if e > exponent]
+            if finer:
+                sums = [s % q for s in self._half_power[min(finer)]]
+            else:
+                bases = range(1, (self.p + 1) // 2)
+                powers = [1] * len(bases)
+                sums = [len(bases)]
+                for _ in range(2 * self.p):
+                    powers = [x * a % q for x, a in zip(powers, bases)]
+                    sums.append(sum(powers) % q)
+            self._half_power[exponent] = sums
+        return self._half_power[exponent]
 
-    def half_even_power_sum(self, k: int) -> int:
-        """S_{(p-1)/2, 2k} = 1^(2k) + 2^(2k) + ... + ((p-1)/2)^(2k)."""
-        return self._half_square_row.total(k)
+    def full_power_residue(self, k: int, exponent: int) -> int:
+        """S_{p-1,k} mod p^exponent for 0 <= k <= 2p, by E. Lehmer's pairing
+        of a with p - a: (p - a)^k expanded in powers of p leaves
+        S_{h,k} + sum_{i < exponent} C(k, i) p^i (-1)^(k-i) S_{h,k-i}."""
+        p, s = self.p, self.half_power_residues(exponent)
+        total = sum(comb(k, i) * p ** i * (-1) ** (k - i) * s[k - i]
+                    for i in range(min(exponent, k + 1)))
+        return (s[k] + total) % p ** exponent
 
-    def odd_even_power_sum(self, k: int) -> int:
-        """1^(2k) + 3^(2k) + ... + (p-2)^(2k), the odd bases below p."""
-        return self._odd_square_row.total(k)
-
-    def shifted_harmonic_tail(self, m: int) -> Fraction:
-        """sum_{K=p-(2m+1)}^{p-2} H_K / (K + 2m + 2); empty at m = 0.
-
-        Every term is put over the one denominator L M, where
-        L = lcm(1..p-2) clears each H_K and M = lcm(p+1..2p-3) clears each
-        divisor K + 2m + 2, so the tail is one integer dot product.
-        """
-        p = self.p
-        if m < 0 or 2 * m + 1 > p - 1:
-            raise ValueError(f"need 0 <= m <= (p-3)/2, got m={m}, p={p}")
-        h_times_l, cofactors, denominator = self._tail_kernel
-        # K = p-2m-1+i meets the divisor p+1+i for i = 0..2m-1
-        terms = h_times_l[p - 2 * m - 1:p - 1]
-        return Fraction(sum(map(mul, terms, cofactors)), denominator)
-
-    @cached_property
-    def _tail_kernel(self) -> tuple[list[int], list[int], int]:
-        """H_K L for K = 0..p-2, M // d for the divisors d = p+1..2p-3, L M."""
-        p, L = self.p, self.harmonic_lcm
-        M = lcm(*range(p + 1, 2 * p - 2))
-        return (list(accumulate((L // K for K in range(1, p - 1)), initial=0)),
-                [M // d for d in range(p + 1, 2 * p - 2)], L * M)
+    def harmonic_residues(
+            self, exponent: int) -> tuple[list[int], list[int], list[int]]:
+        """H_K and H_K^(2) mod p^exponent for K = 0..p-2, and the inverses
+        of p+1..2p-3, the divisors of the shifted harmonic tail; exponent 0
+        is the modulus 1, where every residue is 0."""
+        if exponent < 0:
+            raise ValueError(f"exponent must be >= 0, got {exponent}")
+        if exponent not in self._harmonic:
+            p, r = self.p, self.p ** exponent
+            inverses = [pow(j, -1, r) for j in range(1, p - 1)]
+            h, h2 = ([x % r for x in accumulate(row, initial=0)]
+                     for row in (inverses, [v * v for v in inverses]))
+            shifted = [pow(d, -1, r) for d in range(p + 1, 2 * p - 2)]
+            self._harmonic[exponent] = h, h2, shifted
+        return self._harmonic[exponent]
 
 
 @lru_cache(maxsize=1)
@@ -530,6 +514,6 @@ def get_prime_context(p: int) -> PrimeContext:
     """The PrimeContext of the last prime asked for.
 
     A sweep batch holds the points of one prime, so one live context is
-    enough, and the power rows and tail kernel of earlier primes are freed.
+    enough, and the residue tables of earlier primes are freed.
     """
     return PrimeContext(p)

@@ -357,6 +357,39 @@ def test_cache_holds_integers_beyond_the_str_digit_limit(tmp_path, capsys):
     assert cache.stat().st_mtime_ns == before.st_mtime_ns
 
 
+# spawns the command in its arguments and prints its exit code and peak
+# resident set in KB; Linux carries ru_maxrss across exec, so the command
+# must be spawned from this small interpreter, not from the test process
+PEAK_RSS_LAUNCHER = """
+import os, sys
+devnull = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ,
+                     file_actions=devnull)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_large_prime_set_peak_rss_at_the_wolstenholme_prime():
+    # the seven large-prime identities at p = 16843 in one fresh process
+    ids = ["wolstenholme", "wilson", "eisenstein", "remark1a", "remark1b",
+           "result2", "result4"]
+    argv = [sys.executable, "-S", "-c", PEAK_RSS_LAUNCHER, sys.executable,
+            "-m", "bernmod", "verify", "--primes", "16843..16843",
+            "--no-timestamps"]
+    for ident in ids:
+        argv += ["--identity", ident]
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert "7 verified" in proc.stderr
+    assert peak_kb < 60 * 1024, f"peak RSS {peak_kb} KB"
+
+
 def test_console_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "bernmod", "compute", "bernoulli", "12"],

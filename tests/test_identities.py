@@ -1,7 +1,9 @@
 """Catalog checks: frozen residue anchors, status plumbing, sweep behavior."""
 from concurrent.futures import Future
 from fractions import Fraction
-from math import comb
+from itertools import accumulate
+from math import comb, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -85,16 +87,32 @@ def _harmonic_convolution_oracle(n):
     return sum((harmonic(k) / (n - k) for k in range(1, n)), Fraction(0))
 
 
+def _hc(m):
+    """H_1/(2m-1) + ... + H_{2m-1}/1, by its closed form H_n^2 - H_n^(2), n = 2m.
+
+    Both equal 2 sum_{s<=n} H_{s-1}/s: the sum is sum 1/(ij) over i + j <= n,
+    grouped by s = i + j; H_n^2 - H_n^(2) is sum 1/(ij) over i != j <= n,
+    grouped by s = max(i, j).
+    """
+    return harmonic(2 * m) ** 2 - gen_harmonic(2 * m, 2)
+
+
 def test_harmonic_convolution_closed_form_matches_the_sum():
     for n in range(1, 200):
         closed = harmonic(n) ** 2 - gen_harmonic(n, 2)
         assert closed == _harmonic_convolution_oracle(n), n
-    # the catalog's evaluator reads the same form off a prime's prefixes
-    ctx = get_prime_context(199)
-    assert idmod._hc(ctx, 1) == Fraction(1)
-    assert idmod._hc(ctx, 2) == Fraction(35, 12)
-    for m in range(1, 100):
-        assert idmod._hc(ctx, m) == _harmonic_convolution_oracle(2 * m), m
+    assert _hc(1) == Fraction(1)
+    assert _hc(2) == Fraction(35, 12)
+    # lemma 2's residue kernel reads the same form off a prime's prefixes
+    p = 199
+    ctx = get_prime_context(p)
+    for e in (2, 3):
+        ctx.exponent = e
+        for m in range(1, 99):
+            want = p * (2 * gen_harmonic(2 * m, 2)
+                        - 2 * harmonic(2 * m) * harmonic(2 * m + 1)
+                        + _harmonic_convolution_oracle(2 * m))
+            assert idmod._lemma2_rhs(ctx, p, m) == mod_reduce(want, p, e), m
 
 
 def test_result1_rhs_matches_the_double_loop():
@@ -107,6 +125,95 @@ def test_result1_rhs_matches_the_double_loop():
                      for K in range(p - 2 * m - 1, p - 1)), Fraction(0))
         want = ctx.odd_power_sum_total() - p * tails
         assert idmod._result1_rhs(ctx, p) == want, p
+
+
+# ---------------------------------------------------------------------------
+# the residue kernels of the four per-(p, k) families against the exact
+# evaluators they replaced, kept here as oracles
+
+class _PowerRow:
+    """Exact sums of b^k over a fixed set of bases b, one exponent at a time.
+
+    Asking for the exponent one past the last one multiplies each power by
+    its base; any other exponent raises every base.
+    """
+
+    def __init__(self, bases):
+        self._bases = tuple(bases)
+        self._k = -2  # no powers yet: no k >= 0 is one past it
+        self._powers = []
+
+    def total(self, k):
+        if k == self._k + 1:
+            self._powers = list(map(mul, self._powers, self._bases))
+        else:
+            self._powers = [b ** k for b in self._bases]
+        self._k = k
+        return sum(self._powers)
+
+
+class _ExactPrime:
+    """The exact power rows and shifted-tail kernel of one prime."""
+
+    def __init__(self, p):
+        self.p = p
+        self.full = _PowerRow(range(1, p))
+        self.half_square = _PowerRow(b * b for b in range(1, (p - 1) // 2 + 1))
+        self.odd_square = _PowerRow(x * x for x in range(1, p - 1, 2))
+        # H_K L for K = 0..p-2, M // d for the divisors d = p+1..2p-3, L M
+        L, M = lcm(*range(1, p - 1)), lcm(*range(p + 1, 2 * p - 2))
+        self.h_times_l = list(accumulate((L // K for K in range(1, p - 1)),
+                                         initial=0))
+        self.cofactors = [M // d for d in range(p + 1, 2 * p - 2)]
+        self.denominator = L * M
+
+    def shifted_tail(self, m):
+        """sum_{K=p-(2m+1)}^{p-2} H_K / (K + 2m + 2), over one denominator."""
+        p = self.p
+        terms = self.h_times_l[p - 2 * m - 1:p - 1]
+        return Fraction(sum(map(mul, terms, self.cofactors)), self.denominator)
+
+
+# (identity, side) -> the exact value at (exact prime, p, k or m)
+EXACT_KERNEL_ORACLES = {
+    ("lehmer_i", "lhs"): lambda x, p, k: p * bernoulli(2 * k),
+    ("lehmer_i", "rhs"): lambda x, p, k: Fraction(x.odd_square.total(k),
+                                                   1 << (2 * k - 1)),
+    ("lehmer_ii", "lhs"): lambda x, p, k: x.half_square.total(k),
+    ("lehmer_ii", "rhs"): lambda x, p, k: (
+        (Fraction(1, 2 ** (2 * k - 1)) - 1) * bernoulli(2 * k) * p / 2),
+    ("sun_lemma", "lhs"): lambda x, p, k: x.full.total(k),
+    ("sun_lemma", "rhs"): lambda x, p, k: (
+        p * bernoulli(k) + Fraction(p * p, 2) * k * bernoulli(k - 1)),
+    ("lemma2", "lhs"): lambda x, p, m: -p * x.shifted_tail(m),
+    ("lemma2", "rhs"): lambda x, p, m: p * (
+        2 * gen_harmonic(2 * m, 2)
+        - 2 * harmonic(2 * m) * harmonic(2 * m + 1) + _hc(m)),
+}
+
+
+@pytest.mark.parametrize("hi,overrides", [(199, [None]),
+                                          (61, [1, 2, 3, 4])])
+@pytest.mark.parametrize("identity",
+                         ["lehmer_i", "lehmer_ii", "sun_lemma", "lemma2"])
+def test_residue_kernels_match_the_exact_evaluators(identity, hi, overrides):
+    # every point of the range, at the declared exponent or at each
+    # --modulus override, reduced from the exact value by mod_reduce
+    desc = catalog()[identity]
+    exact = {}
+    for params in desc.points(5, hi):
+        p = params["p"]
+        x = exact.setdefault(p, _ExactPrime(p))
+        for override in overrides:
+            report = check(identity, params, modulus_override=override)
+            if report.status == INAPPLICABLE and report.modulus is None:
+                continue  # outside the domain: no side was evaluated
+            e = override or desc.exponent
+            assert report.modulus == p ** e
+            for side in ("lhs", "rhs"):
+                want = mod_reduce(EXACT_KERNEL_ORACLES[identity, side](
+                    x, **params), p, e)
+                assert getattr(report, side) == want, (side, params, e)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +564,16 @@ def test_euler_identity_property(n):
 def test_prop1_property(n, s):
     report = check("prop1", {"n": n, "s": s})
     assert report.status == VERIFIED
+
+
+def test_sharpness_at_p_squared_among_primes_to_101():
+    # the primes where a mod-p congruence happens to hold mod p^2 as well
+    def sharp(identity):
+        return {p for p in primes_in(5, 101) if check(
+            identity, {"p": p}, modulus_override=2).status == VERIFIED}
+
+    assert sharp("theorem1") == {11, 31}
+    assert sharp("zhao_p3") == {11, 17, 29, 67}
 
 
 def test_elapsed_is_recorded():

@@ -444,25 +444,44 @@ def test_odd_power_sum_total_matches_the_double_loop():
         assert get_prime_context(p).odd_power_sum_total() == want, p
 
 
+def _tail_residue(ctx, m, exponent):
+    """The shifted tail mod p^exponent from the context's harmonic residues:
+    K = p-2m-1+i meets the divisor p+1+i for i = 0..2m-1."""
+    p = ctx.p
+    h, _, inverses = ctx.harmonic_residues(exponent)
+    return sum(h[p - 2 * m - 1 + i] * inverses[i]
+               for i in range(2 * m)) % p ** exponent
+
+
 def test_prime_context_shifted_tail():
     ctx = get_prime_context(7)
     # m = 1: K runs over {4, 5}, divisors K + 4
     want = harmonic(4) / 8 + harmonic(5) / 9
-    assert ctx.shifted_harmonic_tail(1) == want
-    assert ctx.shifted_harmonic_tail(0) == 0
+    for e in (1, 2, 3):
+        assert _tail_residue(ctx, 1, e) == mod_reduce(want, 7, e), e
+        assert _tail_residue(ctx, 0, e) == 0
+    # exponent 0 is the modulus 1, which lemma 2 reads at --modulus 1
+    assert ctx.harmonic_residues(0) == ([0] * 6, [0] * 6, [0] * 4)
     with pytest.raises(ValueError):
-        ctx.shifted_harmonic_tail(4)
+        ctx.harmonic_residues(-1)
 
 
 def test_shifted_harmonic_tail_matches_the_fraction_sum():
-    # the term-by-term Fraction sum is the oracle for the integer kernel;
+    # the term-by-term Fraction sum is the oracle for the residue kernel;
     # p = 5 is the edge where the divisors are only 6 and 7
     for p in sympy.primerange(5, 200):
         ctx = get_prime_context(p)
+        h, h2, inverses = ctx.harmonic_residues(2)
+        assert h == [mod_reduce(harmonic(K), p, 2) for K in range(p - 1)], p
+        assert h2 == [mod_reduce(gen_harmonic(K, 2), p, 2)
+                      for K in range(p - 1)], p
+        assert inverses == [pow(d, -1, p * p) for d in range(p + 1, 2 * p - 2)]
         for m in range((p - 1) // 2):
             want = sum((harmonic(K) / (K + 2 * m + 2)
                         for K in range(p - 2 * m - 1, p - 1)), Fraction(0))
-            assert ctx.shifted_harmonic_tail(m) == want, (p, m)
+            for e in (1, 2):
+                assert _tail_residue(ctx, m, e) == mod_reduce(want, p, e), (
+                    p, m, e)
 
 
 def _odd_even_power_sum_oracle(p, k):
@@ -471,61 +490,75 @@ def _odd_even_power_sum_oracle(p, k):
 
 
 def test_power_rows_match_direct_sums_at_catalog_exponents():
-    # the exponents in the order a sweep asks for them; lehmer_i skips the
-    # k with p - 1 | 2k - 2, so its row jumps once per prime
+    # the exponents the catalog reads at: lehmer_i at p^3, lehmer_ii and
+    # sun_lemma at p^2; lehmer_i's odd bases are the full range less the
+    # even ones, 4^k S_{h,2k}
     for p in sympy.primerange(5, 200):
         ctx = get_prime_context(p)
+        half = (p - 1) // 2
+        p2, p3 = p ** 2, p ** 3
+        for j, got in enumerate(ctx.half_power_residues(3)):
+            assert got == sum_powers(half, j) % p3, (p, j)
         for k in range(2, p + 1):
-            assert ctx.full_power_sum(k) == sum_powers(p - 1, k), (p, k)
+            assert ctx.full_power_residue(k, 2) == sum_powers(p - 1, k) % p2
         for k in range(2, p):
             if (2 * k - 2) % (p - 1):
-                assert (ctx.odd_even_power_sum(k)
-                        == _odd_even_power_sum_oracle(p, k)), (p, k)
+                odd = (ctx.full_power_residue(2 * k, 3)
+                       - 4 ** k * ctx.half_power_residues(3)[2 * k])
+                assert odd % p3 == _odd_even_power_sum_oracle(p, k) % p3, (
+                    p, k)
         for k in range(1, p + 1):
-            assert (ctx.half_even_power_sum(k)
-                    == sum_powers((p - 1) // 2, 2 * k)), (p, k)
+            assert (ctx.half_power_residues(2)[2 * k]
+                    == sum_powers(half, 2 * k) % p2), (p, k)
 
 
 def test_power_rows_do_not_depend_on_request_order():
     p = 31
     half = (p - 1) // 2
     # descending, repeated, jumps, back to 0, then a run again
-    ks = [7, 6, 5, 5, 5, 6, 20, 21, 22, 3, 0, 1, 2, 2, 40, 41]
+    ks = [7, 6, 5, 5, 5, 6, 20, 21, 22, 3, 0, 1, 2, 2, 40, 41, 62]
     ctx = PrimeContext(p)
     for k in ks:
-        assert ctx.full_power_sum(k) == sum_powers(p - 1, k), k
-    # two rows of one context interleaved, each keeps its own exponent
-    ctx = PrimeContext(p)
-    for k in ks:
-        assert ctx.half_even_power_sum(k) == sum_powers(half, 2 * k), k
-        assert (ctx.odd_even_power_sum(k + 1)
-                == _odd_even_power_sum_oracle(p, k + 1)), k
-        assert ctx.half_even_power_sum(k + 1) == sum_powers(half, 2 * k + 2)
+        assert ctx.full_power_residue(k, 2) == sum_powers(p - 1, k) % p ** 2
+    # tables at several exponents, each asked for before and after one at a
+    # higher exponent exists, which it is then reduced from
+    for exponents in ((1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3)):
+        ctx = PrimeContext(p)
+        for e in exponents:
+            q = p ** e
+            assert ctx.half_power_residues(e) == [
+                sum_powers(half, j) % q for j in range(2 * p + 1)], e
+            for k in ks:
+                assert (ctx.full_power_residue(k, e)
+                        == sum_powers(p - 1, k) % q), (e, k)
     with pytest.raises(ValueError):
-        ctx.full_power_sum(-1)
+        ctx.half_power_residues(0)
 
 
 def test_power_rows_do_not_depend_on_which_row_is_read_first():
-    # each row is built on its first read, in whatever order they come
+    # each table is built on its first read, in whatever order they come
     reads = {
-        "full": lambda ctx, p, k: (ctx.full_power_sum(k),
-                                   sum_powers(p - 1, k)),
-        "half": lambda ctx, p, k: (ctx.half_even_power_sum(k),
-                                   sum_powers((p - 1) // 2, 2 * k)),
-        "odd": lambda ctx, p, k: (ctx.odd_even_power_sum(k),
-                                  _odd_even_power_sum_oracle(p, k)),
+        "full": lambda ctx, p, e: (ctx.full_power_residue(5, e),
+                                   sum_powers(p - 1, 5) % p ** e),
+        "half": lambda ctx, p, e: (ctx.half_power_residues(e)[4],
+                                   sum_powers((p - 1) // 2, 4) % p ** e),
+        "harmonic": lambda ctx, p, e: (ctx.harmonic_residues(e)[0][3],
+                                       mod_reduce(harmonic(3), p, e)),
+        "ascent": lambda ctx, p, e: (ctx.even_ascent_residue(e),
+                                     even_ascent_count(p - 2) % p ** e),
     }
     for p in (5, 13, 31):
         for order in itertools.permutations(reads):
             ctx = PrimeContext(p)
-            for k in (3, 1, 2, 2, 5):
+            for e in (2, 1, 3, 3):
                 for name in order:
-                    got, want = reads[name](ctx, p, k)
-                    assert got == want, (p, order, name, k)
+                    got, want = reads[name](ctx, p, e)
+                    assert got == want, (p, order, name, e)
 
 
 def test_building_a_prime_context_builds_no_power_row():
-    # at p = 16843 the three rows of bases and powers held about 1.6 MB
+    # at p = 16843 a half-range table holds 33687 residues and exact power
+    # rows about 1.6 MB, so neither may be built before its first read
     tracemalloc.start()
     try:
         ctx = PrimeContext(16843)
@@ -533,7 +566,9 @@ def test_building_a_prime_context_builds_no_power_row():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    assert ctx.full_power_sum(1) == 16842 * 16843 // 2
+    # Wolstenholme: H_{p-1} = H_{p-2} + 1/(p-1) vanishes mod p^2
+    h, _, _ = ctx.harmonic_residues(2)
+    assert (h[-1] * (16843 - 1) + 1) % 16843 ** 2 == 0
 
 
 def test_pole_detection_on_reduction():
