@@ -13,6 +13,7 @@ from contextlib import nullcontext
 from datetime import datetime, timezone
 
 from . import cache as cache_store
+from . import identities
 from .identities import ERROR, FAILED, NOT_P_INTEGRAL, identity_ids, sweep
 from .modular import is_prime
 from .permutations import profile
@@ -149,11 +150,14 @@ def _cmd_verify(args: argparse.Namespace,
         parser.error(f"cannot write --out {args.out}: {exc.strerror}")
     if args.cache:
         cached = _load_cache(args.cache, MINUS_HALF)
-    identities = args.identity if args.identity else "all"
+    selected = args.identity if args.identity else "all"
     with out as stream:
-        reports = sweep(identities, lo, hi, jobs=args.jobs,
+        reports = sweep(selected, lo, hi, jobs=args.jobs,
                         modulus_override=args.modulus)
         if args.cache:
+            # pool workers grew their own tables, not this one: grow it as
+            # far, so the file holds every entry the workers read
+            bernoulli(identities._pool_table_top)
             _save_cache(args.cache, MINUS_HALF, cached)
         if args.verbose:
             for r in reports:

@@ -1,11 +1,11 @@
 """Catalog of congruences and exact identities, with check and sweep drivers.
 
 Each catalog entry carries independent evaluators for its two sides.  A check
-computes both sides exactly, reduces them at the declared prime power (or
-compares exactly), and reports verified / failed / inapplicable /
-not_p_integral, or error when an evaluator raises.  Sweeps run the catalog
-over a prime range with deterministic report ordering regardless of worker
-parallelism.
+computes both sides in exact residue arithmetic at the declared prime power
+(or as exact rationals, compared exactly), and reports verified / failed /
+inapplicable / not_p_integral, or error when an evaluator raises.  Sweeps
+run the catalog over a prime range with deterministic report ordering
+regardless of worker parallelism.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from math import comb, factorial, lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator
@@ -22,12 +23,13 @@ from typing import Callable, Iterable, Iterator
 from .modular import (
     NotPIntegral,
     hensel_digit,
+    is_prime,
+    mod_inverse,
     mod_reduce,
     primes_in,
 )
 from .sequences import (
     PrimeContext,
-    agoh_giuga_quotient,
     bernoulli,
     bernoulli_table,
     divided_bernoulli,
@@ -37,10 +39,8 @@ from .sequences import (
     gen_harmonic,
     get_prime_context,
     harmonic,
-    odd_reciprocal_sum,
     product_term,
     von_staudt_denominator,
-    weighted_convolution,
 )
 
 __all__ = [
@@ -106,12 +106,10 @@ class IdentityDescriptor:
 
 # ---------------------------------------------------------------------------
 # shared evaluator pieces
-
-def _bernoulli_convolution(t: int) -> Fraction:
-    """sum_{j=2}^{t-2} B_j B_{t-j}; odd j contribute nothing."""
-    return fraction_sum(product_term(bernoulli(j), bernoulli(t - j))
-                        for j in range(2, t - 1, 2))
-
+#
+# The prime-indexed sides are residues mod p^N, N = ctx.exponent, read from
+# the context's tables: a Bernoulli side from bernoulli_residues, a power
+# side from power residues, a harmonic side from harmonic_residues.
 
 def _divided_convolution(t: int) -> Fraction:
     """sum_{j=2}^{t-2} (B_j/j)(B_{t-j}/(t-j)); odd j contribute nothing."""
@@ -120,13 +118,47 @@ def _divided_convolution(t: int) -> Fraction:
         for j in range(2, t - 1, 2))
 
 
-def _p_bernoulli(ctx: PrimeContext, n: int) -> int:
-    """p B_n mod p^N, N = ctx.exponent, from the exact B_n's numerator and
-    denominator; the denominator is squarefree, so p B_n is p-integral."""
-    b, p, q = bernoulli(n), ctx.p, ctx.p ** ctx.exponent
-    if b.denominator % p:
-        return p * b.numerator * pow(b.denominator, -1, q) % q
-    return b.numerator * pow(b.denominator // p, -1, q) % q
+def _convolution_residue(ctx: PrimeContext, p: int, s: int) -> int:
+    """sum_{j=2}^{t-2} B_j B_{t-j} mod p^N at t = p - s, s odd."""
+    t = p - s
+    b = ctx.bernoulli_residues(ctx.exponent, t)
+    return sum(map(mul, b[2:t - 1:2], b[t - 2:1:-2])) % p ** ctx.exponent
+
+
+def _divided_residue(ctx: PrimeContext, p: int, s: int) -> int:
+    """sum_{j=2}^{t-2} (B_j/j)(B_{t-j}/(t-j)) mod p^N at t = p - s, s odd."""
+    t, q = p - s, p ** ctx.exponent
+    b = ctx.bernoulli_residues(ctx.exponent, t)
+    d = [b[j] * pow(j, -1, q) for j in range(2, t - 1, 2)]
+    return sum(map(mul, d, reversed(d))) % q
+
+
+def _theorem1_lhs(ctx: PrimeContext, p: int) -> int:
+    """CB(p) = sum_{i=2}^{p-3} (B_i / 2^i) B_{p-1-i} mod p^N; odd i
+    contribute nothing, so the weights step by 1/4."""
+    q = p ** ctx.exponent
+    b = ctx.bernoulli_residues(ctx.exponent, p - 1)
+    quarter, w, total = pow(4, -1, q), 1, 0
+    for i in range(2, p - 2, 2):
+        w = w * quarter % q
+        total += b[i] * w * b[p - 1 - i]
+    return total % q
+
+
+def _p_bernoulli_residue(ctx: PrimeContext, n: int) -> int:
+    """p B_n mod p^N from the Bernoulli row, which holds p B_n itself where
+    p divides the denominator, at even n > 0 with (p - 1) | n."""
+    p, q = ctx.p, ctx.p ** ctx.exponent
+    b = ctx.bernoulli_residues(ctx.exponent, n)[n]
+    return b if n and n % (p - 1) == 0 else p * b % q
+
+
+def _agoh_giuga_residue(ctx: PrimeContext, exponent: int) -> int:
+    """A_p = (1 + p B_{p-1}) / p mod p^exponent, from the Bernoulli row one
+    power higher: p B_{p-1} = -1 mod p, so the division is exact."""
+    r = ctx.p ** (exponent + 1)
+    b = ctx.bernoulli_residues(exponent + 1, ctx.p - 1)
+    return (1 + b[ctx.p - 1]) % r // ctx.p
 
 
 def _two_n_digits(ctx: PrimeContext) -> tuple[int, int]:
@@ -136,9 +168,12 @@ def _two_n_digits(ctx: PrimeContext) -> tuple[int, int]:
     return r % p, (r // p) % p
 
 
-def _theorem1_rhs(ctx: PrimeContext, p: int) -> Fraction:
+def theorem1_rhs(p: int) -> Fraction:
+    """Exact harmonic-sum side of the main convolution congruence."""
+    if p < 5 or not is_prime(p):
+        raise ValueError(f"need a prime >= 5, got {p}")
     half = (p - 3) // 2
-    S = ctx.odd_harmonic_sum()
+    S = fraction_sum(product_term(harmonic(m)) for m in range(1, p - 1, 2))
     G = fraction_sum(product_term(gen_harmonic(2 * m, 2))
                      for m in range(1, half + 1))
     X = fraction_sum(product_term(harmonic(2 * m), harmonic(2 * m + 1))
@@ -153,11 +188,6 @@ def _theorem1_rhs(ctx: PrimeContext, p: int) -> Fraction:
     e = hensel_digit(S, p, 0)
     term3 = hensel_digit(2 * e, p, 1)
     return -1 + term2 + term3 + 6 * S + 4 * G - 4 * X - 4 * S * S + 2 * T
-
-
-def theorem1_rhs(p: int) -> Fraction:
-    """Exact harmonic-sum side of the main convolution congruence."""
-    return _theorem1_rhs(get_prime_context(p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -182,83 +212,87 @@ def _miki_rhs(ctx, n):
     return _divided_convolution(n) - 2 * divided_bernoulli(n) * harmonic(n)
 
 
-def _conv_p1_lhs(ctx, p):
-    return _bernoulli_convolution(p - 1)
-
-
 def _one_rhs(ctx, p):
     return 1
 
 
-def _zhao_p3_lhs(ctx, p):
-    return _bernoulli_convolution(p - 3)
-
-
 def _zhao_p3_rhs(ctx, p):
-    return -2 * bernoulli(p - 3)
-
-
-def _zhao_p5_lhs(ctx, p):
-    return _bernoulli_convolution(p - 5)
+    return -2 * ctx.bernoulli_residues(ctx.exponent, p - 3)[p - 3]
 
 
 def _zhao_p5_rhs(ctx, p):
-    return -2 * bernoulli(p - 5) - Fraction(2, 3) * bernoulli(p - 3) ** 2
-
-
-def _lev3_p1_lhs(ctx, p):
-    return _divided_convolution(p - 1)
+    q = p ** ctx.exponent
+    b = ctx.bernoulli_residues(ctx.exponent, p - 3)
+    return (-2 * b[p - 5] - 2 * mod_inverse(3, p, ctx.exponent)
+            * b[p - 3] ** 2) % q
 
 
 def _lev3_p1_rhs(ctx, p):
-    inner = (2 * p * divided_bernoulli(2 * p - 2)
-             - p * p * divided_bernoulli(p - 1) ** 2)
-    return Fraction(hensel_digit(inner, p, 2))
+    # digit 2 of 2p B_{2p-2}/(2p-2) - p^2 (B_{p-1}/(p-1))^2, that is of
+    # (p B_{2p-2} - (p B_{p-1})^2 / (p-1)) / (p-1), read at p^3
+    r = p ** 3
+    b = ctx.bernoulli_residues(3, 2 * p - 2)
+    inv = mod_inverse(p - 1, p, 3)
+    return (b[2 * p - 2] - b[p - 1] ** 2 * inv) * inv % r // (p * p)
 
 
-def _lev3_p3_lhs(ctx, p):
-    return _divided_convolution(p - 3)
-
-
-def _lev3_p3_rhs(ctx, p):
-    ag = agoh_giuga_quotient(p)
-    diff = divided_bernoulli(2 * p - 4) - divided_bernoulli(p - 3)
-    return (2 * (ag - 1) * divided_bernoulli(p - 3)
-            + 2 * hensel_digit(diff, p, 1))
-
-
-def _lev3_p5_lhs(ctx, p):
-    return _divided_convolution(p - 5)
-
-
-def _lev3_p5_rhs(ctx, p):
-    ag = agoh_giuga_quotient(p)
-    diff = divided_bernoulli(2 * p - 6) - divided_bernoulli(p - 5)
-    return (-divided_bernoulli(p - 3) ** 2
-            + 2 * (ag - 1) * divided_bernoulli(p - 5)
-            + 2 * hensel_digit(diff, p, 1))
+def _lev3_shifted_rhs(ctx, p, s):
+    # 2 (A_p - 1) D_{p-s} + 2 (digit 1 of D_{2p-1-s} - D_{p-s}), D_i = B_i/i,
+    # less D_{p-3}^2 at s = 5; A_p and the digit read the row at p^(N+1)
+    n = ctx.exponent
+    r = p ** (n + 1)
+    b = ctx.bernoulli_residues(n + 1, 2 * p - 1 - s)
+    d = {i: b[i] * mod_inverse(i, p, n + 1) % r
+         for i in (p - 3, p - s, 2 * p - 1 - s)}
+    digit = (d[2 * p - 1 - s] - d[p - s]) % (p * p) // p
+    value = 2 * (_agoh_giuga_residue(ctx, n) - 1) * d[p - s] + 2 * digit
+    if s == 5:
+        value -= d[p - 3] ** 2
+    return value % p ** n
 
 
 def _sub_h_lhs(ctx, p, r=1):
-    return fraction_sum(product_term(gen_harmonic(k, r), Fraction(1, k << k))
-                        for k in range(1, p))
+    # sum_{k<p} H_k^(r) / (k 2^k); 1/k is H_k - H_{k-1}
+    q = p ** ctx.exponent
+    h, h2, _ = ctx.harmonic_residues(ctx.exponent)
+    hr = h if r == 1 else h2
+    half, w, total = pow(2, -1, q), 1, 0
+    for k in range(1, p):
+        w = w * half % q
+        total += hr[k] * (h[k] - h[k - 1]) * w
+    return total % q
 
 
 def _sub_h_rhs(ctx, p):
-    return Fraction(7, 24) * p * bernoulli(p - 3)
+    return (7 * mod_inverse(24, p, ctx.exponent)
+            * _p_bernoulli_residue(ctx, p - 3)) % p ** ctx.exponent
 
 
 def _sub_h2_rhs(ctx, p):
-    return -Fraction(3, 8) * bernoulli(p - 3)
+    return (-3 * mod_inverse(8, p, ctx.exponent)
+            * ctx.bernoulli_residues(ctx.exponent, p - 3)[p - 3]
+            % p ** ctx.exponent)
 
 
 def _lev3_b_lhs(ctx, p):
-    return fraction_sum(product_term(bernoulli(k), Fraction(1, k << k))
-                        for k in range(1, p - 1))
+    # sum_{k=1}^{p-2} B_k / (k 2^k); odd k > 1 contribute nothing
+    q = p ** ctx.exponent
+    b = ctx.bernoulli_residues(ctx.exponent, p - 2)
+    quarter, w = pow(4, -1, q), 1
+    total = b[1] * pow(2, -1, q)
+    for k in range(2, p - 1, 2):
+        w = w * quarter % q
+        total += b[k] * w * pow(k, -1, q)
+    return total % q
 
 
 def _lev3_b_rhs(ctx, p):
-    return (-harmonic((p - 1) // 2) / 2 + agoh_giuga_quotient(p) - 1)
+    # -H_{(p-1)/2} / 2 + A_p - 1
+    n = ctx.exponent
+    q = p ** n
+    h, _, _ = ctx.harmonic_residues(n)
+    return (-h[(p - 1) // 2] * pow(2, -1, q)
+            + _agoh_giuga_residue(ctx, n) - 1) % q
 
 
 def _tangent_lhs(ctx, n):
@@ -275,15 +309,15 @@ def _even_ascent_lhs(ctx, p):
 
 def _result1_rhs(ctx, p):
     # sum_m T_m regrouped by K: H_K meets 1/j once for every p < j < p + K
-    # with j = K (mod 2), so one running sum per parity of K covers it, all
-    # in integers: H_K times L, the parity sums times M = lcm(p+1..2p-3)
-    L, M = ctx.harmonic_lcm, lcm(*range(p + 1, 2 * p - 2))
-    h_times_l, parity_sums, tails = L, [0, 0], 0  # h_times_l = H_1 L
+    # with j = K (mod 2), so one running sum per parity of K covers it; the
+    # tails are multiplied by p, so they count only mod p^(N-1)
+    n = ctx.exponent
+    h, _, shifted = ctx.harmonic_residues(n - 1)
+    parity_sums, tails = [0, 0], 0
     for K in range(2, p - 1):
-        h_times_l += L // K
-        parity_sums[K % 2] += M // (p + K - 1)
-        tails += h_times_l * parity_sums[K % 2]
-    return ctx.odd_power_sum_total() - p * Fraction(tails, L * M)
+        parity_sums[K % 2] += shifted[K - 2]  # 1/(p + K - 1)
+        tails += h[K] * parity_sums[K % 2]
+    return (ctx.odd_power_residue(n) - p * tails) % p ** n
 
 
 def _q2_lhs(ctx, p):
@@ -295,21 +329,34 @@ def _result2_rhs(ctx, p):
 
 
 def _result3_lhs(ctx, p):
-    return sum(x ** (p - 2) for x in range(1, p - 1, 2))
+    q = p ** ctx.exponent
+    return sum(pow(x, p - 2, q) for x in range(1, p - 1, 2)) % q
 
 
 def _result3_rhs(ctx, p):
+    # p A_p needs A_p mod p^(N-1) only
     d0, d1 = _two_n_digits(ctx)
-    ag = agoh_giuga_quotient(p)
-    return d0 - 1 + p * (ag + d1 - (d0 - 1) ** 2 - 2)
+    n = ctx.exponent
+    ag = _agoh_giuga_residue(ctx, n - 1)
+    return (d0 - 1 + p * (ag + d1 - (d0 - 1) ** 2 - 2)) % p ** n
 
 
 def _odd_harmonic_sum(ctx, p):
-    return ctx.odd_harmonic_sum()
+    # H_1 + H_3 + ... + H_{p-2}
+    h, _, _ = ctx.harmonic_residues(ctx.exponent)
+    return sum(h[1:p - 1:2]) % p ** ctx.exponent
+
+
+def _odd_reciprocal_sum(ctx, p):
+    # 1 + 1/3 + ... + 1/(p-2) is H_{p-1} less its even terms, which add up
+    # to H_{(p-1)/2} / 2
+    q = p ** ctx.exponent
+    h, _, _ = ctx.harmonic_residues(ctx.exponent)
+    return (h[p - 1] - h[(p - 1) // 2] * pow(2, -1, q)) % q
 
 
 def _lehmer_i_lhs(ctx, p, k):
-    return _p_bernoulli(ctx, 2 * k)
+    return _p_bernoulli_residue(ctx, 2 * k)
 
 
 def _lehmer_i_rhs(ctx, p, k):
@@ -327,7 +374,8 @@ def _lehmer_ii_lhs(ctx, p, k):
 def _lehmer_ii_rhs(ctx, p, k):
     # (2^(1-2k) - 1) p B_{2k} / 2 = (2^(-2k) - 2^(-1)) p B_{2k}
     q = p ** ctx.exponent
-    return (pow(2, -2 * k, q) - pow(2, -1, q)) * _p_bernoulli(ctx, 2 * k) % q
+    return ((pow(2, -2 * k, q) - pow(2, -1, q))
+            * _p_bernoulli_residue(ctx, 2 * k) % q)
 
 
 def _sun_lhs(ctx, p, k):
@@ -337,8 +385,8 @@ def _sun_lhs(ctx, p, k):
 def _sun_rhs(ctx, p, k):
     # p B_k + (p^2 / 2) k B_{k-1}
     q = p ** ctx.exponent
-    return (_p_bernoulli(ctx, k)
-            + p * k * _p_bernoulli(ctx, k - 1) * pow(2, -1, q)) % q
+    return (_p_bernoulli_residue(ctx, k)
+            + p * k * _p_bernoulli_residue(ctx, k - 1) * pow(2, -1, q)) % q
 
 
 def _alzer_rhs(ctx, n):
@@ -360,33 +408,43 @@ def _cs3_rhs(ctx, n):
             - Fraction(7, 4))
 
 
+def _harmonic_prefix(top: int) -> tuple[int, list[int], list[int], list[int]]:
+    """L = lcm(1..top), and for j = 0..top the integers L / j (0 at j = 0),
+    H_j L and H_j^(2) L^2."""
+    L = lcm(*range(1, top + 1))
+    recips = [0] + [L // j for j in range(1, top + 1)]
+    return (L, recips, list(accumulate(recips)),
+            list(accumulate(x * x for x in recips)))
+
+
 def _h_over_shift_lhs(ctx, n, s):
-    return fraction_sum(product_term(harmonic(j), Fraction(1, j + s))
-                        for j in range(1, n + 1))
+    # sum_{j<=n} H_j / (j + s), as one integer over L^2, L = lcm(1..n+s)
+    L, recips, hl, _ = _harmonic_prefix(n + s)
+    return Fraction(sum(map(mul, hl[1:n + 1], recips[1 + s:])), L * L)
 
 
 def _prop1_rhs(ctx, n, s):
-    main = (harmonic(n + s) ** 2 - gen_harmonic(n + s, 2)) / 2
-    corr = fraction_sum(product_term(harmonic(s - 1) - harmonic(i),
-                                     Fraction(1, n + s - i))
-                        for i in range(s - 1))
-    base = (harmonic(s) ** 2 - gen_harmonic(s, 2)) / 2
-    cross = harmonic(s - 1) * harmonic(s)
-    tail = fraction_sum(product_term(harmonic(k), Fraction(1, s - k))
-                        for k in range(1, s))
-    return main + corr - base - cross + tail
+    # main + corr - base - cross + tail, all over 2 L^2, L = lcm(1..n+s)
+    L, recips, hl, h2l2 = _harmonic_prefix(n + s)
+    main = hl[n + s] ** 2 - h2l2[n + s]  # 2 L^2 (H_{n+s}^2 - H_{n+s}^(2)) / 2
+    base = hl[s] ** 2 - h2l2[s]
+    corr = sum((hl[s - 1] - hl[i]) * recips[n + s - i] for i in range(s - 1))
+    cross = hl[s - 1] * hl[s]
+    tail = sum(hl[k] * recips[s - k] for k in range(1, s))
+    return Fraction(main - base + 2 * (corr - cross + tail), 2 * L * L)
 
 
 def _lemma1_lhs(ctx, p):
-    return ctx.odd_power_sum_total()
+    return ctx.odd_power_residue(ctx.exponent)
 
 
 def _lemma1_rhs(ctx, p):
+    # d0/2 + p (d0/2 + d1/2 - (d0-1)^2/2 - CB/2 - 1)
     d0, d1 = _two_n_digits(ctx)
-    cb = weighted_convolution(p, 2)
-    return (Fraction(d0, 2)
-            + p * (Fraction(d0, 2) + Fraction(d1, 2)
-                   - Fraction((d0 - 1) ** 2, 2) - cb / 2 - 1))
+    q = p ** ctx.exponent
+    cb = _theorem1_lhs(ctx, p)
+    return ((d0 + p * (d0 + d1 - (d0 - 1) ** 2 - cb - 2))
+            * pow(2, -1, q) % q)
 
 
 def _lemma2_lhs(ctx, p, m):
@@ -405,28 +463,37 @@ def _lemma2_rhs(ctx, p, m):
     return p * (h2[n] + h[n] * (h[n] - 2 * h[n + 1])) % p ** ctx.exponent
 
 
-def _theorem1_lhs(ctx, p):
-    return weighted_convolution(p, 2)
-
-
-def _remark1a_rhs(ctx, p):
-    return odd_reciprocal_sum(p)
+def _theorem1_rhs(ctx, p):
+    # -1 + 2 d1(d0(2S)/2) + d1(2 d0(S)) + 6S + 4G - 4X - 4S^2 + 2T, where
+    # d_i is base-p digit i; S = H_1 + H_3 + ... + H_{p-2}, G sums H_{2m}^(2)
+    # and X sums H_{2m} H_{2m+1} over m <= (p-3)/2, and T sums H_{2m}^2 -
+    # H_{2m}^(2) over 2 <= m <= (p-3)/2 (see theorem1_rhs)
+    q = p ** ctx.exponent
+    h, h2, _ = ctx.harmonic_residues(ctx.exponent)
+    S = sum(h[1:p - 1:2])
+    G = sum(h2[2:p - 2:2])
+    X = sum(map(mul, h[2:p - 2:2], h[3:p - 1:2]))
+    T = sum(x * x for x in h[4:p - 2:2]) - G + 5 * pow(4, -1, q)
+    term2 = 2 * (2 * S % p * pow(2, -1, p * p) % (p * p) // p)
+    term3 = 2 * (S % p) // p
+    return (-1 + term2 + term3 + 6 * S + 4 * G - 4 * X - 4 * S * S
+            + 2 * T) % q
 
 
 def _remark1b_rhs(ctx, p):
-    return (odd_reciprocal_sum(p) + 1) / 2
+    q = p ** ctx.exponent
+    return (_odd_reciprocal_sum(ctx, p) + 1) * pow(2, -1, q) % q
 
 
 def _eisenstein_rhs(ctx, p):
-    alt = sum((Fraction((-1) ** (k - 1), k) for k in range(1, p)),
-              Fraction(0))
-    return alt / 2
+    # half the alternating sum 1 - 1/2 + ... - 1/(p-1) = H_{p-1} - H_{(p-1)/2}
+    q = p ** ctx.exponent
+    h, _, _ = ctx.harmonic_residues(ctx.exponent)
+    return (h[p - 1] - h[(p - 1) // 2]) * pow(2, -1, q) % q
 
 
 def _wolstenholme_lhs(ctx, p):
-    # H_{p-1} as one integer over lcm(1..p-1), so no memo holds H_1..H_{p-1}
-    L = lcm(ctx.harmonic_lcm, p - 1)
-    return Fraction(sum(L // a for a in range(1, p)), L)
+    return ctx.harmonic_residues(ctx.exponent)[0][p - 1]
 
 
 def _zero_rhs(ctx, p):
@@ -438,7 +505,9 @@ def _factorial_lhs(ctx, p):
 
 
 def _glaisher_rhs(ctx, p):
-    return p * bernoulli(p - 1) - p
+    # p B_{p-1} - p; the row holds p B_{p-1}
+    b = ctx.bernoulli_residues(ctx.exponent, p - 1)
+    return (b[p - 1] - p) % p ** ctx.exponent
 
 
 def _wilson_rhs(ctx, p):
@@ -518,7 +587,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "order-(p-1) Bernoulli convolution is 1 mod p",
         "classical; follows from the quadratic recurrence and "
         "Clausen-von Staudt",
-        ("p",), 1, _conv_p1_lhs, _one_rhs,
+        ("p",), 1, partial(_convolution_residue, s=1), _one_rhs,
         domain=_prime_domain(5),
         points=_prime_points(5),
     )
@@ -526,7 +595,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "zhao_p3",
         "order-(p-3) Bernoulli convolution is -2 B_{p-3} mod p",
         "J. Zhao",
-        ("p",), 1, _zhao_p3_lhs, _zhao_p3_rhs,
+        ("p",), 1, partial(_convolution_residue, s=3), _zhao_p3_rhs,
         domain=_prime_domain(11),
         points=_prime_points(11),
     )
@@ -534,7 +603,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "zhao_p5",
         "order-(p-5) Bernoulli convolution mod p",
         "J. Zhao",
-        ("p",), 1, _zhao_p5_lhs, _zhao_p5_rhs,
+        ("p",), 1, partial(_convolution_residue, s=5), _zhao_p5_rhs,
         domain=_prime_domain(13),
         points=_prime_points(13),
     )
@@ -542,7 +611,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "lev3_div_p1",
         "divided order-(p-1) convolution equals a second Hensel digit mod p",
         "divided-convolution congruence family",
-        ("p",), 1, _lev3_p1_lhs, _lev3_p1_rhs,
+        ("p",), 1, partial(_divided_residue, s=1), _lev3_p1_rhs,
         domain=_prime_domain(5),
         points=_prime_points(5),
     )
@@ -550,7 +619,8 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "lev3_div_p3",
         "divided order-(p-3) convolution mod p",
         "divided-convolution congruence family",
-        ("p",), 1, _lev3_p3_lhs, _lev3_p3_rhs,
+        ("p",), 1, partial(_divided_residue, s=3),
+        partial(_lev3_shifted_rhs, s=3),
         domain=_prime_domain(11),
         points=_prime_points(11),
     )
@@ -558,7 +628,8 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "lev3_div_p5",
         "divided order-(p-5) convolution mod p",
         "divided-convolution congruence family",
-        ("p",), 1, _lev3_p5_lhs, _lev3_p5_rhs,
+        ("p",), 1, partial(_divided_residue, s=5),
+        partial(_lev3_shifted_rhs, s=5),
         domain=_prime_domain(13),
         points=_prime_points(13),
     )
@@ -725,7 +796,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "remark1a",
         "Fermat quotient q_2 equals the odd reciprocal sum mod p",
         "J. W. L. Glaisher",
-        ("p",), 1, _q2_lhs, _remark1a_rhs,
+        ("p",), 1, _q2_lhs, _odd_reciprocal_sum,
         domain=_prime_domain(5),
         points=_prime_points(5),
     )
@@ -877,6 +948,11 @@ def _check_batch(tasks: list[tuple[str, dict[str, int]]],
             for i, prm in tasks]
 
 
+# the furthest any pool worker's Bernoulli table grew in this process's
+# parallel sweeps
+_pool_table_top = 0
+
+
 def _pool_batch(tasks: list[tuple[str, dict[str, int]]],
                 modulus_override: int | None) -> tuple[list[CheckReport], int]:
     """A batch run in a pool worker, and how far its Bernoulli table grew."""
@@ -918,8 +994,9 @@ def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
                        for batch in ordered]
             done = [f.result() for f in futures]
         reports = [r for batch, _ in done for r in batch]
-        # grow this process's table as far as any worker's grew, so that a
-        # cache saved after the sweep holds every entry the workers read
-        bernoulli(max(top for _, top in done))
+        # this process's table stays as it is; a caller that saves it, the
+        # CLI's --cache, grows it to _pool_table_top first
+        global _pool_table_top
+        _pool_table_top = max(_pool_table_top, *(top for _, top in done))
     reports.sort(key=CheckReport.sort_key)
     return reports

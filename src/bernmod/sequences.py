@@ -6,19 +6,19 @@ powers, the Eulerian triangle with its even-ascent column sums, the Fermat
 quotient of 2, the Agoh-Giuga quotient, and the power-weighted Bernoulli
 convolution.  Everything returns exact ints or Fractions; the *_mod variants
 work purely in modular arithmetic; fraction_sum adds exact terms over one
-denominator.  PrimeContext caches per-prime sums and kernels; harmonic
+denominator.  PrimeContext caches per-prime residue tables; exact harmonic
 numbers live only in the module memos.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
 from typing import Iterable
 
-from .modular import is_prime
+from .modular import is_prime, primes_in
 
 __all__ = [
     "MINUS_HALF",
@@ -61,6 +61,18 @@ def von_staudt_denominator(n: int) -> int:
     for div in range(1, n + 1):
         if n % div == 0 and is_prime(div + 1):
             d *= div + 1
+    return d
+
+
+def _von_staudt_denominators(top: int) -> list[int]:
+    """von_staudt_denominator(n) at every even n <= top, in one sieve pass:
+    each prime q <= top + 1 multiplies into every multiple of q - 1.  Odd
+    entries are left meaningless."""
+    d = [1] * (top + 1)
+    if top >= 1:
+        for q in primes_in(2, top + 1):
+            for n in range(q - 1, top + 1, q - 1):
+                d[n] *= q
     return d
 
 
@@ -157,10 +169,11 @@ class BernoulliTable:
         for n in range(3, self._max + 1, 2):
             if e[n] != 0:
                 raise ValueError(f"B_{n} must be 0")
+        want_den = _von_staudt_denominators(self._max)
         for n in range(2, self._max + 1, 2):
-            if e[n].denominator != von_staudt_denominator(n):
+            if e[n].denominator != want_den[n]:
                 raise ValueError(f"B_{n} has denominator {e[n].denominator}, "
-                                 f"expected {von_staudt_denominator(n)}")
+                                 f"expected {want_den[n]}")
         # the defining recurrence at the top entry ties every earlier value
         # in, so a single altered numerator anywhere breaks this sum
         n = self._max if self._max % 2 == 0 else self._max - 1
@@ -396,11 +409,11 @@ def weighted_convolution(p: int, a: int = 2) -> Fraction:
 class PrimeContext:
     """Per-prime workspace shared by congruence evaluators.
 
-    Caches the per-prime sums, L = lcm(1..p-2) and the residue tables of
-    the power-sum and harmonic evaluators mod p^N, each built on its first
-    request, so once per (prime, exponent) at most.  It holds no harmonic
-    numbers.  Building one is a check's prime test, and check sets
-    `exponent` to the power of p it reduces at, for the evaluators that
+    Caches the residue tables of the catalog's prime-indexed sides mod p^N:
+    Bernoulli numbers, power sums and harmonic numbers, each built on its
+    first request, so once per (prime, exponent) at most.  It holds no
+    exact harmonic numbers.  Building one is a check's prime test, and check
+    sets `exponent` to the power of p it reduces at, for the evaluators that
     read residues.
     """
 
@@ -410,24 +423,10 @@ class PrimeContext:
         self.p = p
         self.exponent: int | None = None
         self._even_ascent: dict[int, int] = {}
+        self._odd_power: dict[int, int] = {}
+        self._bernoulli: dict[int, list[int]] = {}
         self._half_power: dict[int, list[int]] = {}
         self._harmonic: dict[int, tuple[list[int], list[int], list[int]]] = {}
-        self._odd_power_sum_total: int | None = None
-        self._odd_harmonic_sum: Fraction | None = None
-
-    @cached_property
-    def harmonic_lcm(self) -> int:
-        """L = lcm(1..p-2), a common denominator of H_1..H_{p-2}."""
-        return lcm(*range(1, self.p - 1))
-
-    def odd_harmonic_sum(self) -> Fraction:
-        """H_1 + H_3 + ... + H_{p-2} over L = lcm(1..p-2), by reciprocal:
-        1/a occurs in H_m for each of the (p-1)/2 - a//2 odd m in [a, p-2]."""
-        if self._odd_harmonic_sum is None:
-            p, L = self.p, self.harmonic_lcm
-            self._odd_harmonic_sum = Fraction(sum(
-                ((p - 1) // 2 - a // 2) * (L // a) for a in range(1, p - 1)), L)
-        return self._odd_harmonic_sum
 
     def even_ascent_residue(self, exponent: int = 1) -> int:
         """N_{p-2} mod p^exponent, in O(p).
@@ -449,18 +448,57 @@ class PrimeContext:
                 b * P[p - 2 - j] for j, b in enumerate(binoms)) % pk
         return self._even_ascent[exponent]
 
-    def odd_power_sum_total(self) -> int:
-        """sum over m = 0..(p-3)/2 of S_{2m+1, p-2}, exactly.
+    def odd_power_residue(self, exponent: int) -> int:
+        """sum over m = 0..(p-3)/2 of S_{2m+1, p-2}, mod p^exponent.
 
         Summed by power rather than by m: a^(p-2) occurs in S_{t, p-2} for
         each of the (p-1)/2 - a//2 odd t in [a, p-2].
         """
-        if self._odd_power_sum_total is None:
-            p = self.p
+        if exponent < 1:
+            raise ValueError(f"exponent must be >= 1, got {exponent}")
+        if exponent not in self._odd_power:
+            p, q = self.p, self.p ** exponent
             half = (p - 1) // 2
-            self._odd_power_sum_total = sum(
-                a ** (p - 2) * (half - a // 2) for a in range(1, p - 1))
-        return self._odd_power_sum_total
+            self._odd_power[exponent] = sum(
+                pow(a, p - 2, q) * (half - a // 2)
+                for a in range(1, p - 1)) % q
+        return self._odd_power[exponent]
+
+    def bernoulli_residues(self, exponent: int, top: int) -> list[int]:
+        """B_i mod p^exponent for i = 0..top at least, top <= 2p, except
+        where p divides the denominator of B_i (i = p-1 and 2p-2), which
+        hold p B_i mod p^exponent; the denominators are squarefree, so p B_i
+        is p-integral.
+
+        A row holds i <= p until an index past p is asked for, and then
+        i <= 2p, so a side that reads no further than B_p never extends the
+        exact table beyond it.  Entries are reduced from the exact table's
+        numerators and denominators, or from a row at a higher exponent
+        when one reaches as far.
+        """
+        if exponent < 1:
+            raise ValueError(f"exponent must be >= 1, got {exponent}")
+        p = self.p
+        if not 0 <= top <= 2 * p:
+            raise ValueError(f"index must be in [0, {2 * p}], got {top}")
+        size = p + 1 if top <= p else 2 * p + 1
+        row = self._bernoulli.get(exponent, [])
+        if len(row) < size:
+            q = p ** exponent
+            finer = [r for e, r in self._bernoulli.items()
+                     if e > exponent and len(r) >= size]
+            if finer:
+                row = [b % q for b in finer[0]]
+            else:
+                bernoulli(size - 1)  # one table extension for the whole row
+                row = row[:]
+                for b in map(bernoulli, range(len(row), size)):
+                    den = b.denominator
+                    if den % p == 0:
+                        den //= p
+                    row.append(b.numerator % q * pow(den, -1, q) % q)
+            self._bernoulli[exponent] = row
+        return row
 
     def half_power_residues(self, exponent: int) -> list[int]:
         """S_{h,j} = 1^j + 2^j + ... + h^j mod p^exponent, h = (p-1)/2, for
@@ -494,14 +532,14 @@ class PrimeContext:
 
     def harmonic_residues(
             self, exponent: int) -> tuple[list[int], list[int], list[int]]:
-        """H_K and H_K^(2) mod p^exponent for K = 0..p-2, and the inverses
+        """H_K and H_K^(2) mod p^exponent for K = 0..p-1, and the inverses
         of p+1..2p-3, the divisors of the shifted harmonic tail; exponent 0
         is the modulus 1, where every residue is 0."""
         if exponent < 0:
             raise ValueError(f"exponent must be >= 0, got {exponent}")
         if exponent not in self._harmonic:
             p, r = self.p, self.p ** exponent
-            inverses = [pow(j, -1, r) for j in range(1, p - 1)]
+            inverses = [pow(j, -1, r) for j in range(1, p)]
             h, h2 = ([x % r for x in accumulate(row, initial=0)]
                      for row in (inverses, [v * v for v in inverses]))
             shifted = [pow(d, -1, r) for d in range(p + 1, 2 * p - 2)]

@@ -94,6 +94,33 @@ def test_corruption_is_detected(tmp_path, old, new, reason):
         load(path)
 
 
+@pytest.mark.parametrize("index,field,reason", [
+    (400, 2, "denominator"),
+    (800, 2, "denominator"),
+    (400, 1, "recurrence"),
+    (800, 1, "recurrence"),
+])
+def test_corruption_deep_in_a_b802_cache_is_detected(tmp_path, index, field,
+                                                      reason):
+    # one entry of the table the benchmark loads, altered so the fraction
+    # stays reduced: the denominator times a prime it lacks, or the
+    # numerator plus the denominator
+    path = tmp_path / "bern.cache"
+    save(fresh_table(802), path)
+    lines = path.read_text().splitlines(keepends=True)
+    n, num, den = map(int, lines[index + 1].split())
+    assert n == index
+    if field == 2:
+        q = next(q for q in (7, 11, 13, 17, 19, 23) if num % q and den % q)
+        num, den = num, den * q
+    else:
+        num += den
+    lines[index + 1] = f"{n} {num} {den}\n"
+    path.write_text("".join(lines))
+    with pytest.raises(CorruptCache, match=reason):
+        load(path)
+
+
 def test_empty_and_headerless_files(tmp_path):
     path = tmp_path / "bern.cache"
     path.write_text("")

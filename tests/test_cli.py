@@ -371,9 +371,9 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 def test_large_prime_set_peak_rss_at_the_wolstenholme_prime():
-    # the seven large-prime identities at p = 16843 in one fresh process
+    # the eight large-prime identities at p = 16843 in one fresh process
     ids = ["wolstenholme", "wilson", "eisenstein", "remark1a", "remark1b",
-           "result2", "result4"]
+           "result1", "result2", "result4"]
     argv = [sys.executable, "-S", "-c", PEAK_RSS_LAUNCHER, sys.executable,
             "-m", "bernmod", "verify", "--primes", "16843..16843",
             "--no-timestamps"]
@@ -386,7 +386,7 @@ def test_large_prime_set_peak_rss_at_the_wolstenholme_prime():
     assert proc.returncode == 0, proc.stderr
     code, peak_kb = map(int, proc.stdout.split())
     assert code == 0, proc.stderr
-    assert "7 verified" in proc.stderr
+    assert "8 verified" in proc.stderr
     assert peak_kb < 60 * 1024, f"peak RSS {peak_kb} KB"
 
 

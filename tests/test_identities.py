@@ -1,6 +1,7 @@
 """Catalog checks: frozen residue anchors, status plumbing, sweep behavior."""
 from concurrent.futures import Future
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
 from operator import mul
@@ -24,14 +25,24 @@ from bernmod.identities import (
     sweep,
     theorem1_rhs,
 )
-from bernmod.modular import hensel_digit, is_prime, mod_reduce, primes_in
+from bernmod.modular import (
+    NotPIntegral,
+    hensel_digit,
+    is_prime,
+    mod_inverse,
+    mod_reduce,
+    primes_in,
+)
 from bernmod.sequences import (
+    agoh_giuga_quotient,
     bernoulli,
+    bernoulli_table,
     divided_bernoulli,
     even_ascent_count,
     gen_harmonic,
     get_prime_context,
     harmonic,
+    odd_reciprocal_sum,
     weighted_convolution,
 )
 
@@ -115,21 +126,37 @@ def test_harmonic_convolution_closed_form_matches_the_sum():
             assert idmod._lemma2_rhs(ctx, p, m) == mod_reduce(want, p, e), m
 
 
+@lru_cache(maxsize=None)
+def _odd_power_sum_total(p):
+    """sum over m = 0..(p-3)/2 of S_{2m+1, p-2}, exactly, power sum by power
+    sum."""
+    return sum(sum(a ** (p - 2) for a in range(1, 2 * m + 2))
+               for m in range((p - 1) // 2))
+
+
+def _result1_rhs_oracle(p):
+    # the sum of the shifted tails, one Fraction term at a time
+    tails = sum((harmonic(K) / (K + 2 * m + 2)
+                 for m in range((p - 1) // 2)
+                 for K in range(p - 2 * m - 1, p - 1)), Fraction(0))
+    return _odd_power_sum_total(p) - p * tails
+
+
 def test_result1_rhs_matches_the_double_loop():
-    # the sum of the shifted tails, one Fraction term at a time, is the
-    # oracle for the regrouped single loop
+    # the double loop is the oracle for the regrouped single loop, which
+    # reads the tails mod p^(N-1); exponent 1 reads them mod 1
     for p in primes_in(5, 199):
         ctx = get_prime_context(p)
-        tails = sum((harmonic(K) / (K + 2 * m + 2)
-                     for m in range((p - 1) // 2)
-                     for K in range(p - 2 * m - 1, p - 1)), Fraction(0))
-        want = ctx.odd_power_sum_total() - p * tails
-        assert idmod._result1_rhs(ctx, p) == want, p
+        want = _exact_side("result1", "rhs", (("p", p),))
+        for e in (1, 2, 3):
+            ctx.exponent = e
+            assert idmod._result1_rhs(ctx, p) == mod_reduce(want, p, e), p
 
 
 # ---------------------------------------------------------------------------
-# the residue kernels of the four per-(p, k) families against the exact
-# evaluators they replaced, kept here as oracles
+# the exact evaluators that the prime-indexed residue sides replaced, kept
+# here as oracles, and the running Fraction sums that the exact sides over one
+# common denominator replaced
 
 class _PowerRow:
     """Exact sums of b^k over a fixed set of bases b, one exponent at a time.
@@ -192,34 +219,6 @@ EXACT_KERNEL_ORACLES = {
 }
 
 
-@pytest.mark.parametrize("hi,overrides", [(199, [None]),
-                                          (61, [1, 2, 3, 4])])
-@pytest.mark.parametrize("identity",
-                         ["lehmer_i", "lehmer_ii", "sun_lemma", "lemma2"])
-def test_residue_kernels_match_the_exact_evaluators(identity, hi, overrides):
-    # every point of the range, at the declared exponent or at each
-    # --modulus override, reduced from the exact value by mod_reduce
-    desc = catalog()[identity]
-    exact = {}
-    for params in desc.points(5, hi):
-        p = params["p"]
-        x = exact.setdefault(p, _ExactPrime(p))
-        for override in overrides:
-            report = check(identity, params, modulus_override=override)
-            if report.status == INAPPLICABLE and report.modulus is None:
-                continue  # outside the domain: no side was evaluated
-            e = override or desc.exponent
-            assert report.modulus == p ** e
-            for side in ("lhs", "rhs"):
-                want = mod_reduce(EXACT_KERNEL_ORACLES[identity, side](
-                    x, **params), p, e)
-                assert getattr(report, side) == want, (side, params, e)
-
-
-# ---------------------------------------------------------------------------
-# the sums over one common denominator against the running Fraction sums
-# they replaced, written here term by term
-
 def _bernoulli_convolution_oracle(t):
     return sum((bernoulli(j) * bernoulli(t - j) for j in range(2, t - 1, 2)),
                Fraction(0))
@@ -237,9 +236,13 @@ def _weighted_convolution_oracle(p):
     return acc
 
 
+def _odd_harmonic_sum_oracle(p):
+    return sum((harmonic(m) for m in range(1, p - 1, 2)), Fraction(0))
+
+
 def _theorem1_rhs_oracle(ctx, p):
     half = (p - 3) // 2
-    S = sum((harmonic(m) for m in range(1, p - 1, 2)), Fraction(0))
+    S = _odd_harmonic_sum_oracle(p)
     G = sum((gen_harmonic(2 * m, 2) for m in range(1, half + 1)),
             Fraction(0))
     X = sum((harmonic(2 * m) * harmonic(2 * m + 1)
@@ -257,6 +260,21 @@ def _lemma1_rhs_oracle(ctx, p):
     cb = _weighted_convolution_oracle(p)
     return (Fraction(d0, 2) + p * (Fraction(d0, 2) + Fraction(d1, 2)
                                    - Fraction((d0 - 1) ** 2, 2) - cb / 2 - 1))
+
+
+def _result3_rhs_oracle(ctx, p):
+    d0, d1 = idmod._two_n_digits(ctx)
+    return d0 - 1 + p * (agoh_giuga_quotient(p) + d1 - (d0 - 1) ** 2 - 2)
+
+
+def _lev3_shifted_rhs_oracle(ctx, p, s):
+    ag = agoh_giuga_quotient(p)
+    diff = divided_bernoulli(2 * p - 1 - s) - divided_bernoulli(p - s)
+    value = (2 * (ag - 1) * divided_bernoulli(p - s)
+             + 2 * hensel_digit(diff, p, 1))
+    if s == 5:
+        value -= divided_bernoulli(p - 3) ** 2
+    return value
 
 
 def _h_over_shift_oracle(s):
@@ -279,7 +297,9 @@ def _over_k2k_oracle(value, top):
                                for k in range(1, p + top)), Fraction(0))
 
 
-# (identity, side) -> the old evaluator, called like the catalog's
+# (identity, side) -> the running Fraction sum that the exact side replaced,
+# called like the catalog's evaluators; the prime-indexed ones are now
+# residue sides, checked against the reduced sum
 SUM_ORACLES = {
     ("conv_order_p1", "lhs"): lambda ctx, p: _bernoulli_convolution_oracle(
         p - 1),
@@ -313,6 +333,86 @@ SUM_ORACLES = {
     ("wolstenholme", "lhs"): lambda ctx, p: harmonic(p - 1),
 }
 
+# (identity, side) -> the exact evaluator that the residue side replaced, for
+# the prime-indexed sides with no entry above
+EXACT_SIDE_ORACLES = {
+    **{key: oracle for key, oracle in SUM_ORACLES.items()
+       if catalog()[key[0]].exponent is not None},
+    ("zhao_p3", "rhs"): lambda ctx, p: -2 * bernoulli(p - 3),
+    ("zhao_p5", "rhs"): lambda ctx, p: (
+        -2 * bernoulli(p - 5) - Fraction(2, 3) * bernoulli(p - 3) ** 2),
+    ("lev3_div_p1", "rhs"): lambda ctx, p: Fraction(hensel_digit(
+        2 * p * divided_bernoulli(2 * p - 2)
+        - p * p * divided_bernoulli(p - 1) ** 2, p, 2)),
+    ("lev3_div_p3", "rhs"): lambda ctx, p: _lev3_shifted_rhs_oracle(ctx, p, 3),
+    ("lev3_div_p5", "rhs"): lambda ctx, p: _lev3_shifted_rhs_oracle(ctx, p, 5),
+    ("sub_h_over_k2k", "rhs"): lambda ctx, p: (
+        Fraction(7, 24) * p * bernoulli(p - 3)),
+    ("sub_h2_over_k2k", "rhs"): lambda ctx, p: -Fraction(3, 8) * bernoulli(
+        p - 3),
+    ("lev3_b_over_k2k", "rhs"): lambda ctx, p: (
+        -harmonic((p - 1) // 2) / 2 + agoh_giuga_quotient(p) - 1),
+    ("result1", "rhs"): lambda ctx, p: _result1_rhs_oracle(p),
+    ("result3", "lhs"): lambda ctx, p: sum(
+        x ** (p - 2) for x in range(1, p - 1, 2)),
+    ("result3", "rhs"): _result3_rhs_oracle,
+    ("result4", "rhs"): lambda ctx, p: _odd_harmonic_sum_oracle(p),
+    ("lemma1", "lhs"): lambda ctx, p: _odd_power_sum_total(p),
+    ("remark1a", "rhs"): lambda ctx, p: odd_reciprocal_sum(p),
+    ("remark1b", "lhs"): lambda ctx, p: _odd_harmonic_sum_oracle(p),
+    ("remark1b", "rhs"): lambda ctx, p: (odd_reciprocal_sum(p) + 1) / 2,
+    ("eisenstein", "rhs"): lambda ctx, p: sum(
+        (Fraction((-1) ** (k - 1), k) for k in range(1, p)), Fraction(0)) / 2,
+    ("glaisher", "rhs"): lambda ctx, p: p * bernoulli(p - 1) - p,
+}
+
+
+@lru_cache(maxsize=None)
+def _exact_side(identity, side, params):
+    """The exact value of a replaced prime-indexed side at one point, given
+    as a tuple of (name, value) pairs; each point is summed once per run."""
+    params = dict(params)
+    return EXACT_SIDE_ORACLES[identity, side](
+        get_prime_context(params["p"]), **params)
+
+
+# the prime-indexed identities with a residue side, in catalog order
+RESIDUE_IDS = list(dict.fromkeys(
+    ident for ident, _ in [*EXACT_KERNEL_ORACLES, *EXACT_SIDE_ORACLES]))
+
+
+@pytest.mark.parametrize("hi,overrides", [(199, [None]),
+                                          (61, [1, 2, 3, 4])])
+@pytest.mark.parametrize("identity", RESIDUE_IDS)
+def test_residue_kernels_match_the_exact_evaluators(identity, hi, overrides):
+    # every point of the range, at the declared exponent or at each
+    # --modulus override, reduced from the exact value by mod_reduce
+    desc = catalog()[identity]
+    kernel = identity in {ident for ident, _ in EXACT_KERNEL_ORACLES}
+    exact = {}
+    for params in desc.points(5, hi):
+        p = params["p"]
+        if kernel and p not in exact:
+            exact[p] = _ExactPrime(p)
+        for override in overrides:
+            report = check(identity, params, modulus_override=override)
+            if report.status == INAPPLICABLE and report.modulus is None:
+                continue  # outside the domain: no side was evaluated
+            e = override or desc.exponent
+            assert report.modulus == p ** e
+            for side in ("lhs", "rhs"):
+                if (identity, side) in EXACT_KERNEL_ORACLES:
+                    value = EXACT_KERNEL_ORACLES[identity, side](
+                        exact[p], **params)
+                elif (identity, side) in EXACT_SIDE_ORACLES:
+                    value = _exact_side(identity, side,
+                                        tuple(params.items()))
+                else:
+                    continue  # q_2, (p-1)!, N_{p-2} or a constant
+                want = mod_reduce(value, p, e)
+                assert getattr(report, side) == want, (side, params, e)
+
+
 # the convolution ids read the most Bernoulli numbers, so they go further
 _CONVOLUTION_IDS = {"conv_order_p1", "zhao_p3", "zhao_p5",
                     "lev3_div_p1", "lev3_div_p3", "lev3_div_p5"}
@@ -321,6 +421,8 @@ _CONVOLUTION_IDS = {"conv_order_p1", "zhao_p3", "zhao_p5",
 @pytest.mark.parametrize("identity,side", list(SUM_ORACLES))
 def test_sums_over_one_denominator_match_the_running_fraction_sums(
         identity, side):
+    # an exact side equals its running sum; a residue side equals it
+    # reduced at the declared exponent
     desc = catalog()[identity]
     evaluator = getattr(desc, side)
     oracle = SUM_ORACLES[identity, side]
@@ -328,10 +430,42 @@ def test_sums_over_one_denominator_match_the_running_fraction_sums(
     points = list(desc.points(5, hi))
     assert points
     for params in points:
-        ctx = get_prime_context(params["p"]) if "p" in params else None
-        got = evaluator(ctx, **params)
-        assert isinstance(got, Fraction)
-        assert got == oracle(ctx, **params), params
+        if desc.exponent is None:
+            got = evaluator(None, **params)
+            assert isinstance(got, Fraction)
+            assert got == oracle(None, **params), params
+        else:
+            p = params["p"]
+            got = getattr(check(identity, params), side)
+            want = _exact_side(identity, side, tuple(params.items()))
+            assert got == mod_reduce(want, p, desc.exponent), params
+
+
+def test_residue_sides_report_a_pole_as_not_p_integral():
+    # lev3_div_p5's rhs divides by p - 5, which p = 5 makes a pole; the
+    # domain keeps p = 5 out, so the evaluator is called directly
+    ctx = get_prime_context(5)
+    ctx.exponent = 1
+    with pytest.raises(NotPIntegral):
+        idmod._lev3_shifted_rhs(ctx, 5, s=5)
+    desc = IdentityDescriptor(
+        id="test_residue_pole",
+        title="deliberate pole in a residue side",
+        source="test fixture",
+        params=("p",),
+        exponent=2,
+        lhs=lambda ctx, p: mod_inverse(2 * p, p, ctx.exponent),
+        rhs=lambda ctx, p: 0,
+        domain=lambda p: p >= 5,
+        points=lambda lo, hi: iter(()),
+    )
+    idmod._CATALOG["test_residue_pole"] = desc
+    try:
+        report = check("test_residue_pole", {"p": 7})
+    finally:
+        del idmod._CATALOG["test_residue_pole"]
+    assert report.status == NOT_P_INTEGRAL
+    assert report.lhs is None and report.rhs is None
 
 
 def test_exact_identity_reports_carry_fractions():
@@ -518,13 +652,31 @@ def test_prime_context_builds_no_harmonic_numbers():
     # no check of the large-prime set may fill the harmonic memo, even at
     # the Wolstenholme prime, where H_1..H_{p-1} would hold ~55 MB for good
     def memo_sizes():
-        return [len(sequences._GEN_HARMONIC.get(r, [])) for r in (1, 2)]
+        return {r: len(h) for r, h in sequences._GEN_HARMONIC.items()}
 
     before = memo_sizes()
     for ident in ("wolstenholme", "wilson", "eisenstein", "remark1a",
-                  "remark1b", "result2", "result4"):
+                  "remark1b", "result1", "result2", "result4"):
         assert check(ident, {"p": 16843}).status == VERIFIED, ident
     assert memo_sizes() == before
+    # nor may any prime-indexed sweep: the memo serves only the
+    # index-parameterized identities
+    prime_indexed = [i for i, d in catalog().items() if "p" in d.params]
+    for override in (None, 2):
+        reports = sweep(prime_indexed, 5, 61, modulus_override=override)
+        assert {r.identity for r in reports} == set(prime_indexed)
+        assert memo_sizes() == before, override
+
+
+def test_parallel_sweep_leaves_this_process_table_alone(monkeypatch):
+    # the workers grow their own tables; this one is grown only by a caller
+    # that saves it, and learns how far from _pool_table_top
+    fresh = sequences.BernoulliTable()
+    monkeypatch.setitem(sequences._TABLES, sequences.MINUS_HALF, fresh)
+    reports = sweep("zhao_p3", 5, 31, jobs=2)
+    assert [r.status for r in reports] == [VERIFIED] * 7  # 11..31
+    assert bernoulli_table().max_index == fresh.max_index == 1
+    assert idmod._pool_table_top >= 62  # p = 31 reads B_0..B_62
 
 
 def test_sweep_is_deterministic_across_worker_counts():
@@ -574,6 +726,14 @@ def test_sharpness_at_p_squared_among_primes_to_101():
 
     assert sharp("theorem1") == {11, 31}
     assert sharp("zhao_p3") == {11, 17, 29, 67}
+
+
+def test_zhao_p3_holds_mod_p_squared_at_607():
+    # the next prime past 101 where it does
+    report = check("zhao_p3", {"p": 607}, modulus_override=2)
+    assert report.status == VERIFIED
+    assert report.modulus == 607 ** 2
+    assert report.lhs == report.rhs != 0
 
 
 def test_elapsed_is_recorded():

@@ -222,8 +222,10 @@ def test_gen_harmonic_prefix_property(n, r):
 
 def test_odd_sums_frozen():
     assert odd_reciprocal_sum(5) == Fraction(4, 3)
-    assert get_prime_context(5).odd_harmonic_sum() == Fraction(17, 6)
-    assert get_prime_context(7).odd_harmonic_sum() == Fraction(307, 60)
+    # H_1 + H_3 = 17/6 and H_1 + H_3 + H_5 = 307/60, from the residues
+    for p, want in ((5, Fraction(17, 6)), (7, Fraction(307, 60))):
+        h, _, _ = get_prime_context(p).harmonic_residues(2)
+        assert sum(h[1:p - 1:2]) % p ** 2 == mod_reduce(want, p, 2)
     with pytest.raises(ValueError):
         odd_reciprocal_sum(9)
 
@@ -419,10 +421,10 @@ def test_prime_context_tables():
     assert ctx is get_prime_context(11)  # shared per prime
     assert harmonic(4) == Fraction(25, 12)
     assert gen_harmonic(3, 2) == Fraction(49, 36)
-    assert ctx.odd_harmonic_sum() == sum(
-        (harmonic(m) for m in range(1, 10, 2)), Fraction(0))
-    assert ctx.odd_power_sum_total() == sum(
-        sum_powers(2 * m + 1, 9) for m in range(5))
+    assert ctx.odd_power_residue(2) == sum(
+        sum_powers(2 * m + 1, 9) for m in range(5)) % 121
+    # B_0..B_4 = 1, -1/2, 1/6, 0, -1/30
+    assert ctx.bernoulli_residues(1, 4)[:5] == [1, 5, 2, 0, 4]
     assert ctx.even_ascent_residue(1) == even_ascent_count(9) % 11
     with pytest.raises(ValueError):
         PrimeContext(9)
@@ -431,17 +433,46 @@ def test_prime_context_tables():
 
 
 def test_odd_harmonic_sum_matches_the_memo_sum():
-    # the sum of the memoized H_m is the oracle for the sum by reciprocal
+    # the sum of the memoized H_m is the oracle for the sum of the residues
     for p in sympy.primerange(5, 200):
         want = sum((harmonic(m) for m in range(1, p - 1, 2)), Fraction(0))
-        assert get_prime_context(p).odd_harmonic_sum() == want, p
+        h, _, _ = get_prime_context(p).harmonic_residues(3)
+        assert sum(h[1:p - 1:2]) % p ** 3 == mod_reduce(want, p, 3), p
 
 
 def test_odd_power_sum_total_matches_the_double_loop():
     # the sum over m of whole power sums is the oracle for the regrouped form
     for p in sympy.primerange(5, 200):
         want = sum(sum_powers(2 * m + 1, p - 2) for m in range((p - 1) // 2))
-        assert get_prime_context(p).odd_power_sum_total() == want, p
+        ctx = get_prime_context(p)
+        for e in (1, 2, 3):
+            assert ctx.odd_power_residue(e) == want % p ** e, (p, e)
+    with pytest.raises(ValueError):
+        ctx.odd_power_residue(0)
+
+
+def test_bernoulli_residues_match_the_exact_table():
+    # B_i mod p^N, and p B_i where p divides the denominator: at i = p-1 and
+    # 2p-2 only; every exponent order, since a row is reduced from a finer
+    # one, and a row reaches B_{2p} only once an index past p is read
+    for p in sympy.primerange(5, 200):
+        ctx = PrimeContext(p)
+        for e, top in (((3, p), (1, 2 * p), (2, p - 3), (2, 2 * p - 2))
+                       if p % 4 == 1 else
+                       ((1, p - 1), (2, 2 * p), (3, 0), (3, p + 1))):
+            q = p ** e
+            row = ctx.bernoulli_residues(e, top)
+            assert len(row) == (p + 1 if top <= p else 2 * p + 1)
+            for i, got in enumerate(row):
+                b = bernoulli(i)
+                if b.denominator % p == 0:
+                    assert i in (p - 1, 2 * p - 2), (p, i)
+                    b *= p
+                assert got == mod_reduce(b, p, e), (p, e, i)
+            assert (row[p - 1] + 1) % p == 0  # p B_{p-1} = -1 mod p
+    for bad in ((0, 3), (1, -1), (1, 2 * p + 1)):
+        with pytest.raises(ValueError):
+            ctx.bernoulli_residues(*bad)
 
 
 def _tail_residue(ctx, m, exponent):
@@ -461,7 +492,7 @@ def test_prime_context_shifted_tail():
         assert _tail_residue(ctx, 1, e) == mod_reduce(want, 7, e), e
         assert _tail_residue(ctx, 0, e) == 0
     # exponent 0 is the modulus 1, which lemma 2 reads at --modulus 1
-    assert ctx.harmonic_residues(0) == ([0] * 6, [0] * 6, [0] * 4)
+    assert ctx.harmonic_residues(0) == ([0] * 7, [0] * 7, [0] * 4)
     with pytest.raises(ValueError):
         ctx.harmonic_residues(-1)
 
@@ -472,9 +503,9 @@ def test_shifted_harmonic_tail_matches_the_fraction_sum():
     for p in sympy.primerange(5, 200):
         ctx = get_prime_context(p)
         h, h2, inverses = ctx.harmonic_residues(2)
-        assert h == [mod_reduce(harmonic(K), p, 2) for K in range(p - 1)], p
+        assert h == [mod_reduce(harmonic(K), p, 2) for K in range(p)], p
         assert h2 == [mod_reduce(gen_harmonic(K, 2), p, 2)
-                      for K in range(p - 1)], p
+                      for K in range(p)], p
         assert inverses == [pow(d, -1, p * p) for d in range(p + 1, 2 * p - 2)]
         for m in range((p - 1) // 2):
             want = sum((harmonic(K) / (K + 2 * m + 2)
@@ -566,9 +597,9 @@ def test_building_a_prime_context_builds_no_power_row():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    # Wolstenholme: H_{p-1} = H_{p-2} + 1/(p-1) vanishes mod p^2
+    # Wolstenholme: H_{p-1} vanishes mod p^2
     h, _, _ = ctx.harmonic_residues(2)
-    assert (h[-1] * (16843 - 1) + 1) % 16843 ** 2 == 0
+    assert len(h) == 16843 and h[-1] == 0
 
 
 def test_pole_detection_on_reduction():
