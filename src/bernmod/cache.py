@@ -124,8 +124,6 @@ def load(path: str | os.PathLike,
         entries[n] = Fraction(num, den)
     if not entries:
         raise CorruptCache(f"{path}: header but no entries")
-    if sorted(entries) != list(range(len(entries))):
-        raise CorruptCache(f"{path}: indices not contiguous from 0")
     try:
         table = BernoulliTable(file_convention, entries=entries)
         table.validate()

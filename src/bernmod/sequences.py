@@ -57,17 +57,13 @@ def von_staudt_denominator(n: int) -> int:
     """Product of the primes q with (q-1) | n; the denominator of B_n for even n."""
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
-    d = 1
-    for div in range(1, n + 1):
-        if n % div == 0 and is_prime(div + 1):
-            d *= div + 1
-    return d
+    return _von_staudt_denominators(n)[n]
 
 
 def _von_staudt_denominators(top: int) -> list[int]:
-    """von_staudt_denominator(n) at every even n <= top, in one sieve pass:
-    each prime q <= top + 1 multiplies into every multiple of q - 1.  Odd
-    entries are left meaningless."""
+    """von_staudt_denominator(n) at every n <= top, in one sieve pass: each
+    prime q <= top + 1 multiplies into every multiple of q - 1.  Odd entries
+    are 2 (only q = 2 has q - 1 | n), and entry 0 is 1."""
     d = [1] * (top + 1)
     if top >= 1:
         for q in primes_in(2, top + 1):
@@ -81,25 +77,16 @@ def _b1(convention: str) -> Fraction:
     return Fraction(-1 if convention == MINUS_HALF else 1, 2)
 
 
-def _tangent_numbers(m: int) -> list[int]:
-    """[0, T_1, ..., T_m], tan x = sum T_k x^(2k-1)/(2k-1)!, in O(m^2) integer
-    steps (R. P. Brent and D. Harvey, arXiv:1108.0286, TangentNumbers)."""
-    t = [0, 1] + [0] * (m - 1)
-    for k in range(2, m + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, m + 1):
-        for j in range(k, m + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t
-
-
 class BernoulliTable:
     """Memoized Bernoulli numbers B_0..B_max under a fixed B_1 convention.
 
-    Entries are extended on demand from the tangent numbers T_m, by
+    Entries are appended on demand, exactly as far as read, from the tangent
+    numbers T_m (tan x = sum T_m x^(2m-1)/(2m-1)!) by
     B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)); odd entries beyond B_1
-    vanish.  Each extension rebuilds the tangent numbers from scratch to at
-    least twice the current size, so the table keeps no triangle as state.
+    vanish.  The one state beyond the entries is the last column of the
+    tangent triangle (R. P. Brent and D. Harvey, arXiv:1108.0286,
+    TangentNumbers): column j ends in T_j, and each step to the next column
+    costs O(j) integer operations.
     """
 
     def __init__(self, convention: str = MINUS_HALF,
@@ -109,38 +96,42 @@ class BernoulliTable:
         self.convention = convention
         if entries is None:
             entries = {0: Fraction(1), 1: _b1(convention)}
-        else:
-            entries = dict(entries)
-            if sorted(entries) != list(range(len(entries))):
-                raise ValueError("entries must be contiguous from index 0")
-        self._entries = entries
-        self._max = max(entries)
+        if not entries or sorted(entries) != list(range(len(entries))):
+            raise ValueError("entries must be contiguous from index 0")
+        self._entries = [entries[n] for n in range(len(entries))]
+        self._column = [0, 1]  # column 1: T_1 = 1
 
     @property
     def max_index(self) -> int:
-        return self._max
+        return len(self._entries) - 1
 
     def items(self) -> list[tuple[int, Fraction]]:
-        return sorted(self._entries.items())
+        return list(enumerate(self._entries))
 
     def value(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError(f"index must be >= 0, got {n}")
-        if n > self._max:
+        if n >= len(self._entries):
             self._extend(n)
         return self._entries[n]
 
     def _extend(self, target: int) -> None:
-        top = max(target, 2 * self._max)
-        tangents = _tangent_numbers(top // 2)
-        e = self._entries
-        for n in range(self._max + 1, top + 1):
+        """Append B_{max+1}..B_target.  The column may lag the entries (after
+        a merge or a load); it advances from where it is either way."""
+        e, col = self._entries, self._column
+        for n in range(len(e), target + 1):
             if n % 2 == 1:
-                e[n] = _b1(self.convention) if n == 1 else Fraction(0)
-            else:  # 1 << n is 4^m for n = 2m
-                e[n] = Fraction((-1) ** (n // 2 - 1) * n * tangents[n // 2],
-                                (1 << n) * ((1 << n) - 1))
-        self._max = top
+                e.append(_b1(self.convention) if n == 1 else Fraction(0))
+                continue
+            m = n // 2
+            for j in range(len(col), m + 1):  # column j-1 to column j
+                prev = col[1] = (j - 1) * col[1]
+                for k in range(2, j):
+                    prev = col[k] = (j - k) * col[k] + (j - k + 2) * prev
+                col.append(2 * prev)
+            # 1 << n is 4^m
+            e.append(Fraction((-1) ** (m - 1) * n * col[m],
+                              (1 << n) * ((1 << n) - 1)))
 
     def merge(self, other: "BernoulliTable") -> None:
         """Adopt entries from another table of the same convention."""
@@ -148,35 +139,31 @@ class BernoulliTable:
             raise ValueError(
                 f"convention mismatch: {self.convention} vs {other.convention}"
             )
-        for n, val in other.items():
-            if n <= self._max:
-                if self._entries[n] != val:
-                    raise ValueError(f"conflicting value for B_{n}")
-            else:
-                if n != self._max + 1:
-                    raise ValueError("merge would leave a gap in the table")
-                self._entries[n] = val
-                self._max = n
+        mine, theirs = self._entries, other._entries
+        for n, (a, b) in enumerate(zip(mine, theirs)):
+            if a != b:
+                raise ValueError(f"conflicting value for B_{n}")
+        mine.extend(theirs[len(mine):])
 
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError on violation."""
-        e = self._entries
+        e, top = self._entries, self.max_index
         if e[0] != 1:
             raise ValueError("B_0 must be 1")
         want_b1 = _b1(self.convention)
-        if self._max >= 1 and e[1] != want_b1:
+        if top >= 1 and e[1] != want_b1:
             raise ValueError(f"B_1 must be {want_b1} under {self.convention}")
-        for n in range(3, self._max + 1, 2):
+        for n in range(3, top + 1, 2):
             if e[n] != 0:
                 raise ValueError(f"B_{n} must be 0")
-        want_den = _von_staudt_denominators(self._max)
-        for n in range(2, self._max + 1, 2):
+        want_den = _von_staudt_denominators(top)
+        for n in range(2, top + 1, 2):
             if e[n].denominator != want_den[n]:
                 raise ValueError(f"B_{n} has denominator {e[n].denominator}, "
                                  f"expected {want_den[n]}")
         # the defining recurrence at the top entry ties every earlier value
         # in, so a single altered numerator anywhere breaks this sum
-        n = self._max if self._max % 2 == 0 else self._max - 1
+        n = top - top % 2
         if n >= 2:
             total = sum(comb(n + 1, j) * e[j] for j in range(n + 1))
             want = 0 if self.convention == MINUS_HALF else n + 1
@@ -490,7 +477,6 @@ class PrimeContext:
             if finer:
                 row = [b % q for b in finer[0]]
             else:
-                bernoulli(size - 1)  # one table extension for the whole row
                 row = row[:]
                 for b in map(bernoulli, range(len(row), size)):
                     den = b.denominator

@@ -673,10 +673,19 @@ def test_parallel_sweep_leaves_this_process_table_alone(monkeypatch):
     # that saves it, and learns how far from _pool_table_top
     fresh = sequences.BernoulliTable()
     monkeypatch.setitem(sequences._TABLES, sequences.MINUS_HALF, fresh)
+    monkeypatch.setattr(idmod, "_pool_table_top", 0)
     reports = sweep("zhao_p3", 5, 31, jobs=2)
     assert [r.status for r in reports] == [VERIFIED] * 7  # 11..31
     assert bernoulli_table().max_index == fresh.max_index == 1
-    assert idmod._pool_table_top >= 62  # p = 31 reads B_0..B_62
+    assert idmod._pool_table_top == 31  # p = 31 reads B_0..B_31
+
+
+def test_catalog_sweep_grows_the_table_to_the_largest_index_read(
+        monkeypatch):
+    fresh = sequences.BernoulliTable()
+    monkeypatch.setitem(sequences._TABLES, sequences.MINUS_HALF, fresh)
+    sweep("all", 5, 199)
+    assert fresh.max_index == 398  # B_2p at p = 199
 
 
 def test_sweep_is_deterministic_across_worker_counts():
@@ -734,6 +743,15 @@ def test_zhao_p3_holds_mod_p_squared_at_607():
     assert report.status == VERIFIED
     assert report.modulus == 607 ** 2
     assert report.lhs == report.rhs != 0
+
+
+def test_zhao_p3_holds_mod_p_squared_at_2351():
+    # the largest prime below 3001 where it does; the point reads B_0..B_p
+    # and the shared table grows that far and no further
+    before = bernoulli_table().max_index
+    report = check("zhao_p3", {"p": 2351}, modulus_override=2)
+    assert report.status == VERIFIED
+    assert bernoulli_table().max_index == max(before, 2351)
 
 
 def test_elapsed_is_recorded():

@@ -195,6 +195,39 @@ def test_bernoulli_table_does_not_depend_on_request_order():
         assert [only_b0.value(n) for n in range(5)] == [1, b1, *want[2:5]]
 
 
+def test_bernoulli_table_ends_at_the_largest_index_read():
+    ascending = BernoulliTable()
+    for n in range(401):
+        ascending.value(n)
+    assert ascending.max_index == 400
+
+    want = recurrence_oracle(100)
+    loaded = BernoulliTable(MINUS_HALF, entries=dict(enumerate(want[:30])))
+    assert loaded.value(100) == want[100]
+    assert loaded.max_index == 100
+    assert [b for _, b in loaded.items()] == want
+
+
+def test_bernoulli_table_extends_past_a_longer_merged_table():
+    # the merge leaves this table's tangent column behind its entries
+    table = BernoulliTable()
+    table.value(500)
+    longer = BernoulliTable()
+    longer.value(802)
+    table.merge(longer)
+    assert table.max_index == 802
+    table.value(900)
+    assert table.max_index == 900
+    one_pass = BernoulliTable()
+    one_pass.value(900)
+    assert table.items() == one_pass.items()
+    table.validate()
+
+
+def test_von_staudt_denominator_is_2_at_odd_n():
+    assert [von_staudt_denominator(n) for n in range(1, 40, 2)] == [2] * 20
+
+
 def test_bernoulli_table_built_to_800_validates():
     table = BernoulliTable()
     table.value(800)
