@@ -6,11 +6,12 @@ raised an error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from collections import Counter
 from contextlib import nullcontext
 from datetime import datetime, timezone
+from functools import partial
 
 from . import cache as cache_store
 from . import identities
@@ -95,13 +96,6 @@ def _save_cache(path: str, convention: str, cached: int) -> None:
               file=sys.stderr)
 
 
-def _fmt_value(value, modulus: int | None) -> str | int | None:
-    """A residue stays an integer; an exact value is written as a string."""
-    if value is None or modulus is not None:
-        return value
-    return str(value)
-
-
 def _params_text(params: dict[str, int]) -> str:
     return ";".join(f"{k}={v}" for k, v in params.items())
 
@@ -109,35 +103,57 @@ def _params_text(params: dict[str, int]) -> str:
 _COLUMNS = ("identity", "params", "modulus", "lhs", "rhs", "status")
 _TIMED_COLUMNS = _COLUMNS + ("elapsed_ms", "timestamp")
 
-
-def _report_row(r, with_times: bool) -> dict:
-    """The fields of one report in column order, for either output format."""
-    values = [r.identity, dict(r.params), r.modulus,
-              _fmt_value(r.lhs, r.modulus), _fmt_value(r.rhs, r.modulus),
-              r.status]
-    if with_times:
-        values += [round(r.elapsed * 1000.0, 3),
-                   datetime.now(timezone.utc).isoformat()]
-    return dict(zip(_TIMED_COLUMNS, values))
+# The rows are written from templates, not through json.dumps: identity ids,
+# parameter names, statuses, Fraction strings and ISO timestamps need no
+# escaping, so a template gives the same bytes.
 
 
-def _csv_field(value) -> str:
+def _json_value(value, modulus: int | None) -> str:
+    """A residue is a JSON integer, an exact value a string, none is null."""
     if value is None:
-        return ""
-    if isinstance(value, dict):
-        return _params_text(value)
-    return str(value)
+        return "null"
+    return str(value) if modulus is not None else f'"{value}"'
 
 
-def _write_reports(reports, out, fmt: str, with_times: bool) -> None:
-    rows = (_report_row(r, with_times) for r in reports)
-    if fmt == "json":
-        for row in rows:
-            out.write(json.dumps(row) + "\n")
-        return
-    out.write(",".join(_TIMED_COLUMNS if with_times else _COLUMNS) + "\n")
-    for row in rows:
-        out.write(",".join(_csv_field(v) for v in row.values()) + "\n")
+def _json_row(r, stamp: str | None) -> str:
+    """One report as a JSON line; `stamp` None leaves out the time fields."""
+    params = ", ".join(f'"{k}": {v}' for k, v in r.params.items())
+    modulus = "null" if r.modulus is None else r.modulus
+    row = (f'{{"identity": "{r.identity}", "params": {{{params}}}, '
+           f'"modulus": {modulus}, "lhs": {_json_value(r.lhs, r.modulus)}, '
+           f'"rhs": {_json_value(r.rhs, r.modulus)}, "status": "{r.status}"')
+    if stamp is not None:
+        row += (f', "elapsed_ms": {round(r.elapsed * 1000.0, 3)!r}, '
+                f'"timestamp": "{stamp}"')
+    return row + "}\n"
+
+
+def _csv_value(value) -> str:
+    return "" if value is None else str(value)
+
+
+def _csv_row(r, stamp: str | None) -> str:
+    """One report as a CSV line; `stamp` None leaves out the time fields."""
+    fields = [r.identity, _params_text(r.params), _csv_value(r.modulus),
+              _csv_value(r.lhs), _csv_value(r.rhs), r.status]
+    if stamp is not None:
+        fields += [repr(round(r.elapsed * 1000.0, 3)), stamp]
+    return ",".join(fields) + "\n"
+
+
+@cache_store.unlimited_int_digits()  # a spawned worker starts with the limit
+def _render(reports, fmt: str, with_times: bool,
+            verbose: bool) -> tuple[str, str, Counter]:
+    """One chunk of reports as its output rows, its -v echo lines (empty
+    without -v) and the count of each status; run in the sweep's batches,
+    so a timestamp records when its point was checked."""
+    row = _json_row if fmt == "json" else _csv_row
+    rows = "".join(
+        row(r, datetime.now(timezone.utc).isoformat() if with_times else None)
+        for r in reports)
+    echo = "".join(f"{r.identity} {_params_text(r.params)} {r.status}\n"
+                   for r in reports) if verbose else ""
+    return rows, echo, Counter(r.status for r in reports)
 
 
 def _cmd_verify(args: argparse.Namespace,
@@ -151,24 +167,28 @@ def _cmd_verify(args: argparse.Namespace,
     if args.cache:
         cached = _load_cache(args.cache, MINUS_HALF)
     selected = args.identity if args.identity else "all"
+    render = partial(_render, fmt=args.format,
+                     with_times=not args.no_timestamps, verbose=args.verbose)
     with out as stream:
-        reports = sweep(selected, lo, hi, jobs=args.jobs,
-                        modulus_override=args.modulus)
+        chunks = sweep(selected, lo, hi, jobs=args.jobs,
+                       modulus_override=args.modulus, render=render)
         if args.cache:
             # pool workers grew their own tables, not this one: grow it as
             # far, so the file holds every entry the workers read
             bernoulli(identities._pool_table_top)
             _save_cache(args.cache, MINUS_HALF, cached)
         if args.verbose:
-            for r in reports:
-                print(f"{r.identity} {_params_text(r.params)} {r.status}",
-                      file=sys.stderr)
-        _write_reports(reports, stream, args.format, not args.no_timestamps)
-    counts = {status: 0 for status in _STATUS_ORDER}
-    for r in reports:
-        counts[r.status] = counts.get(r.status, 0) + 1
+            for _, (_, echo, _) in chunks:
+                sys.stderr.write(echo)
+        if args.format == "csv":
+            columns = _COLUMNS if args.no_timestamps else _TIMED_COLUMNS
+            stream.write(",".join(columns) + "\n")
+        counts = Counter()
+        for _, (rows, _, chunk_counts) in chunks:
+            stream.write(rows)
+            counts.update(chunk_counts)
     summary = ", ".join(f"{counts[s]} {s}" for s in _STATUS_ORDER)
-    print(f"checked {len(reports)} points: {summary}", file=sys.stderr)
+    print(f"checked {counts.total()} points: {summary}", file=sys.stderr)
     bad = counts[FAILED] + counts[NOT_P_INTEGRAL] + counts[ERROR]
     return 1 if bad else 0
 

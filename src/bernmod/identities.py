@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import comb, factorial, lcm
-from operator import mul
+from operator import attrgetter, itemgetter, mul
 from typing import Callable, Iterable, Iterator
 
 from .modular import (
@@ -948,55 +947,92 @@ def _check_batch(tasks: list[tuple[str, dict[str, int]]],
             for i, prm in tasks]
 
 
+def _run_batch(batch: tuple[int | None, tuple[str, ...]], lo: int, hi: int,
+               modulus_override: int | None,
+               render: Callable[[list[CheckReport]], object] | None
+               ) -> list[tuple[tuple, object]]:
+    """Build a batch's points, check them, and render each identity's share.
+
+    A batch is (p, ids), the points of prime p, or (None, (id,)), the points
+    of one index-parameterized identity.  It gives one chunk per identity
+    with points: the sort key of the first report and render(reports), or
+    the reports themselves without render.  Within a prime an identity's
+    points ascend, so chunks sorted by that key put the reports in order.
+    """
+    p, ids = batch
+    bounds = (lo, hi) if p is None else (p, p)
+    tasks = [(ident, point) for ident in ids
+             for point in _CATALOG[ident].points(*bounds)]
+    chunks = []
+    for _, group in groupby(_check_batch(tasks, modulus_override),
+                            attrgetter("identity")):
+        reports = list(group)
+        chunks.append((reports[0].sort_key(),
+                       reports if render is None else render(reports)))
+    return chunks
+
+
 # the furthest any pool worker's Bernoulli table grew in this process's
 # parallel sweeps
 _pool_table_top = 0
 
 
-def _pool_batch(tasks: list[tuple[str, dict[str, int]]],
-                modulus_override: int | None) -> tuple[list[CheckReport], int]:
+def _pool_batch(*args) -> tuple[list[tuple[tuple, object]], int]:
     """A batch run in a pool worker, and how far its Bernoulli table grew."""
-    return _check_batch(tasks, modulus_override), bernoulli_table().max_index
+    return _run_batch(*args), bernoulli_table().max_index
+
+
+def _has_points(ident: str, p: int) -> bool:
+    return next(_CATALOG[ident].points(p, p), None) is not None
 
 
 def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
-          jobs: int = 1, modulus_override: int | None = None) -> list[CheckReport]:
+          jobs: int = 1, modulus_override: int | None = None,
+          render: Callable[[list[CheckReport]], object] | None = None
+          ) -> list:
     """Check every selected identity over its parameter points in [lo, hi].
 
     Prime-indexed identities sweep the primes of the range; index-parameterized
     exact identities sweep their fixed default ranges.  Reports come back
     sorted by (identity, parameter tuple) no matter how many workers ran.
+
+    With `render`, a picklable callable, each batch renders its reports as it
+    checks them, in the worker when there is a pool, and sweep returns the
+    chunks (sort key of the first report, render(reports)) in that order
+    instead: one per identity per batch, each batch's reports of one
+    identity in order.
     """
     if lo < 5:
         raise ValueError(f"sweep range must start at 5 or above, got {lo}")
     if lo > hi:
         raise ValueError(f"empty sweep range {lo}..{hi}")
     ids = _resolve_ids(identities)
-
-    batches: dict[object, list[tuple[str, dict[str, int]]]] = {}
-    for ident in ids:
-        desc = _CATALOG[ident]
-        for point in desc.points(lo, hi):
-            key = ("p", point["p"]) if "p" in point else ("x", ident)
-            batches.setdefault(key, []).append((ident, point))
+    by_prime = tuple(i for i in ids if "p" in _CATALOG[i].params)
 
     # costliest first, so no long batch starts last: the fixed-size
     # index-parameter batches, then the primes from the top of the range down
-    ordered = [batches[key] for key in sorted(
-        batches, key=lambda k: -k[1] if k[0] == "p" else float("-inf"))]
-    if jobs <= 1 or len(ordered) <= 1:
-        reports = [r for batch in ordered
-                   for r in _check_batch(batch, modulus_override)]
+    batches = [(None, (i,)) for i in ids if "p" not in _CATALOG[i].params]
+    if by_prime:
+        batches += [(p, by_prime) for p in reversed(primes_in(lo, hi))
+                    if any(_has_points(i, p) for i in by_prime)]
+    args = (lo, hi, modulus_override, render)
+    if jobs <= 1 or len(batches) <= 1:
+        chunks = [c for batch in batches for c in _run_batch(batch, *args)]
     else:
+        # imported here, so a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # a fork pool starts all its workers at once: no more than batches
-        with ProcessPoolExecutor(max_workers=min(jobs, len(ordered))) as pool:
-            futures = [pool.submit(_pool_batch, batch, modulus_override)
-                       for batch in ordered]
+        with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
+            futures = [pool.submit(_pool_batch, batch, *args)
+                       for batch in batches]
             done = [f.result() for f in futures]
-        reports = [r for batch, _ in done for r in batch]
+        chunks = [c for batch_chunks, _ in done for c in batch_chunks]
         # this process's table stays as it is; a caller that saves it, the
         # CLI's --cache, grows it to _pool_table_top first
         global _pool_table_top
         _pool_table_top = max(_pool_table_top, *(top for _, top in done))
-    reports.sort(key=CheckReport.sort_key)
-    return reports
+    chunks.sort(key=itemgetter(0))
+    if render is not None:
+        return chunks
+    return [r for _, reports in chunks for r in reports]

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import bernmod.cli as cli
 import bernmod.identities as idmod
 from bernmod.cache import load, save, unlimited_int_digits
 from bernmod.cli import main
@@ -194,12 +195,102 @@ def test_an_evaluator_that_raises_reports_error(monkeypatch, capsys):
     assert lines[-1].endswith("0 not_p_integral, 1 error")
 
 
+# the whole stderr of a -v sweep: each point in report order, then the
+# summary; the index-parameterized family is one chunk, the others one per
+# prime
+VERBOSE_STDERR = "".join(line + "\n" for line in [
+    "conv_order_p1 p=5 failed",
+    "conv_order_p1 p=7 failed",
+    *(f"euler_tangent_relation n={n} verified" for n in range(1, 32, 2)),
+    "lehmer_i p=5;k=2 verified",
+    "lehmer_i p=5;k=3 inapplicable",
+    "lehmer_i p=5;k=4 verified",
+    "lehmer_i p=7;k=2 verified",
+    "lehmer_i p=7;k=3 verified",
+    "lehmer_i p=7;k=4 inapplicable",
+    "lehmer_i p=7;k=5 verified",
+    "lehmer_i p=7;k=6 verified",
+    "wilson p=5 verified",
+    "wilson p=7 failed",
+    "checked 28 points: 23 verified, 3 failed, 2 inapplicable, "
+    "0 not_p_integral, 0 error",
+])
+
+
 def test_verify_verbose_echoes_points(capsys):
-    code, _, err = run(
-        ["verify", "--primes", "5..7", "--identity", "wilson", "-v",
-         "--no-timestamps"], capsys)
-    assert code == 0
-    assert "wilson p=5 verified" in err
+    for jobs in ("1", "2"):
+        code, _, err = run(
+            ["verify", "--primes", "5..7", "--identity", "wilson",
+             "--identity", "lehmer_i", "--identity", "euler_tangent_relation",
+             "--identity", "conv_order_p1", "--modulus", "2", "-v",
+             "--no-timestamps", "--jobs", jobs], capsys)
+        assert code == 1
+        assert err == VERBOSE_STDERR, jobs
+
+
+# the fields of one report as the rows were once built, a dict through
+# json.dumps or a CSV join: the oracle for the row templates
+def _fmt_value(value, modulus):
+    if value is None or modulus is not None:
+        return value
+    return str(value)
+
+
+def _report_row(r, stamp):
+    values = [r.identity, dict(r.params), r.modulus,
+              _fmt_value(r.lhs, r.modulus), _fmt_value(r.rhs, r.modulus),
+              r.status]
+    if stamp is not None:
+        values += [round(r.elapsed * 1000.0, 3), stamp]
+    keys = ("identity", "params", "modulus", "lhs", "rhs", "status",
+            "elapsed_ms", "timestamp")
+    return dict(zip(keys, values))
+
+
+def _csv_field(value):
+    if value is None:
+        return ""
+    if isinstance(value, dict):
+        return ";".join(f"{k}={v}" for k, v in value.items())
+    return str(value)
+
+
+def test_row_templates_match_json_dumps_and_the_csv_join():
+    reports = [
+        idmod.check("wilson", {"p": 7}),  # residues
+        idmod.check("lehmer_i", {"p": 11, "k": 3}),  # two parameters
+        idmod.check("alzer", {"n": 7}),  # exact Fractions
+        idmod.check("euler_identity", {"n": 5}),  # negative Fraction
+        idmod.check("clausen_von_staudt", {"n": 10}),  # integral Fraction
+        idmod.check("wilson", {"p": 9}),  # inapplicable, no values
+        idmod.CheckReport("lemma2", {"p": 11, "m": 2}, idmod.NOT_P_INTEGRAL,
+                          None, None, None),
+        idmod.CheckReport("lemma2", {"p": 11, "m": 3}, idmod.ERROR, None,
+                          None, None),
+    ]
+    statuses = {r.status for r in reports}
+    assert {idmod.VERIFIED, idmod.INAPPLICABLE, idmod.NOT_P_INTEGRAL,
+            idmod.ERROR} <= statuses
+    for r, elapsed in zip(reports, [0.0, 1.23456e-5, 0.5, 2e-9, 12.3456789,
+                                    3.0, 0.0001, 7.77e-6]):
+        r.elapsed = elapsed
+        for stamp in (None, "2026-10-18T17:11:13.123456+00:00"):
+            row = _report_row(r, stamp)
+            assert cli._json_row(r, stamp) == json.dumps(row) + "\n"
+            assert cli._csv_row(r, stamp) == ",".join(
+                _csv_field(v) for v in row.values()) + "\n"
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # a serial run never starts a pool, so it pays nothing to import one
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bernmod.cli; "
+         "print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("argv", [
@@ -388,6 +479,24 @@ def test_large_prime_set_peak_rss_at_the_wolstenholme_prime():
     assert code == 0, proc.stderr
     assert "8 verified" in proc.stderr
     assert peak_kb < 60 * 1024, f"peak RSS {peak_kb} KB"
+
+
+def test_catalog_sweep_peak_rss_over_5_to_401():
+    # the whole catalog over 5..401 (52,764 points) in one fresh process:
+    # each batch renders its rows as it checks them, so no report outlives
+    # its batch; 24.5 MB measured (63.7 MB when every report was held)
+    argv = [sys.executable, "-S", "-c", PEAK_RSS_LAUNCHER, sys.executable,
+            "-m", "bernmod", "verify", "--identity", "all", "--primes",
+            "5..401", "--no-timestamps"]
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert "checked 52764 points" in proc.stderr
+    assert peak_kb < 40 * 1024, f"peak RSS {peak_kb} KB"
 
 
 def test_console_entry_point_subprocess():

@@ -1,4 +1,5 @@
 """Catalog checks: frozen residue anchors, status plumbing, sweep behavior."""
+import concurrent.futures
 from concurrent.futures import Future
 from fractions import Fraction
 from functools import lru_cache
@@ -620,9 +621,26 @@ def test_sweep_runs_costliest_batches_first(monkeypatch):
     assert started == ["alzer", 13, 11, 7, 5]
 
 
+def test_sweep_makes_no_batch_for_a_prime_without_points(monkeypatch):
+    # zhao_p5 starts at 13: the primes below it get no batch, not an empty one
+    started = []
+    check_batch = idmod._check_batch
+
+    def record(tasks, modulus_override):
+        started.append([(i, tuple(prm.values())) for i, prm in tasks])
+        return check_batch(tasks, modulus_override)
+
+    monkeypatch.setattr(idmod, "_check_batch", record)
+    sweep(["zhao_p5", "zhao_p3"], 5, 17)
+    assert started == [[("zhao_p5", (17,)), ("zhao_p3", (17,))],
+                       [("zhao_p5", (13,)), ("zhao_p3", (13,))],
+                       [("zhao_p3", (11,))]]
+
+
 def test_sweep_starts_no_more_workers_than_batches(monkeypatch):
     # a fork pool starts every worker up front, so a huge --jobs must be
-    # capped by the batch count; this fake pool runs each batch inline
+    # capped by the batch count; this fake pool runs each batch inline, in
+    # place of the class sweep imports when it starts a pool
     started = []
 
     class InlinePool:
@@ -640,12 +658,51 @@ def test_sweep_starts_no_more_workers_than_batches(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(idmod, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     parallel = sweep("wilson", 5, 31, jobs=10**6)
     assert started == [9]  # one batch per prime in 5..31
     untimed = lambda rs: [(r.identity, r.params, r.status, r.lhs, r.rhs,
                            r.modulus) for r in rs]
     assert untimed(parallel) == untimed(sweep("wilson", 5, 31))
+
+
+@pytest.mark.parametrize("ident", identity_ids())
+def test_points_ascend_within_a_prime_and_match_per_prime(ident):
+    # a sweep batch builds the points of prime p as points(p, p) and renders
+    # each identity's share as one chunk keyed by its first point, so the
+    # chunks sort into report order only if these hold
+    desc = catalog()[ident]
+    points = list(desc.points(5, 199))
+    assert points
+    assert all(tuple(pt) == desc.params for pt in points)
+    if "p" not in desc.params:
+        keys = [tuple(pt.values()) for pt in points]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        return
+    assert desc.params[0] == "p"
+    for p in primes_in(5, 199):
+        mine = [pt for pt in points if pt["p"] == p]
+        assert list(desc.points(p, p)) == mine, p
+        keys = [tuple(pt.values()) for pt in mine]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys), p
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_rendered_chunks_hold_the_reports_in_order(jobs):
+    ids = ["alzer", "lemma2", "wilson", "zhao_p5"]
+    chunks = sweep(ids, 5, 17, jobs=jobs, render=list)
+    keys = [key for key, _ in chunks]
+    assert keys == sorted(keys)
+    # one chunk per index-parameterized identity, one per prime for the rest
+    assert [k[0] for k in keys] == ["alzer"] + ["lemma2"] * 5 \
+        + ["wilson"] * 5 + ["zhao_p5"] * 2
+    for key, reports in chunks:
+        assert reports[0].sort_key() == key
+        assert {r.identity for r in reports} == {key[0]}
+    untimed = lambda rs: [(r.identity, r.params, r.status, r.lhs, r.rhs,
+                           r.modulus) for r in rs]
+    assert untimed([r for _, reports in chunks for r in reports]) == \
+        untimed(sweep(ids, 5, 17, jobs=jobs))
 
 
 def test_prime_context_builds_no_harmonic_numbers():
