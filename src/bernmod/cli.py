@@ -1,7 +1,8 @@
 """Command line front end: verify sweeps, single computations, brute-force oracle.
 
 Exit codes: 0 all checks passed, 1 at least one failed, hit a p-adic pole or
-raised an error, 2 usage error.
+raised an error, 2 usage error, 141 (128 + SIGPIPE) the reader closed the
+output pipe before the last row, as in `bernmod verify ... | head -1`.
 """
 from __future__ import annotations
 
@@ -347,9 +348,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # every number converted here was computed or validated here
-    with cache_store.unlimited_int_digits():
-        return args.func(args, parser)
+    try:
+        # every number converted here was computed or validated here
+        with cache_store.unlimited_int_digits():
+            return args.func(args, parser)
+    except BrokenPipeError:
+        # stdout goes nowhere from here on, so the flush at shutdown finds
+        # no closed pipe to complain about
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

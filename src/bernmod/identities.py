@@ -407,13 +407,24 @@ def _cs3_rhs(ctx, n):
             - Fraction(7, 4))
 
 
+# (T, L, L / j, H_j L, H_j^(2) L^2) for j = 0..T, L = lcm(1..T): the one
+# prefix, rebuilt only when a larger top is read
+_prefix: tuple[int, int, list[int], list[int], list[int]] = (
+    0, 1, [0], [0], [0])
+
+
 def _harmonic_prefix(top: int) -> tuple[int, list[int], list[int], list[int]]:
-    """L = lcm(1..top), and for j = 0..top the integers L / j (0 at j = 0),
-    H_j L and H_j^(2) L^2."""
-    L = lcm(*range(1, top + 1))
-    recips = [0] + [L // j for j in range(1, top + 1)]
-    return (L, recips, list(accumulate(recips)),
-            list(accumulate(x * x for x in recips)))
+    """L, a common multiple of 1..top, and for j = 0..T, T >= top, the
+    integers L / j (0 at j = 0), H_j L and H_j^(2) L^2.  The one prefix
+    serves every top it reaches; any common multiple L gives the same
+    Fraction."""
+    global _prefix
+    if _prefix[0] < top:
+        L = lcm(*range(1, top + 1))
+        recips = [0] + [L // j for j in range(1, top + 1)]
+        _prefix = (top, L, recips, list(accumulate(recips)),
+                   list(accumulate(x * x for x in recips)))
+    return _prefix[1:]
 
 
 def _h_over_shift_lhs(ctx, n, s):
@@ -875,16 +886,24 @@ def _descriptor(identity: str) -> IdentityDescriptor:
 
 def check(identity: str, params: dict[str, int], *,
           modulus_override: int | None = None) -> CheckReport:
-    """Evaluate both sides of one identity at one parameter point.
-
-    The PrimeContext is the one prime test, so it comes before the domain
-    predicate; it carries the exponent of the reduction to its residues."""
+    """Evaluate both sides of one identity at one parameter point."""
     desc = _descriptor(identity)
     if set(params) != set(desc.params):
         raise ValueError(
             f"{identity} takes parameters {desc.params}, got {tuple(params)}"
         )
-    ordered = {name: params[name] for name in desc.params}
+    return _check_point(identity, {name: params[name] for name in desc.params},
+                        modulus_override)
+
+
+def _check_point(identity: str, ordered: dict[str, int],
+                 modulus_override: int | None) -> CheckReport:
+    """check at a point whose parameters are those of the identity, in its
+    order, as the catalog's point generators give them.
+
+    The PrimeContext is the one prime test, so it comes before the domain
+    predicate; it carries the exponent of the reduction to its residues."""
+    desc = _CATALOG[identity]
     start = time.perf_counter()
     try:
         ctx = get_prime_context(ordered["p"]) if "p" in ordered else None
@@ -943,8 +962,7 @@ def _resolve_ids(identities: str | Iterable[str]) -> list[str]:
 
 def _check_batch(tasks: list[tuple[str, dict[str, int]]],
                  modulus_override: int | None) -> list[CheckReport]:
-    return [check(i, prm, modulus_override=modulus_override)
-            for i, prm in tasks]
+    return [_check_point(i, prm, modulus_override) for i, prm in tasks]
 
 
 def _run_batch(batch: tuple[int | None, tuple[str, ...]], lo: int, hi: int,

@@ -15,7 +15,8 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, lcm
+from math import comb, isqrt, lcm
+from operator import mul
 from typing import Iterable
 
 from .modular import is_prime, primes_in
@@ -393,6 +394,35 @@ def weighted_convolution(p: int, a: int = 2) -> Fraction:
         for i in range(2, p - 2, 2))
 
 
+def _half_power_sums(h: int, top: int, q: int) -> list[int]:
+    """S_{h,j} = 1^j + 2^j + ... + h^j mod q for j = 0..top, by baby and
+    giant steps over packed ints.
+
+    With m = isqrt(top + 1), each base a gets one int holding a^0..a^(m-1)
+    mod q in slots of w bytes, and giant row u is the dot product of the
+    a^(um) mod q with those ints: its slot v is S_{h,um+v} before reduction.
+    A slot sums h products below q^2, so w bytes hold it with no carry into
+    the next slot.
+    """
+    m = isqrt(top + 1)
+    w = (2 * q.bit_length() + h.bit_length() + 7) // 8
+    packs, steps = [], []
+    for a in range(1, h + 1):
+        baby, x = [], 1
+        for _ in range(m):
+            baby.append(x.to_bytes(w, "little"))
+            x = x * a % q
+        packs.append(int.from_bytes(b"".join(baby), "little"))
+        steps.append(x)
+    giant, sums = [1] * h, []
+    while len(sums) <= top:
+        row = sum(map(mul, giant, packs)).to_bytes(m * w, "little")
+        sums += [int.from_bytes(row[i:i + w], "little") % q
+                 for i in range(0, m * w, w)]
+        giant = [g * s % q for g, s in zip(giant, steps)]
+    return sums[:top + 1]
+
+
 class PrimeContext:
     """Per-prime workspace shared by congruence evaluators.
 
@@ -488,8 +518,8 @@ class PrimeContext:
 
     def half_power_residues(self, exponent: int) -> list[int]:
         """S_{h,j} = 1^j + 2^j + ... + h^j mod p^exponent, h = (p-1)/2, for
-        j = 0..2p, in one stepped pass: row j is row j-1 times the bases.
-        A table at a higher exponent, if one is built, is reduced instead."""
+        j = 0..2p, by _half_power_sums.  A table at a higher exponent, if
+        one is built, is reduced instead."""
         if exponent < 1:
             raise ValueError(f"exponent must be >= 1, got {exponent}")
         if exponent not in self._half_power:
@@ -498,12 +528,7 @@ class PrimeContext:
             if finer:
                 sums = [s % q for s in self._half_power[min(finer)]]
             else:
-                bases = range(1, (self.p + 1) // 2)
-                powers = [1] * len(bases)
-                sums = [len(bases)]
-                for _ in range(2 * self.p):
-                    powers = [x * a % q for x, a in zip(powers, bases)]
-                    sums.append(sum(powers) % q)
+                sums = _half_power_sums((self.p - 1) // 2, 2 * self.p, q)
             self._half_power[exponent] = sums
         return self._half_power[exponent]
 

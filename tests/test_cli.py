@@ -499,6 +499,26 @@ def test_catalog_sweep_peak_rss_over_5_to_401():
     assert peak_kb < 40 * 1024, f"peak RSS {peak_kb} KB"
 
 
+def test_a_closed_pipe_exits_141_without_a_traceback():
+    # `bernmod verify ... | head -1`: the rows of 5..61 (about 0.5 MB)
+    # overflow the pipe, so a write meets the closed read end
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bernmod", "verify", "--identity", "all",
+         "--primes", "5..61", "--no-timestamps"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline().startswith(b'{"identity": ')
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 141, err
+    finally:
+        proc.kill()
+        proc.wait()
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
 def test_console_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "bernmod", "compute", "bernoulli", "12"],

@@ -501,6 +501,49 @@ def test_wrong_parameters_raise():
         check("lemma2", {"p": 7})
 
 
+def _outcome(report):
+    return (report.identity, report.params, report.status, report.lhs,
+            report.rhs, report.modulus)
+
+
+@pytest.mark.parametrize("override", [None, 1, 2, 3, 4])
+def test_batches_check_catalog_points_as_check_does(override):
+    # a batch skips check's parameter validation, since catalog points come
+    # with the identity's parameters in its order
+    tasks = [(ident, params) for ident, desc in catalog().items()
+             for params in desc.points(5, 61)]
+    batch = idmod._check_batch(tasks, override)
+    assert [_outcome(r) for r in batch] == [
+        _outcome(check(ident, params, modulus_override=override))
+        for ident, params in tasks]
+
+
+_PREFIX_SIDES = [("alzer", 0), ("choi_srivastava_s1", 1),
+                 ("choi_srivastava_s2", 2), ("choi_srivastava_s3", 3),
+                 ("prop1", None)]
+
+
+def test_harmonic_prefix_sides_do_not_depend_on_its_top(monkeypatch):
+    # descending from a cold prefix, so the first point builds the largest
+    # top, then all again over a prefix grown to 230
+    monkeypatch.setattr(idmod, "_prefix", (0, 1, [0], [0], [0]))
+    for grown in (False, True):
+        if grown:
+            idmod._harmonic_prefix(230)
+        for ident, shift in _PREFIX_SIDES:
+            desc = catalog()[ident]
+            for params in reversed(list(desc.points(5, 199))):
+                s = params.get("s", shift)
+                want = _h_over_shift_oracle(s)(None, params["n"])
+                assert desc.lhs(None, **params) == want, (ident, params)
+                if ident == "prop1":
+                    assert desc.rhs(None, **params) == want, params
+    # one prefix, held at the largest top read, serves every smaller top
+    assert idmod._prefix[0] == 230
+    assert idmod._harmonic_prefix(4)[1] is idmod._harmonic_prefix(230)[1]
+    assert not hasattr(idmod._harmonic_prefix, "cache_info")
+
+
 def test_out_of_domain_is_inapplicable():
     assert check("wilson", {"p": 9}).status == INAPPLICABLE
     assert check("theorem1", {"p": 4}).status == INAPPLICABLE

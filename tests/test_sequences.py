@@ -38,6 +38,7 @@ from bernmod.sequences import (
     von_staudt_denominator,
     weighted_convolution,
 )
+from bernmod.sequences import _half_power_sums
 
 # fixed by the defining recurrence; checked against several published tables
 FROZEN_BERNOULLI = {
@@ -618,6 +619,52 @@ def test_power_rows_do_not_depend_on_which_row_is_read_first():
                 for name in order:
                     got, want = reads[name](ctx, p, e)
                     assert got == want, (p, order, name, e)
+
+
+def _stepped_half_power_sums(h, top, q):
+    """S_{h,j} mod q for j = 0..top in one stepped pass, row j being row
+    j-1 times the bases: the reference for the packed kernel."""
+    bases = range(1, h + 1)
+    powers = [1] * h
+    sums = [h % q]
+    for _ in range(top):
+        powers = [x * a % q for x, a in zip(powers, bases)]
+        sums.append(sum(powers) % q)
+    return sums
+
+
+def _half_power_args(p, exponent):
+    return (p - 1) // 2, 2 * p, p ** exponent
+
+
+def test_packed_half_power_sums_match_the_stepped_pass():
+    # the catalog's table, p^3, over a wide range; every exponent a
+    # --modulus probe can ask for over a short one; and one large prime
+    cases = [(p, 3) for p in sympy.primerange(5, 402)]
+    cases += [(p, e) for p in sympy.primerange(5, 62) for e in range(1, 7)]
+    cases.append((1009, 3))
+    for p, e in cases:
+        args = _half_power_args(p, e)
+        assert _half_power_sums(*args) == _stepped_half_power_sums(*args), (
+            p, e)
+
+
+def test_packed_half_power_sums_at_3001():
+    p = 3001
+    h, top, q = _half_power_args(p, 3)
+    sums = _half_power_sums(h, top, q)
+    assert len(sums) == top + 1
+    for j in (0, 1, 2, p - 2, p - 1, p, 2 * p - 2, 2 * p - 1, 2 * p):
+        assert sums[j] == sum(pow(a, j, q) for a in range(1, h + 1)) % q, j
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=st.integers(min_value=0, max_value=40),
+       top=st.integers(min_value=0, max_value=90),
+       q=st.integers(min_value=1, max_value=2 ** 80))
+def test_packed_half_power_sums_property(h, top, q):
+    # moduli past 2^32 make slots wider than 64 bits
+    assert _half_power_sums(h, top, q) == _stepped_half_power_sums(h, top, q)
 
 
 def test_building_a_prime_context_builds_no_power_row():
