@@ -41,7 +41,7 @@ print()
 print("Tables persist as plain text and survive a round trip exactly:")
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "bern.cache")
-    table = bernoulli_table(MINUS_HALF)
+    table = bernoulli_table()
     table.value(30)
     save(table, path)
     size = os.path.getsize(path)

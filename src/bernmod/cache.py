@@ -1,10 +1,11 @@
 """Plain-text persistence for Bernoulli tables.
 
-Format: a header line ``BERNCACHE 1 <convention>`` followed by one
-``n numerator denominator`` line per index, contiguous from 0.  Writes are
-atomic (temp file in the target directory, then replace) so a crashed or
-concurrent writer never leaves a torn file behind; the file gets the
-permissions a plain ``open()`` would give under the current umask.
+Format: a header line ``BERNCACHE 1 minus_half`` followed by one
+``n numerator denominator`` line per index, contiguous from 0; one file
+serves both conventions, as the table does.  Writes are atomic (temp file in
+the target directory, then replace) so a crashed or concurrent writer never
+leaves a torn file behind; the file gets the permissions a plain ``open()``
+would give under the current umask.
 """
 from __future__ import annotations
 
@@ -15,22 +16,16 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
-from .sequences import MINUS_HALF, PLUS_HALF, BernoulliTable
+from .sequences import MINUS_HALF, BernoulliTable
 
-__all__ = ["CorruptCache", "ConventionMismatch", "save", "load"]
+__all__ = ["CorruptCache", "save", "load"]
 
 MAGIC = "BERNCACHE"
 VERSION = 1
 
-_CONVENTIONS = (MINUS_HALF, PLUS_HALF)
-
 
 class CorruptCache(ValueError):
     """Cache file failed structural or arithmetic validation."""
-
-
-class ConventionMismatch(ValueError):
-    """Cache file stores the other sign convention for B_1."""
 
 
 @contextmanager
@@ -51,7 +46,7 @@ def save(table: BernoulliTable, path: str | os.PathLike) -> None:
     """Write the table atomically; readers see old or new, never partial."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    lines = [f"{MAGIC} {VERSION} {table.convention}\n"]
+    lines = [f"{MAGIC} {VERSION} {MINUS_HALF}\n"]
     for n, value in table.items():
         lines.append(f"{n} {value.numerator} {value.denominator}\n")
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".berncache-")
@@ -71,25 +66,23 @@ def save(table: BernoulliTable, path: str | os.PathLike) -> None:
         raise
 
 
-def _parse_header(line: str, path: str) -> str:
+def _parse_header(line: str, path: str) -> None:
     fields = line.split()
     if len(fields) != 3 or fields[0] != MAGIC:
         raise CorruptCache(f"{path}: not a Bernoulli cache file")
     if fields[1] != str(VERSION):
         raise CorruptCache(f"{path}: unsupported cache version {fields[1]!r}")
-    if fields[2] not in _CONVENTIONS:
-        raise CorruptCache(f"{path}: unknown convention {fields[2]!r}")
-    return fields[2]
+    if fields[2] != MINUS_HALF:
+        raise CorruptCache(f"{path}: unsupported convention {fields[2]!r}")
 
 
 @unlimited_int_digits()
-def load(path: str | os.PathLike,
-         convention: str | None = None) -> BernoulliTable:
+def load(path: str | os.PathLike) -> BernoulliTable:
     """Read and fully validate a cache file.
 
-    Raises CorruptCache for any structural or arithmetic defect,
-    ConventionMismatch when ``convention`` is given and disagrees with the
-    header, and OSError when the file cannot be read at all.
+    Raises CorruptCache for any structural or arithmetic defect, a header
+    naming any convention but minus_half included, and OSError when the
+    file cannot be read at all.
     """
     path = os.fspath(path)
     with open(path, "r") as handle:
@@ -97,11 +90,7 @@ def load(path: str | os.PathLike,
     lines = raw.splitlines()
     if not lines:
         raise CorruptCache(f"{path}: empty file")
-    file_convention = _parse_header(lines[0], path)
-    if convention is not None and convention != file_convention:
-        raise ConventionMismatch(
-            f"{path}: stores {file_convention}, caller wants {convention}"
-        )
+    _parse_header(lines[0], path)
     entries: dict[int, Fraction] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -125,7 +114,7 @@ def load(path: str | os.PathLike,
     if not entries:
         raise CorruptCache(f"{path}: header but no entries")
     try:
-        table = BernoulliTable(file_convention, entries=entries)
+        table = BernoulliTable(entries=entries)
         table.validate()
     except ValueError as exc:
         raise CorruptCache(f"{path}: {exc}") from None

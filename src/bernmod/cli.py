@@ -68,26 +68,25 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _load_cache(path: str, convention: str) -> int:
+def _load_cache(path: str) -> int:
     """Advisory read: a missing or bad cache never stops a run.
 
     Returns how many entries the file holds; an unusable file holds none.
     """
     try:
-        loaded = cache_store.load(path, convention=convention)
+        loaded = cache_store.load(path)
     except FileNotFoundError:
         return 0
-    except (cache_store.CorruptCache, cache_store.ConventionMismatch,
-            OSError) as exc:
+    except (cache_store.CorruptCache, OSError) as exc:
         print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
         return 0
-    bernoulli_table(convention).merge(loaded)
+    bernoulli_table().merge(loaded)
     return loaded.max_index + 1
 
 
-def _save_cache(path: str, convention: str, cached: int) -> None:
+def _save_cache(path: str, cached: int) -> None:
     """Write the table back only if it now holds more than the file did."""
-    table = bernoulli_table(convention)
+    table = bernoulli_table()
     if table.max_index + 1 <= cached:
         return
     try:
@@ -166,7 +165,7 @@ def _cmd_verify(args: argparse.Namespace,
     except OSError as exc:
         parser.error(f"cannot write --out {args.out}: {exc.strerror}")
     if args.cache:
-        cached = _load_cache(args.cache, MINUS_HALF)
+        cached = _load_cache(args.cache)
     selected = args.identity if args.identity else "all"
     render = partial(_render, fmt=args.format,
                      with_times=not args.no_timestamps, verbose=args.verbose)
@@ -177,7 +176,7 @@ def _cmd_verify(args: argparse.Namespace,
             # pool workers grew their own tables, not this one: grow it as
             # far, so the file holds every entry the workers read
             bernoulli(identities._pool_table_top)
-            _save_cache(args.cache, MINUS_HALF, cached)
+            _save_cache(args.cache, cached)
         if args.verbose:
             for _, (_, echo, _) in chunks:
                 sys.stderr.write(echo)
@@ -207,10 +206,10 @@ def _cmd_compute(args: argparse.Namespace,
             if args.n < 0:
                 parser.error("n must be >= 0")
             if args.cache:
-                cached = _load_cache(args.cache, args.convention)
+                cached = _load_cache(args.cache)
             print(bernoulli(args.n, convention=args.convention))
             if args.cache:
-                _save_cache(args.cache, args.convention, cached)
+                _save_cache(args.cache, cached)
         elif what == "eulerian":
             if args.n < 0 or args.m < 0:
                 parser.error("n and m must be >= 0")
@@ -305,9 +304,11 @@ def _build_parser() -> argparse.ArgumentParser:
     c_bern = csub.add_parser("bernoulli", help="Bernoulli number B_n")
     c_bern.add_argument("n", type=int)
     c_bern.add_argument("--convention", choices=[MINUS_HALF, PLUS_HALF],
-                        default=MINUS_HALF)
+                        default=MINUS_HALF,
+                        help="sign of B_1; both read one table")
     c_bern.add_argument("--cache", metavar="PATH",
-                        default=os.environ.get("BERNMOD_CACHE"))
+                        default=os.environ.get("BERNMOD_CACHE"),
+                        help="Bernoulli cache file (default $BERNMOD_CACHE)")
 
     c_eul = csub.add_parser("eulerian", help="Eulerian number E(n, m)")
     c_eul.add_argument("n", type=int)

@@ -1,13 +1,15 @@
 """Exact generators for the number families under study.
 
-Bernoulli numbers (both B_1 conventions; built from the tangent numbers),
-divided Bernoulli numbers, harmonic and generalized harmonic numbers, sums of
-powers, the Eulerian triangle with its even-ascent column sums, the Fermat
-quotient of 2, the Agoh-Giuga quotient, and the power-weighted Bernoulli
-convolution.  Everything returns exact ints or Fractions; the *_mod variants
-work purely in modular arithmetic; fraction_sum adds exact terms over one
-denominator.  PrimeContext caches per-prime residue tables; exact harmonic
-numbers live only in the module memos.
+Bernoulli numbers (both B_1 conventions read one table, built from the
+tangent numbers), divided Bernoulli numbers, harmonic and generalized harmonic
+numbers, sums of powers, the Eulerian triangle with its even-ascent column
+sums, the Fermat quotient of 2, the Agoh-Giuga quotient, and the
+power-weighted Bernoulli convolution.  Everything returns exact ints or
+Fractions; the *_mod variants work purely in modular arithmetic; fraction_sum
+adds exact terms over one denominator.  PrimeContext caches per-prime residue
+tables.  Exact harmonic numbers have two stores: the per-order memo behind
+harmonic and gen_harmonic, and identities._harmonic_prefix, whose integers
+H_j L and H_j^(2) L^2 the shifted-harmonic sums read.
 """
 from __future__ import annotations
 
@@ -73,13 +75,8 @@ def _von_staudt_denominators(top: int) -> list[int]:
     return d
 
 
-def _b1(convention: str) -> Fraction:
-    """B_1 under a convention: -1/2 or +1/2."""
-    return Fraction(-1 if convention == MINUS_HALF else 1, 2)
-
-
 class BernoulliTable:
-    """Memoized Bernoulli numbers B_0..B_max under a fixed B_1 convention.
+    """Memoized Bernoulli numbers B_0..B_max, with B_1 = -1/2.
 
     Entries are appended on demand, exactly as far as read, from the tangent
     numbers T_m (tan x = sum T_m x^(2m-1)/(2m-1)!) by
@@ -90,13 +87,9 @@ class BernoulliTable:
     costs O(j) integer operations.
     """
 
-    def __init__(self, convention: str = MINUS_HALF,
-                 entries: dict[int, Fraction] | None = None):
-        if convention not in _CONVENTIONS:
-            raise ValueError(f"unknown convention {convention!r}")
-        self.convention = convention
+    def __init__(self, entries: dict[int, Fraction] | None = None):
         if entries is None:
-            entries = {0: Fraction(1), 1: _b1(convention)}
+            entries = {0: Fraction(1), 1: Fraction(-1, 2)}
         if not entries or sorted(entries) != list(range(len(entries))):
             raise ValueError("entries must be contiguous from index 0")
         self._entries = [entries[n] for n in range(len(entries))]
@@ -122,7 +115,7 @@ class BernoulliTable:
         e, col = self._entries, self._column
         for n in range(len(e), target + 1):
             if n % 2 == 1:
-                e.append(_b1(self.convention) if n == 1 else Fraction(0))
+                e.append(Fraction(-1, 2) if n == 1 else Fraction(0))
                 continue
             m = n // 2
             for j in range(len(col), m + 1):  # column j-1 to column j
@@ -135,11 +128,7 @@ class BernoulliTable:
                               (1 << n) * ((1 << n) - 1)))
 
     def merge(self, other: "BernoulliTable") -> None:
-        """Adopt entries from another table of the same convention."""
-        if other.convention != self.convention:
-            raise ValueError(
-                f"convention mismatch: {self.convention} vs {other.convention}"
-            )
+        """Adopt the entries another table holds beyond this one's."""
         mine, theirs = self._entries, other._entries
         for n, (a, b) in enumerate(zip(mine, theirs)):
             if a != b:
@@ -151,9 +140,8 @@ class BernoulliTable:
         e, top = self._entries, self.max_index
         if e[0] != 1:
             raise ValueError("B_0 must be 1")
-        want_b1 = _b1(self.convention)
-        if top >= 1 and e[1] != want_b1:
-            raise ValueError(f"B_1 must be {want_b1} under {self.convention}")
+        if top >= 1 and e[1] != Fraction(-1, 2):
+            raise ValueError("B_1 must be -1/2")
         for n in range(3, top + 1, 2):
             if e[n] != 0:
                 raise ValueError(f"B_{n} must be 0")
@@ -167,25 +155,26 @@ class BernoulliTable:
         n = top - top % 2
         if n >= 2:
             total = sum(comb(n + 1, j) * e[j] for j in range(n + 1))
-            want = 0 if self.convention == MINUS_HALF else n + 1
-            if total != want:
+            if total != 0:
                 raise ValueError(f"entries fail the defining recurrence "
                                  f"at B_{n}")
 
 
-_TABLES = {c: BernoulliTable(c) for c in _CONVENTIONS}
+_TABLE = BernoulliTable()
 
 
-def bernoulli_table(convention: str = MINUS_HALF) -> BernoulliTable:
-    """The process-wide shared table for a convention."""
-    if convention not in _CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    return _TABLES[convention]
+def bernoulli_table() -> BernoulliTable:
+    """The process-wide shared table, which serves both conventions."""
+    return _TABLE
 
 
 def bernoulli(n: int, convention: str = MINUS_HALF) -> Fraction:
-    """Exact Bernoulli number B_n; B_1 is -1/2 unless convention says +1/2."""
-    return bernoulli_table(convention).value(n)
+    """Exact Bernoulli number B_n from the shared table, which stores
+    B_1 = -1/2; under PLUS_HALF, B_1 is read as +1/2."""
+    if convention not in _CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    b = _TABLE.value(n)
+    return -b if n == 1 and convention == PLUS_HALF else b
 
 
 def divided_bernoulli(n: int) -> Fraction:

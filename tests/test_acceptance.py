@@ -26,7 +26,6 @@ from bernmod.identities import (
 from bernmod.modular import mod_reduce
 from bernmod.permutations import profile
 from bernmod.sequences import (
-    MINUS_HALF,
     BernoulliTable,
     bernoulli,
     eulerian,
@@ -268,7 +267,7 @@ def test_criterion_9_infrastructure(tmp_path, capsys):
             "catalog sweep over 5..101 exits 0 with reproducible "
             "timestamp-free output")
     with reported(9, desc):
-        table = BernoulliTable(MINUS_HALF)
+        table = BernoulliTable()
         table.value(24)
         path = tmp_path / "bern.cache"
         save(table, path)

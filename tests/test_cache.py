@@ -4,22 +4,23 @@ import stat
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from bernmod import sequences
 from bernmod.cache import (
-    ConventionMismatch,
     CorruptCache,
     load,
     save,
     unlimited_int_digits,
 )
-from bernmod.sequences import MINUS_HALF, PLUS_HALF, BernoulliTable
+from bernmod.sequences import PLUS_HALF, BernoulliTable, bernoulli
 
 
-def fresh_table(top: int, convention: str = MINUS_HALF) -> BernoulliTable:
-    table = BernoulliTable(convention)
+def fresh_table(top: int) -> BernoulliTable:
+    table = BernoulliTable()
     table.value(top)
     return table
 
@@ -29,15 +30,19 @@ def test_round_trip_is_exact(tmp_path):
     table = fresh_table(40)
     save(table, path)
     back = load(path)
-    assert back.convention == MINUS_HALF
     assert back.items() == table.items()
 
 
-def test_round_trip_plus_half(tmp_path):
+def test_round_trip_plus_half(tmp_path, monkeypatch):
+    # one file serves both conventions: a plus_half read of a loaded table
+    # flips B_1 and nothing else
     path = tmp_path / "bern.cache"
-    save(fresh_table(12, PLUS_HALF), path)
-    back = load(path, convention=PLUS_HALF)
-    assert back.value(1).numerator == 1
+    table = fresh_table(12)
+    save(table, path)
+    monkeypatch.setattr(sequences, "_TABLE", load(path))
+    assert bernoulli(1, PLUS_HALF) == Fraction(1, 2)
+    assert [bernoulli(n, PLUS_HALF) for n in range(2, 13)] == [
+        table.value(n) for n in range(2, 13)]
 
 
 def test_header_records_convention(tmp_path):
@@ -45,13 +50,6 @@ def test_header_records_convention(tmp_path):
     save(fresh_table(8), path)
     first = path.read_text().splitlines()[0]
     assert first == "BERNCACHE 1 minus_half"
-
-
-def test_convention_mismatch(tmp_path):
-    path = tmp_path / "bern.cache"
-    save(fresh_table(8, PLUS_HALF), path)
-    with pytest.raises(ConventionMismatch):
-        load(path, convention=MINUS_HALF)
 
 
 def test_missing_file_is_oserror(tmp_path):
@@ -74,6 +72,7 @@ def corrupt(path, old: str, new: str) -> None:
     ("BERNCACHE 1", "WRONGMAGIC 1", "bad magic"),
     ("BERNCACHE 1", "BERNCACHE 9", "bad version"),
     ("minus_half", "half_minus", "bad convention"),
+    ("minus_half", "plus_half", "other convention"),
     ("2 1 6", "2 one 6", "non-integer field"),
     ("2 1 6", "2 1", "short line"),
     ("2 1 6", "7 1 6", "gap in indices"),

@@ -11,6 +11,7 @@ import pytest
 
 import bernmod.cli as cli
 import bernmod.identities as idmod
+from bernmod import sequences
 from bernmod.cache import load, save, unlimited_int_digits
 from bernmod.cli import main
 from bernmod.sequences import BernoulliTable, bernoulli, fermat_quotient_2
@@ -397,6 +398,31 @@ def test_cache_is_rewritten_when_the_table_grows(tmp_path, capsys):
     assert run(["compute", "bernoulli", "12", "--cache", str(cache)],
                capsys)[0] == 0
     assert load(cache).max_index >= 12
+
+
+def test_plus_half_compute_shares_the_minus_half_cache(tmp_path, capsys,
+                                                      monkeypatch):
+    # one file serves both conventions: each run starts from a fresh table,
+    # as a new process would, and reads the file as it is
+    cache = tmp_path / "bern.cache"
+
+    def compute(*argv):
+        monkeypatch.setattr(sequences, "_TABLE", BernoulliTable())
+        return run(["compute", "bernoulli", *argv, "--cache", str(cache)],
+                   capsys)
+
+    def last_index():
+        return int(cache.read_text().splitlines()[-1].split()[0])
+
+    assert compute("40")[0] == 0
+    before = cache.stat()
+    code, out, err = compute("1", "--convention", "plus_half")
+    assert (code, out) == (0, "1/2\n")
+    assert "ignoring cache" not in err
+    assert cache.stat().st_mtime_ns == before.st_mtime_ns
+    assert last_index() == 40
+    assert compute("41", "--convention", "plus_half")[0] == 0
+    assert last_index() == 41
 
 
 def test_verify_corrupt_cache_warns_but_runs(tmp_path, capsys):

@@ -772,7 +772,7 @@ def test_parallel_sweep_leaves_this_process_table_alone(monkeypatch):
     # the workers grow their own tables; this one is grown only by a caller
     # that saves it, and learns how far from _pool_table_top
     fresh = sequences.BernoulliTable()
-    monkeypatch.setitem(sequences._TABLES, sequences.MINUS_HALF, fresh)
+    monkeypatch.setattr(sequences, "_TABLE", fresh)
     monkeypatch.setattr(idmod, "_pool_table_top", 0)
     reports = sweep("zhao_p3", 5, 31, jobs=2)
     assert [r.status for r in reports] == [VERIFIED] * 7  # 11..31
@@ -783,7 +783,7 @@ def test_parallel_sweep_leaves_this_process_table_alone(monkeypatch):
 def test_catalog_sweep_grows_the_table_to_the_largest_index_read(
         monkeypatch):
     fresh = sequences.BernoulliTable()
-    monkeypatch.setitem(sequences._TABLES, sequences.MINUS_HALF, fresh)
+    monkeypatch.setattr(sequences, "_TABLE", fresh)
     sweep("all", 5, 199)
     assert fresh.max_index == 398  # B_2p at p = 199
 

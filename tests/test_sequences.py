@@ -11,6 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bernmod import sequences
 from bernmod.modular import NotPIntegral, mod_reduce
 from bernmod.sequences import (
     MINUS_HALF,
@@ -108,15 +109,15 @@ def test_divided_bernoulli():
 
 def test_bernoulli_table_rejects_gaps():
     with pytest.raises(ValueError):
-        BernoulliTable(MINUS_HALF, entries={0: Fraction(1), 2: Fraction(1, 6)})
+        BernoulliTable(entries={0: Fraction(1), 2: Fraction(1, 6)})
     with pytest.raises(ValueError):
-        BernoulliTable("no_such_convention")
+        bernoulli(2, "no_such_convention")
 
 
 def test_bernoulli_table_merge_and_validate():
-    a = BernoulliTable(MINUS_HALF)
+    a = BernoulliTable()
     a.value(10)
-    b = BernoulliTable(MINUS_HALF)
+    b = BernoulliTable()
     b.value(20)
     a.merge(b)
     assert a.max_index == 20
@@ -125,14 +126,9 @@ def test_bernoulli_table_merge_and_validate():
 
     tampered = dict(b.items())
     tampered[4] = Fraction(1, 30)  # right denominator, wrong numerator
-    broken = BernoulliTable(MINUS_HALF, entries=tampered)
+    broken = BernoulliTable(entries=tampered)
     with pytest.raises(ValueError):
         broken.validate()
-
-    plus = BernoulliTable(PLUS_HALF)
-    plus.value(8)
-    with pytest.raises(ValueError):
-        a.merge(plus)
 
 
 @cache
@@ -149,13 +145,19 @@ def recurrence_oracle(top: int) -> list[Fraction]:
 
 
 @pytest.mark.parametrize("convention", [MINUS_HALF, PLUS_HALF])
-def test_bernoulli_table_matches_the_recurrence(convention):
-    want = list(recurrence_oracle(400))
-    if convention == PLUS_HALF:
-        want[1] = Fraction(1, 2)
-    table = BernoulliTable(convention)
+def test_bernoulli_table_matches_the_recurrence(convention, monkeypatch):
+    want = recurrence_oracle(400)
+    table = BernoulliTable()
     assert [table.value(n) for n in range(401)] == want
-    assert bernoulli(400, convention) == want[400]
+    # both conventions read one shared table, which a plus_half read
+    # neither rebuilds nor extends
+    shared = BernoulliTable()
+    monkeypatch.setattr(sequences, "_TABLE", shared)
+    assert bernoulli(400) == want[400]
+    b1 = -want[1] if convention == PLUS_HALF else want[1]
+    assert [bernoulli(n, convention) for n in range(401)] == [
+        want[0], b1, *want[2:]]
+    assert shared.max_index == 400
 
 
 def test_bernoulli_table_does_not_depend_on_request_order():
@@ -183,17 +185,15 @@ def test_bernoulli_table_does_not_depend_on_request_order():
         assert mixed.value(n) == want[n], n
     assert agrees(mixed)
 
-    loaded = BernoulliTable(MINUS_HALF, entries=dict(enumerate(want[:30])))
+    loaded = BernoulliTable(entries=dict(enumerate(want[:30])))
     merged = BernoulliTable()
     merged.merge(loaded)
     assert merged.max_index == 29
     assert merged.value(100) == want[100]
     assert agrees(merged)
 
-    for convention, b1 in ((MINUS_HALF, Fraction(-1, 2)),
-                           (PLUS_HALF, Fraction(1, 2))):
-        only_b0 = BernoulliTable(convention, entries={0: Fraction(1)})
-        assert [only_b0.value(n) for n in range(5)] == [1, b1, *want[2:5]]
+    only_b0 = BernoulliTable(entries={0: Fraction(1)})
+    assert [only_b0.value(n) for n in range(5)] == want[:5]
 
 
 def test_bernoulli_table_ends_at_the_largest_index_read():
@@ -203,7 +203,7 @@ def test_bernoulli_table_ends_at_the_largest_index_read():
     assert ascending.max_index == 400
 
     want = recurrence_oracle(100)
-    loaded = BernoulliTable(MINUS_HALF, entries=dict(enumerate(want[:30])))
+    loaded = BernoulliTable(entries=dict(enumerate(want[:30])))
     assert loaded.value(100) == want[100]
     assert loaded.max_index == 100
     assert [b for _, b in loaded.items()] == want
