@@ -15,7 +15,6 @@ from datetime import datetime, timezone
 from functools import partial
 
 from . import cache as cache_store
-from . import identities
 from .identities import ERROR, FAILED, NOT_P_INTEGRAL, identity_ids, sweep
 from .modular import is_prime
 from .permutations import profile
@@ -80,7 +79,7 @@ def _load_cache(path: str) -> int:
     except (cache_store.CorruptCache, OSError) as exc:
         print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
         return 0
-    bernoulli_table().merge(loaded)
+    bernoulli_table().merge(0, loaded.entries(0))
     return loaded.max_index + 1
 
 
@@ -173,9 +172,6 @@ def _cmd_verify(args: argparse.Namespace,
         chunks = sweep(selected, lo, hi, jobs=args.jobs,
                        modulus_override=args.modulus, render=render)
         if args.cache:
-            # pool workers grew their own tables, not this one: grow it as
-            # far, so the file holds every entry the workers read
-            bernoulli(identities._pool_table_top)
             _save_cache(args.cache, cached)
         if args.verbose:
             for _, (_, echo, _) in chunks:

@@ -714,7 +714,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "p B_{2k} from the half-range odd power sum mod p^3",
         "E. Lehmer (1938)",
         ("p", "k"), 3, _lehmer_i_lhs, _lehmer_i_rhs,
-        domain=lambda p, k: k >= 1 and (2 * k - 2) % (p - 1) != 0,
+        domain=lambda p, k: 1 <= k <= p and (2 * k - 2) % (p - 1) != 0,
         points=_per_prime_points(5, lambda p: (("k", k) for k in range(2, p))),
     )
     add(
@@ -722,7 +722,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "half-range even power sum via B_{2k} mod p^2",
         "E. Lehmer (1938)",
         ("p", "k"), 2, _lehmer_ii_lhs, _lehmer_ii_rhs,
-        domain=lambda p, k: k >= 1,
+        domain=lambda p, k: 1 <= k <= p,
         points=_per_prime_points(5, lambda p: (("k", k) for k in range(1, p + 1))),
     )
     add(
@@ -968,7 +968,7 @@ def _check_batch(tasks: list[tuple[str, dict[str, int]]],
 def _run_batch(batch: tuple[int | None, tuple[str, ...]], lo: int, hi: int,
                modulus_override: int | None,
                render: Callable[[list[CheckReport]], object] | None
-               ) -> list[tuple[tuple, object]]:
+               ) -> tuple[list[tuple[tuple, object]], int, list[Fraction]]:
     """Build a batch's points, check them, and render each identity's share.
 
     A batch is (p, ids), the points of prime p, or (None, (id,)), the points
@@ -976,28 +976,22 @@ def _run_batch(batch: tuple[int | None, tuple[str, ...]], lo: int, hi: int,
     with points: the sort key of the first report and render(reports), or
     the reports themselves without render.  Within a prime an identity's
     points ascend, so chunks sorted by that key put the reports in order.
+    It also gives the Bernoulli entries the batch appended to its process's
+    table: the index of the first, and the values.
     """
     p, ids = batch
     bounds = (lo, hi) if p is None else (p, p)
     tasks = [(ident, point) for ident in ids
              for point in _CATALOG[ident].points(*bounds)]
+    table = bernoulli_table()
+    start = table.max_index + 1
     chunks = []
     for _, group in groupby(_check_batch(tasks, modulus_override),
                             attrgetter("identity")):
         reports = list(group)
         chunks.append((reports[0].sort_key(),
                        reports if render is None else render(reports)))
-    return chunks
-
-
-# the furthest any pool worker's Bernoulli table grew in this process's
-# parallel sweeps
-_pool_table_top = 0
-
-
-def _pool_batch(*args) -> tuple[list[tuple[tuple, object]], int]:
-    """A batch run in a pool worker, and how far its Bernoulli table grew."""
-    return _run_batch(*args), bernoulli_table().max_index
+    return chunks, start, table.entries(start)
 
 
 def _has_points(ident: str, p: int) -> bool:
@@ -1019,6 +1013,9 @@ def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
     chunks (sort key of the first report, render(reports)) in that order
     instead: one per identity per batch, each batch's reports of one
     identity in order.
+
+    Afterwards this process's Bernoulli table is the one a serial sweep
+    leaves, with or without a pool.
     """
     if lo < 5:
         raise ValueError(f"sweep range must start at 5 or above, got {lo}")
@@ -1035,22 +1032,24 @@ def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
                     if any(_has_points(i, p) for i in by_prime)]
     args = (lo, hi, modulus_override, render)
     if jobs <= 1 or len(batches) <= 1:
-        chunks = [c for batch in batches for c in _run_batch(batch, *args)]
+        done = [_run_batch(batch, *args) for batch in batches]
     else:
         # imported here, so a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         # a fork pool starts all its workers at once: no more than batches
         with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
-            futures = [pool.submit(_pool_batch, batch, *args)
+            futures = [pool.submit(_run_batch, batch, *args)
                        for batch in batches]
             done = [f.result() for f in futures]
-        chunks = [c for batch_chunks, _ in done for c in batch_chunks]
-        # this process's table stays as it is; a caller that saves it, the
-        # CLI's --cache, grows it to _pool_table_top first
-        global _pool_table_top
-        _pool_table_top = max(_pool_table_top, *(top for _, top in done))
-    chunks.sort(key=itemgetter(0))
+    # a worker's table starts as a copy of this one (fork) or as a fresh
+    # one (spawn, forkserver) and grows only in its batches, so merged in
+    # order of their first index the batches' entries leave no gap
+    table = bernoulli_table()
+    for _, start, values in sorted(done, key=itemgetter(1)):
+        table.merge(start, values)
+    chunks = sorted((c for batch_chunks, _, _ in done for c in batch_chunks),
+                    key=itemgetter(0))
     if render is not None:
         return chunks
     return [r for _, reports in chunks for r in reports]

@@ -3,10 +3,9 @@
 Bernoulli numbers (both B_1 conventions read one table, built from the
 tangent numbers), divided Bernoulli numbers, harmonic and generalized harmonic
 numbers, sums of powers, the Eulerian triangle with its even-ascent column
-sums, the Fermat quotient of 2, the Agoh-Giuga quotient, and the
-power-weighted Bernoulli convolution.  Everything returns exact ints or
-Fractions; the *_mod variants work purely in modular arithmetic; fraction_sum
-adds exact terms over one denominator.  PrimeContext caches per-prime residue
+sums, the Fermat quotient of 2, and the power-weighted Bernoulli convolution.
+Everything returns exact ints or Fractions; the *_mod variants work purely in
+modular arithmetic; fraction_sum adds exact terms over one denominator.  PrimeContext caches per-prime residue
 tables.  Exact harmonic numbers have two stores: the per-order memo behind
 harmonic and gen_harmonic, and identities._harmonic_prefix, whose integers
 H_j L and H_j^(2) L^2 the shifted-harmonic sums read.
@@ -33,7 +32,6 @@ __all__ = [
     "von_staudt_denominator",
     "harmonic",
     "gen_harmonic",
-    "odd_reciprocal_sum",
     "sum_powers",
     "sum_powers_bernoulli",
     "eulerian",
@@ -43,7 +41,6 @@ __all__ = [
     "even_ascent_count_mod",
     "euler_number_sides",
     "fermat_quotient_2",
-    "agoh_giuga_quotient",
     "fraction_sum",
     "product_term",
     "weighted_convolution",
@@ -102,6 +99,10 @@ class BernoulliTable:
     def items(self) -> list[tuple[int, Fraction]]:
         return list(enumerate(self._entries))
 
+    def entries(self, start: int) -> list[Fraction]:
+        """B_start..B_max, the entries held from index `start` on."""
+        return self._entries[start:]
+
     def value(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError(f"index must be >= 0, got {n}")
@@ -127,13 +128,17 @@ class BernoulliTable:
             e.append(Fraction((-1) ** (m - 1) * n * col[m],
                               (1 << n) * ((1 << n) - 1)))
 
-    def merge(self, other: "BernoulliTable") -> None:
-        """Adopt the entries another table holds beyond this one's."""
-        mine, theirs = self._entries, other._entries
-        for n, (a, b) in enumerate(zip(mine, theirs)):
+    def merge(self, start: int, values: list[Fraction]) -> None:
+        """Adopt B_start, B_start+1, ... from `values` where this table ends
+        before them; an index it already holds must agree."""
+        mine = self._entries
+        if start > len(mine):
+            raise ValueError(f"entries from B_{start} leave a gap after "
+                             f"B_{len(mine) - 1}")
+        for n, (a, b) in enumerate(zip(mine[start:], values), start):
             if a != b:
                 raise ValueError(f"conflicting value for B_{n}")
-        mine.extend(theirs[len(mine):])
+        mine.extend(values[len(mine) - start:])
 
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError on violation."""
@@ -204,13 +209,6 @@ def gen_harmonic(n: int, r: int) -> Fraction:
     while len(h) <= n:
         h.append(h[-1] + Fraction(1, len(h) ** r))
     return h[n]
-
-
-def odd_reciprocal_sum(p: int) -> Fraction:
-    """Sum of 1/j over odd j in [1, p-2] for an odd prime p."""
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"need an odd prime, got {p}")
-    return sum((Fraction(1, j) for j in range(1, p - 1, 2)), Fraction(0))
 
 
 def sum_powers(n: int, k: int) -> int:
@@ -345,13 +343,6 @@ def fermat_quotient_2(p: int) -> int:
     if num % p:
         raise AssertionError(f"2^{p - 1} - 1 not divisible by {p}")
     return num // p
-
-
-def agoh_giuga_quotient(p: int) -> Fraction:
-    """(1 + p B_{p-1}) / p, a p-integral rational, for a prime p >= 5."""
-    if p < 5 or not is_prime(p):
-        raise ValueError(f"need a prime >= 5, got {p}")
-    return (1 + p * bernoulli(p - 1)) / p
 
 
 def fraction_sum(terms: Iterable[tuple[int, int]]) -> Fraction:

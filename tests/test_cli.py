@@ -371,25 +371,54 @@ def test_verify_cache_is_not_rewritten_when_covered(tmp_path, capsys):
 
 def test_parallel_verify_fills_the_cache(tmp_path):
     # a fresh interpreter, so the parent's table starts empty: only the
-    # workers read B_j, and the cache must still hold what they read
+    # workers read B_j, and the cache must still hold what they read, the
+    # same file a serial run writes
+    def verify(cache, jobs):
+        argv = [sys.executable, "-m", "bernmod", "verify", "--identity",
+                "lev3_div_p1", "--primes", "5..61", "--jobs", jobs,
+                "--cache", str(cache), "--no-timestamps"]
+        path = filter(None, [str(ROOT / "src"),
+                             os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        return subprocess.run(argv, capture_output=True, text=True,
+                              timeout=120, env=env)
+
+    serial = tmp_path / "serial.cache"
+    assert verify(serial, "1").returncode == 0
+    assert load(serial).max_index == 122  # B_2p at p = 61
     cache = tmp_path / "bern.cache"
-    argv = [sys.executable, "-m", "bernmod", "verify", "--identity",
-            "lev3_div_p1", "--primes", "5..61", "--jobs", "2",
-            "--cache", str(cache), "--no-timestamps"]
-    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120,
-                          env=env)
+    proc = verify(cache, "2")
     assert proc.returncode == 0, proc.stderr
-    assert load(cache).max_index >= 120
+    assert cache.read_bytes() == serial.read_bytes()
     before = cache.stat()
-    again = subprocess.run(argv, capture_output=True, text=True, timeout=120,
-                           env=env)
+    again = verify(cache, "2")
     assert again.returncode == 0, again.stderr
     assert again.stdout == proc.stdout
     after = cache.stat()
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
                                                  before.st_mtime_ns)
+
+
+def test_parallel_verify_builds_no_entry_after_the_pool(tmp_path, capsys,
+                                                       monkeypatch):
+    # the batches hand back what the workers built, so this process saves
+    # its table as it stands and never extends it itself
+    extended = []
+    extend = BernoulliTable._extend
+
+    def spy(table, target):
+        extended.append(target)
+        extend(table, target)
+
+    monkeypatch.setattr(sequences, "_TABLE", BernoulliTable())
+    monkeypatch.setattr(BernoulliTable, "_extend", spy)
+    cache = tmp_path / "bern.cache"
+    code, _, _ = run(["verify", "--identity", "lev3_div_p1", "--primes",
+                      "5..61", "--jobs", "2", "--cache", str(cache),
+                      "--no-timestamps"], capsys)
+    assert code == 0
+    assert extended == []
+    assert load(cache).max_index == 122
 
 
 def test_cache_is_rewritten_when_the_table_grows(tmp_path, capsys):

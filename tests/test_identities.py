@@ -1,8 +1,9 @@
 """Catalog checks: frozen residue anchors, status plumbing, sweep behavior."""
 import concurrent.futures
-from concurrent.futures import Future
+import multiprocessing
+from concurrent.futures import Future, ProcessPoolExecutor
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from math import comb, lcm
 from operator import mul
@@ -35,7 +36,6 @@ from bernmod.modular import (
     primes_in,
 )
 from bernmod.sequences import (
-    agoh_giuga_quotient,
     bernoulli,
     bernoulli_table,
     divided_bernoulli,
@@ -43,7 +43,6 @@ from bernmod.sequences import (
     gen_harmonic,
     get_prime_context,
     harmonic,
-    odd_reciprocal_sum,
     weighted_convolution,
 )
 
@@ -239,6 +238,16 @@ def _weighted_convolution_oracle(p):
 
 def _odd_harmonic_sum_oracle(p):
     return sum((harmonic(m) for m in range(1, p - 1, 2)), Fraction(0))
+
+
+def agoh_giuga_quotient(p):
+    """(1 + p B_{p-1}) / p, exact."""
+    return (1 + p * bernoulli(p - 1)) / p
+
+
+def odd_reciprocal_sum(p):
+    """1 + 1/3 + ... + 1/(p-2), exact."""
+    return sum((Fraction(1, j) for j in range(1, p - 1, 2)), Fraction(0))
 
 
 def _theorem1_rhs_oracle(ctx, p):
@@ -557,6 +566,15 @@ def test_out_of_domain_is_inapplicable():
     assert check("sun_lemma", {"p": 4, "k": 2}).status == INAPPLICABLE
 
 
+@pytest.mark.parametrize("ident, p", [("lehmer_i", 7), ("lehmer_ii", 5)])
+def test_lehmer_points_past_k_equals_p_are_inapplicable(ident, p, capsys):
+    # both residue kernels read tables that end at index 2p
+    assert check(ident, {"p": p, "k": p - 1}).status == VERIFIED
+    for k in (p + 1, 2 * p):
+        assert check(ident, {"p": p, "k": k}).status == INAPPLICABLE, k
+    assert capsys.readouterr().err == ""
+
+
 def test_modulus_override_can_refute_a_weaker_congruence():
     # the plain convolution is 1 mod p but not mod p^2
     base = check("conv_order_p1", {"p": 5})
@@ -768,16 +786,27 @@ def test_prime_context_builds_no_harmonic_numbers():
         assert memo_sizes() == before, override
 
 
-def test_parallel_sweep_leaves_this_process_table_alone(monkeypatch):
-    # the workers grow their own tables; this one is grown only by a caller
-    # that saves it, and learns how far from _pool_table_top
-    fresh = sequences.BernoulliTable()
-    monkeypatch.setattr(sequences, "_TABLE", fresh)
-    monkeypatch.setattr(idmod, "_pool_table_top", 0)
-    reports = sweep("zhao_p3", 5, 31, jobs=2)
-    assert [r.status for r in reports] == [VERIFIED] * 7  # 11..31
-    assert bernoulli_table().max_index == fresh.max_index == 1
-    assert idmod._pool_table_top == 31  # p = 31 reads B_0..B_31
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+@pytest.mark.parametrize("ids, top", [
+    pytest.param("zhao_p3", 31, id="prime-batch"),  # p = 31 reads B_31
+    pytest.param(["clausen_von_staudt", "zhao_p3"], 200, id="index-batch"),
+])
+def test_parallel_sweep_leaves_the_table_a_serial_sweep_leaves(
+        monkeypatch, method, ids, top):
+    # each batch hands back the entries it appended to its worker's table,
+    # and this process adopts them, whatever the start method
+    def swept_table(jobs):
+        monkeypatch.setattr(sequences, "_TABLE", sequences.BernoulliTable())
+        reports = sweep(ids, 5, 31, jobs=jobs)
+        assert {r.status for r in reports} == {VERIFIED}
+        return bernoulli_table().items()
+
+    serial = swept_table(1)
+    assert len(serial) == top + 1
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        partial(ProcessPoolExecutor, mp_context=context))
+    assert swept_table(2) == serial
 
 
 def test_catalog_sweep_grows_the_table_to_the_largest_index_read(

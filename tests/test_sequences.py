@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernmod import sequences
-from bernmod.modular import NotPIntegral, mod_reduce
+from bernmod.modular import NotPIntegral, is_prime, mod_reduce
 from bernmod.sequences import (
     MINUS_HALF,
     PLUS_HALF,
     BernoulliTable,
     PrimeContext,
-    agoh_giuga_quotient,
     bernoulli,
     divided_bernoulli,
     euler_number_sides,
@@ -32,7 +31,6 @@ from bernmod.sequences import (
     gen_harmonic,
     get_prime_context,
     harmonic,
-    odd_reciprocal_sum,
     product_term,
     sum_powers,
     sum_powers_bernoulli,
@@ -119,10 +117,23 @@ def test_bernoulli_table_merge_and_validate():
     a.value(10)
     b = BernoulliTable()
     b.value(20)
-    a.merge(b)
+    a.merge(0, b.entries(0))
     assert a.max_index == 20
     assert a.value(20) == Fraction(-174611, 330)
     a.validate()
+    # entries from any index this table reaches: the overlap must agree, and
+    # what lies beyond its end is appended
+    c = BernoulliTable()
+    c.value(30)
+    a.merge(15, c.entries(15))
+    assert a.items() == c.items()
+    a.merge(4, c.entries(4)[:3])  # wholly inside: nothing changes
+    assert a.items() == c.items()
+    with pytest.raises(ValueError, match="conflicting value for B_12"):
+        a.merge(10, [c.value(10), c.value(11), Fraction(1, 2730)])
+    with pytest.raises(ValueError, match="gap"):
+        a.merge(32, [Fraction(0)])
+    assert a.items() == c.items()  # a rejected merge appends nothing
 
     tampered = dict(b.items())
     tampered[4] = Fraction(1, 30)  # right denominator, wrong numerator
@@ -187,7 +198,7 @@ def test_bernoulli_table_does_not_depend_on_request_order():
 
     loaded = BernoulliTable(entries=dict(enumerate(want[:30])))
     merged = BernoulliTable()
-    merged.merge(loaded)
+    merged.merge(0, loaded.entries(0))
     assert merged.max_index == 29
     assert merged.value(100) == want[100]
     assert agrees(merged)
@@ -210,12 +221,13 @@ def test_bernoulli_table_ends_at_the_largest_index_read():
 
 
 def test_bernoulli_table_extends_past_a_longer_merged_table():
-    # the merge leaves this table's tangent column behind its entries
+    # the merge leaves this table's tangent column behind its entries; the
+    # entries start where this table ends, as a sweep batch hands them back
     table = BernoulliTable()
     table.value(500)
     longer = BernoulliTable()
     longer.value(802)
-    table.merge(longer)
+    table.merge(501, longer.entries(501))
     assert table.max_index == 802
     table.value(900)
     assert table.max_index == 900
@@ -252,6 +264,14 @@ def test_harmonic_frozen_and_recurrence():
        r=st.integers(min_value=1, max_value=4))
 def test_gen_harmonic_prefix_property(n, r):
     assert gen_harmonic(n, r) - gen_harmonic(n - 1, r) == Fraction(1, n ** r)
+
+
+def odd_reciprocal_sum(p: int) -> Fraction:
+    """Sum of 1/j over odd j in [1, p-2] for an odd prime p: an oracle, as
+    remark1a and remark1b evaluate it as a residue."""
+    if p < 3 or not is_prime(p):
+        raise ValueError(f"need an odd prime, got {p}")
+    return sum((Fraction(1, j) for j in range(1, p - 1, 2)), Fraction(0))
 
 
 def test_odd_sums_frozen():
@@ -368,6 +388,14 @@ def test_fermat_quotient_frozen():
     assert fermat_quotient_2(101) % 101 != 0
     with pytest.raises(ValueError):
         fermat_quotient_2(9)
+
+
+def agoh_giuga_quotient(p: int) -> Fraction:
+    """(1 + p B_{p-1}) / p, a p-integral rational, for a prime p >= 5: an
+    oracle, as the catalog evaluates it as a residue."""
+    if p < 5 or not is_prime(p):
+        raise ValueError(f"need a prime >= 5, got {p}")
+    return (1 + p * bernoulli(p - 1)) / p
 
 
 def test_agoh_giuga_quotient():
