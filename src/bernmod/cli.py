@@ -95,64 +95,59 @@ def _save_cache(path: str, cached: int) -> None:
               file=sys.stderr)
 
 
-def _params_text(params: dict[str, int]) -> str:
-    return ";".join(f"{k}={v}" for k, v in params.items())
-
-
 _COLUMNS = ("identity", "params", "modulus", "lhs", "rhs", "status")
 _TIMED_COLUMNS = _COLUMNS + ("elapsed_ms", "timestamp")
 
-# The rows are written from templates, not through json.dumps: identity ids,
-# parameter names, statuses, Fraction strings and ISO timestamps need no
-# escaping, so a template gives the same bytes.
-
-
-def _json_value(value, modulus: int | None) -> str:
-    """A residue is a JSON integer, an exact value a string, none is null."""
-    if value is None:
-        return "null"
-    return str(value) if modulus is not None else f'"{value}"'
-
-
-def _json_row(r, stamp: str | None) -> str:
-    """One report as a JSON line; `stamp` None leaves out the time fields."""
-    params = ", ".join(f'"{k}": {v}' for k, v in r.params.items())
-    modulus = "null" if r.modulus is None else r.modulus
-    row = (f'{{"identity": "{r.identity}", "params": {{{params}}}, '
-           f'"modulus": {modulus}, "lhs": {_json_value(r.lhs, r.modulus)}, '
-           f'"rhs": {_json_value(r.rhs, r.modulus)}, "status": "{r.status}"')
-    if stamp is not None:
-        row += (f', "elapsed_ms": {round(r.elapsed * 1000.0, 3)!r}, '
-                f'"timestamp": "{stamp}"')
-    return row + "}\n"
-
-
-def _csv_value(value) -> str:
-    return "" if value is None else str(value)
-
-
-def _csv_row(r, stamp: str | None) -> str:
-    """One report as a CSV line; `stamp` None leaves out the time fields."""
-    fields = [r.identity, _params_text(r.params), _csv_value(r.modulus),
-              _csv_value(r.lhs), _csv_value(r.rhs), r.status]
-    if stamp is not None:
-        fields += [repr(round(r.elapsed * 1000.0, 3)), stamp]
-    return ",".join(fields) + "\n"
-
 
 @cache_store.unlimited_int_digits()  # a spawned worker starts with the limit
-def _render(reports, fmt: str, with_times: bool,
+def _render(chunk, fmt: str, with_times: bool,
             verbose: bool) -> tuple[str, str, Counter]:
     """One chunk of reports as its output rows, its -v echo lines (empty
     without -v) and the count of each status; run in the sweep's batches,
-    so a timestamp records when its point was checked."""
-    row = _json_row if fmt == "json" else _csv_row
-    rows = "".join(
-        row(r, datetime.now(timezone.utc).isoformat() if with_times else None)
-        for r in reports)
-    echo = "".join(f"{r.identity} {_params_text(r.params)} {r.status}\n"
-                   for r in reports) if verbose else ""
-    return rows, echo, Counter(r.status for r in reports)
+    so a timestamp records when its point was checked.
+
+    A chunk holds the points of one identity at one prime, or of one
+    index-parameterized identity.  Its rows come from two %-templates, with
+    values and without, that hold the identity, p and the modulus; a row
+    fills in the rest.  Ids, parameter names, statuses, Fraction strings and
+    ISO timestamps need no JSON escaping, so a template gives the bytes
+    json.dumps would.  A residue is a JSON integer, an exact value a string.
+    """
+    first = chunk[0]
+    fixed = int(len(first.params) > 1 and "p" in first.params)
+    params = [(k, v if i < fixed else "%s")
+              for i, (k, v) in enumerate(first.params.items())]
+    modulus = next((r.modulus for r in chunk if r.lhs is not None), None)
+    if fmt == "json":
+        head = (f'{{"identity": "{first.identity}", "params": {{'
+                + ", ".join(f'"{k}": {v}' for k, v in params) + "}, ")
+        value = "%s" if modulus else '"%s"'
+        valued = (f'{head}"modulus": {modulus or "null"}, "lhs": {value}, '
+                  f'"rhs": {value}, "status": "%s"')
+        empty = head + '"modulus": null, "lhs": null, "rhs": null, ' \
+            '"status": "%s"'
+        tail = ', "elapsed_ms": %r, "timestamp": "%s"}\n' if with_times \
+            else "}\n"
+    else:
+        head = f"{first.identity},{';'.join(f'{k}={v}' for k, v in params)},"
+        valued, empty = f'{head}{modulus or ""},%s,%s,%s', head + ",,,%s"
+        tail = ",%r,%s\n" if with_times else "\n"
+    valued, empty = valued + tail, empty + tail
+    rows = []
+    for r in chunk:
+        fields = tuple(r.params.values())[fixed:]
+        if r.lhs is None:
+            template, fields = empty, fields + (r.status,)
+        else:
+            template, fields = valued, fields + (r.lhs, r.rhs, r.status)
+        if with_times:
+            fields += (round(r.elapsed * 1000.0, 3),
+                       datetime.now(timezone.utc).isoformat())
+        rows.append(template % fields)
+    echo = "".join(f"{r.identity} "
+                   f"{';'.join(f'{k}={v}' for k, v in r.params.items())} "
+                   f"{r.status}\n" for r in chunk) if verbose else ""
+    return "".join(rows), echo, Counter(r.status for r in chunk)
 
 
 def _cmd_verify(args: argparse.Namespace,

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, repeat
 from math import comb, factorial, lcm
 from operator import attrgetter, itemgetter, mul
 from typing import Callable, Iterable, Iterator
@@ -137,19 +137,25 @@ def _theorem1_lhs(ctx: PrimeContext, p: int) -> int:
     contribute nothing, so the weights step by 1/4."""
     q = p ** ctx.exponent
     b = ctx.bernoulli_residues(ctx.exponent, p - 1)
-    quarter, w, total = pow(4, -1, q), 1, 0
-    for i in range(2, p - 2, 2):
-        w = w * quarter % q
-        total += b[i] * w * b[p - 1 - i]
-    return total % q
+    w = _quarter_powers(q, (p - 1) // 2)
+    return sum(b[i] * w[i // 2] * b[p - 1 - i]
+               for i in range(2, p - 2, 2)) % q
 
 
-def _p_bernoulli_residue(ctx: PrimeContext, n: int) -> int:
-    """p B_n mod p^N from the Bernoulli row, which holds p B_n itself where
-    p divides the denominator, at even n > 0 with (p - 1) | n."""
+def _p_bernoulli_row(ctx: PrimeContext, top: int) -> list[int]:
+    """p B_n mod p^N for n = 0..top from the Bernoulli row, which holds
+    p B_n itself where p divides the denominator, at n = p - 1 and 2p - 2."""
     p, q = ctx.p, ctx.p ** ctx.exponent
-    b = ctx.bernoulli_residues(ctx.exponent, n)[n]
-    return b if n and n % (p - 1) == 0 else p * b % q
+    b = ctx.bernoulli_residues(ctx.exponent, top)[:top + 1]
+    return [x if n and n % (p - 1) == 0 else p * x % q
+            for n, x in enumerate(b)]
+
+
+def _quarter_powers(q: int, count: int) -> list[int]:
+    """4^-k mod q for k = 0..count-1, by a running product."""
+    quarter = pow(4, -1, q)
+    return list(accumulate(repeat(quarter, count - 1),
+                           lambda w, _: w * quarter % q, initial=1))
 
 
 def _agoh_giuga_residue(ctx: PrimeContext, exponent: int) -> int:
@@ -263,8 +269,8 @@ def _sub_h_lhs(ctx, p, r=1):
 
 
 def _sub_h_rhs(ctx, p):
-    return (7 * mod_inverse(24, p, ctx.exponent)
-            * _p_bernoulli_residue(ctx, p - 3)) % p ** ctx.exponent
+    b = ctx.bernoulli_residues(ctx.exponent, p - 3)[p - 3]
+    return 7 * mod_inverse(24, p, ctx.exponent) * p * b % p ** ctx.exponent
 
 
 def _sub_h2_rhs(ctx, p):
@@ -277,12 +283,9 @@ def _lev3_b_lhs(ctx, p):
     # sum_{k=1}^{p-2} B_k / (k 2^k); odd k > 1 contribute nothing
     q = p ** ctx.exponent
     b = ctx.bernoulli_residues(ctx.exponent, p - 2)
-    quarter, w = pow(4, -1, q), 1
-    total = b[1] * pow(2, -1, q)
-    for k in range(2, p - 1, 2):
-        w = w * quarter % q
-        total += b[k] * w * pow(k, -1, q)
-    return total % q
+    w = _quarter_powers(q, (p - 1) // 2)
+    return (b[1] * pow(2, -1, q) + sum(b[k] * w[k // 2] * pow(k, -1, q)
+                                       for k in range(2, p - 1, 2))) % q
 
 
 def _lev3_b_rhs(ctx, p):
@@ -354,38 +357,44 @@ def _odd_reciprocal_sum(ctx, p):
     return (h[p - 1] - h[(p - 1) // 2] * pow(2, -1, q)) % q
 
 
-def _lehmer_i_lhs(ctx, p, k):
-    return _p_bernoulli_residue(ctx, 2 * k)
+# The identities with a parameter after p have row evaluators: lhs(ctx, p)
+# and rhs(ctx, p) give the residues at k = 0..p (at m = 0..(p-3)/2 for
+# lemma2), each in one pass over the context's tables.
+
+def _lehmer_i_lhs(ctx, p):
+    return _p_bernoulli_row(ctx, 2 * p)[::2]
 
 
-def _lehmer_i_rhs(ctx, p, k):
+def _lehmer_i_rhs(ctx, p):
     # p - 2a for a = 1..(p-1)/2 runs over the odd numbers below p, the full
     # range less the even bases 2a: (S_{p-1,2k} - 4^k S_{h,2k}) / 2^(2k-1)
     n, q = ctx.exponent, p ** ctx.exponent
-    return 2 * (pow(4, -k, q) * ctx.full_power_residue(2 * k, n)
-                - ctx.half_power_residues(n)[2 * k]) % q
+    full = ctx.full_power_residues(n, 2 * p)[::2]
+    half = ctx.half_power_residues(n)[::2]
+    return [2 * (w * f - h) % q
+            for w, f, h in zip(_quarter_powers(q, p + 1), full, half)]
 
 
-def _lehmer_ii_lhs(ctx, p, k):
-    return ctx.half_power_residues(ctx.exponent)[2 * k]
+def _lehmer_ii_lhs(ctx, p):
+    return ctx.half_power_residues(ctx.exponent)[:2 * p + 1:2]
 
 
-def _lehmer_ii_rhs(ctx, p, k):
-    # (2^(1-2k) - 1) p B_{2k} / 2 = (2^(-2k) - 2^(-1)) p B_{2k}
+def _lehmer_ii_rhs(ctx, p):
+    # (2^(1-2k) - 1) p B_{2k} / 2 = (4^(-k) - 2^(-1)) p B_{2k}
     q = p ** ctx.exponent
-    return ((pow(2, -2 * k, q) - pow(2, -1, q))
-            * _p_bernoulli_residue(ctx, 2 * k) % q)
+    half, b = pow(2, -1, q), _p_bernoulli_row(ctx, 2 * p)[::2]
+    return [(w - half) * x % q for w, x in zip(_quarter_powers(q, p + 1), b)]
 
 
-def _sun_lhs(ctx, p, k):
-    return ctx.full_power_residue(k, ctx.exponent)
+def _sun_lhs(ctx, p):
+    return ctx.full_power_residues(ctx.exponent, p)
 
 
-def _sun_rhs(ctx, p, k):
-    # p B_k + (p^2 / 2) k B_{k-1}
+def _sun_rhs(ctx, p):
+    # p B_k + (p^2 / 2) k B_{k-1}; at k = 0 the second term vanishes
     q = p ** ctx.exponent
-    return (_p_bernoulli_residue(ctx, k)
-            + p * k * _p_bernoulli_residue(ctx, k - 1) * pow(2, -1, q)) % q
+    b, half = _p_bernoulli_row(ctx, p), pow(2, -1, q)
+    return [(b[k] + p * k * b[k - 1] * half) % q for k in range(p + 1)]
 
 
 def _alzer_rhs(ctx, n):
@@ -457,20 +466,30 @@ def _lemma1_rhs(ctx, p):
             * pow(2, -1, q) % q)
 
 
-def _lemma2_lhs(ctx, p, m):
-    # -p times the tail sum_{K=p-2m-1}^{p-2} H_K / (K + 2m + 2), so the tail
-    # counts only mod p^(N-1); K = p-2m-1+i meets the divisor p+1+i
-    h, _, inverses = ctx.harmonic_residues(ctx.exponent - 1)
-    tail = sum(map(mul, h[p - 2 * m - 1:p - 1], inverses))
-    return -p * tail % p ** ctx.exponent
+def _lemma2_lhs(ctx, p):
+    # -p times the tails T_j = sum_{K=j}^{p-2} H_K / (K + 2m + 2) at
+    # j = p-2m-1, which count only mod p^(N-1).  K = j + i meets the divisor
+    # p+1+i, so T_j is slot j + p - 4 of the product of two ints that hold
+    # H_0..H_{p-2} and the inverses of 2p-3 down to p+1 in slots of w bytes,
+    # room for a sum of p products
+    n = ctx.exponent
+    h, _, inverses = ctx.harmonic_residues(n - 1)
+    w = (2 * (p ** (n - 1)).bit_length() + p.bit_length() + 7) // 8
+    a, b = (int.from_bytes(b"".join(x.to_bytes(w, "little") for x in xs),
+                           "little") for xs in (h[:p - 1], reversed(inverses)))
+    t = (a * b).to_bytes((2 * p - 5) * w, "little")
+    return [0] + [-p * int.from_bytes(t[(j + p - 4) * w:(j + p - 3) * w],
+                                      "little") % p ** n
+                  for j in range(p - 3, 1, -2)]
 
 
-def _lemma2_rhs(ctx, p, m):
+def _lemma2_rhs(ctx, p):
     # p (2 H_n^(2) - 2 H_n H_{n+1} + sum_{s<n} H_s/(n-s)) at n = 2m; that
     # sum is H_n^2 - H_n^(2), since both equal 2 sum_{s<=n} H_{s-1}/s
+    q = p ** ctx.exponent
     h, h2, _ = ctx.harmonic_residues(ctx.exponent - 1)
-    n = 2 * m
-    return p * (h2[n] + h[n] * (h[n] - 2 * h[n + 1])) % p ** ctx.exponent
+    return [p * (h2[n] + h[n] * (h[n] - 2 * h[n + 1])) % q
+            for n in range(0, p - 2, 2)]
 
 
 def _theorem1_rhs(ctx, p):
@@ -535,27 +554,24 @@ def _cvs_rhs(ctx, n):
 # ---------------------------------------------------------------------------
 # catalog assembly
 
-def _prime_domain(min_p: int) -> Callable[..., bool]:
-    return lambda p: p >= min_p
-
-
-def _prime_points(min_p: int) -> Callable[[int, int], Iterator[dict[str, int]]]:
-    def gen(lo: int, hi: int) -> Iterator[dict[str, int]]:
+def _by_prime(min_p: int) -> dict[str, Callable]:
+    """Domain and points of an identity with one point per prime >= min_p."""
+    def points(lo: int, hi: int) -> Iterator[dict[str, int]]:
         lo = max(lo, min_p)
         if lo <= hi:
             for p in primes_in(lo, hi):
                 yield {"p": p}
-    return gen
+    return {"domain": lambda p: p >= min_p, "points": points}
 
 
 def _per_prime_points(
-    min_p: int, ks: Callable[[int], Iterable[tuple[str, int]]]
+    min_p: int, name: str, values: Callable[[int], Iterable[int]]
 ) -> Callable[[int, int], Iterator[dict[str, int]]]:
     def gen(lo: int, hi: int) -> Iterator[dict[str, int]]:
         lo = max(lo, min_p)
         if lo <= hi:
             for p in primes_in(lo, hi):
-                for name, v in ks(p):
+                for v in values(p):
                     yield {"p": p, name: v}
     return gen
 
@@ -598,32 +614,28 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "classical; follows from the quadratic recurrence and "
         "Clausen-von Staudt",
         ("p",), 1, partial(_convolution_residue, s=1), _one_rhs,
-        domain=_prime_domain(5),
-        points=_prime_points(5),
+        **_by_prime(5),
     )
     add(
         "zhao_p3",
         "order-(p-3) Bernoulli convolution is -2 B_{p-3} mod p",
         "J. Zhao",
         ("p",), 1, partial(_convolution_residue, s=3), _zhao_p3_rhs,
-        domain=_prime_domain(11),
-        points=_prime_points(11),
+        **_by_prime(11),
     )
     add(
         "zhao_p5",
         "order-(p-5) Bernoulli convolution mod p",
         "J. Zhao",
         ("p",), 1, partial(_convolution_residue, s=5), _zhao_p5_rhs,
-        domain=_prime_domain(13),
-        points=_prime_points(13),
+        **_by_prime(13),
     )
     add(
         "lev3_div_p1",
         "divided order-(p-1) convolution equals a second Hensel digit mod p",
         "divided-convolution congruence family",
         ("p",), 1, partial(_divided_residue, s=1), _lev3_p1_rhs,
-        domain=_prime_domain(5),
-        points=_prime_points(5),
+        **_by_prime(5),
     )
     add(
         "lev3_div_p3",
@@ -631,8 +643,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "divided-convolution congruence family",
         ("p",), 1, partial(_divided_residue, s=3),
         partial(_lev3_shifted_rhs, s=3),
-        domain=_prime_domain(11),
-        points=_prime_points(11),
+        **_by_prime(11),
     )
     add(
         "lev3_div_p5",
@@ -640,32 +651,28 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "divided-convolution congruence family",
         ("p",), 1, partial(_divided_residue, s=5),
         partial(_lev3_shifted_rhs, s=5),
-        domain=_prime_domain(13),
-        points=_prime_points(13),
+        **_by_prime(13),
     )
     add(
         "sub_h_over_k2k",
         "sum of H_k/(k 2^k) over k < p is (7/24) p B_{p-3} mod p^2",
         "power-of-two harmonic sum congruences",
         ("p",), 2, _sub_h_lhs, _sub_h_rhs,
-        domain=_prime_domain(5),
-        points=_prime_points(5),
+        **_by_prime(5),
     )
     add(
         "sub_h2_over_k2k",
         "sum of H_k^(2)/(k 2^k) over k < p is -(3/8) B_{p-3} mod p",
         "power-of-two harmonic sum congruences",
         ("p",), 1, partial(_sub_h_lhs, r=2), _sub_h2_rhs,
-        domain=_prime_domain(5),
-        points=_prime_points(5),
+        **_by_prime(5),
     )
     add(
         "lev3_b_over_k2k",
         "sum of B_k/(k 2^k) over k <= p-2 mod p",
         "power-of-two Bernoulli sum congruence",
         ("p",), 1, _lev3_b_lhs, _lev3_b_rhs,
-        domain=_prime_domain(5),
-        points=_prime_points(5),
+        **_by_prime(5),
     )
     add(
         "euler_tangent_relation",
@@ -681,16 +688,14 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "harmonic tails mod p^2",
         "even-ascent count analysis",
         ("p",), 2, _even_ascent_lhs, _result1_rhs,
-        domain=_prime_domain(5),
-        points=_prime_points(5),
+        **_by_prime(5),
     )
     add(
         "result2",
         "Fermat quotient q_2 equals 2 N_{p-2} - 1 mod p",
         "even-ascent count analysis",
         ("p",), 1, _q2_lhs, _result2_rhs,
-        domain=_prime_domain(5),
-        points=_prime_points(5),
+        **_by_prime(5),
     )
     add(
         "result3",
@@ -698,16 +703,14 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "Agoh-Giuga quotient mod p^2",
         "even-ascent count analysis",
         ("p",), 2, _result3_lhs, _result3_rhs,
-        domain=_prime_domain(5),
-        points=_prime_points(5),
+        **_by_prime(5),
     )
     add(
         "result4",
         "N_{p-2} equals the odd-index harmonic sum mod p",
         "even-ascent count analysis",
         ("p",), 1, _even_ascent_lhs, _odd_harmonic_sum,
-        domain=_prime_domain(5),
-        points=_prime_points(5),
+        **_by_prime(5),
     )
     add(
         "lehmer_i",
@@ -715,7 +718,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "E. Lehmer (1938)",
         ("p", "k"), 3, _lehmer_i_lhs, _lehmer_i_rhs,
         domain=lambda p, k: 1 <= k <= p and (2 * k - 2) % (p - 1) != 0,
-        points=_per_prime_points(5, lambda p: (("k", k) for k in range(2, p))),
+        points=_per_prime_points(5, "k", lambda p: range(2, p)),
     )
     add(
         "lehmer_ii",
@@ -723,7 +726,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "E. Lehmer (1938)",
         ("p", "k"), 2, _lehmer_ii_lhs, _lehmer_ii_rhs,
         domain=lambda p, k: 1 <= k <= p,
-        points=_per_prime_points(5, lambda p: (("k", k) for k in range(1, p + 1))),
+        points=_per_prime_points(5, "k", lambda p: range(1, p + 1)),
     )
     add(
         "sun_lemma",
@@ -731,7 +734,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "Z.-H. Sun",
         ("p", "k"), 2, _sun_lhs, _sun_rhs,
         domain=lambda p, k: 2 <= k <= p,
-        points=_per_prime_points(5, lambda p: (("k", k) for k in range(2, p + 1))),
+        points=_per_prime_points(5, "k", lambda p: range(2, p + 1)),
         counted=lambda p, k: k <= p - 2,
     )
     add(
@@ -781,8 +784,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "convolution mod p^2",
         "even-ascent count analysis",
         ("p",), 2, _lemma1_lhs, _lemma1_rhs,
-        domain=_prime_domain(5),
-        points=_prime_points(5),
+        **_by_prime(5),
     )
     add(
         "lemma2",
@@ -790,8 +792,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "even-ascent count analysis",
         ("p", "m"), 2, _lemma2_lhs, _lemma2_rhs,
         domain=lambda p, m: 1 <= m <= (p - 3) // 2,
-        points=_per_prime_points(
-            5, lambda p: (("m", m) for m in range(1, (p - 3) // 2 + 1))),
+        points=_per_prime_points(5, "m", lambda p: range(1, (p - 1) // 2)),
     )
     add(
         "theorem1",
@@ -799,56 +800,49 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "harmonic sums and Hensel digits mod p",
         "main convolution congruence",
         ("p",), 1, _theorem1_lhs, _theorem1_rhs,
-        domain=_prime_domain(5),
-        points=_prime_points(5),
+        **_by_prime(5),
     )
     add(
         "remark1a",
         "Fermat quotient q_2 equals the odd reciprocal sum mod p",
         "J. W. L. Glaisher",
         ("p",), 1, _q2_lhs, _odd_reciprocal_sum,
-        domain=_prime_domain(5),
-        points=_prime_points(5),
+        **_by_prime(5),
     )
     add(
         "remark1b",
         "odd-index harmonic sum equals (H'_{p-1} + 1)/2 mod p",
         "even-ascent count analysis",
         ("p",), 1, _odd_harmonic_sum, _remark1b_rhs,
-        domain=_prime_domain(5),
-        points=_prime_points(5),
+        **_by_prime(5),
     )
     add(
         "eisenstein",
         "Fermat quotient q_2 as half the alternating harmonic sum mod p",
         "G. Eisenstein (1850)",
         ("p",), 1, _q2_lhs, _eisenstein_rhs,
-        domain=_prime_domain(5),
-        points=_prime_points(5),
+        **_by_prime(5),
     )
     add(
         "wolstenholme",
         "H_{p-1} vanishes mod p^2",
         "J. Wolstenholme (1862)",
         ("p",), 2, _wolstenholme_lhs, _zero_rhs,
-        domain=_prime_domain(5),
-        points=_prime_points(5),
+        **_by_prime(5),
     )
     add(
         "glaisher",
         "(p-1)! equals p B_{p-1} - p mod p^2",
         "J. W. L. Glaisher",
         ("p",), 2, _factorial_lhs, _glaisher_rhs,
-        domain=_prime_domain(5),
-        points=_prime_points(5),
+        **_by_prime(5),
     )
     add(
         "wilson",
         "(p-1)! is -1 mod p",
         "Wilson / Lagrange",
         ("p",), 1, _factorial_lhs, _wilson_rhs,
-        domain=_prime_domain(5),
-        points=_prime_points(5),
+        **_by_prime(5),
     )
     add(
         "clausen_von_staudt",
@@ -892,59 +886,68 @@ def check(identity: str, params: dict[str, int], *,
         raise ValueError(
             f"{identity} takes parameters {desc.params}, got {tuple(params)}"
         )
-    return _check_point(identity, {name: params[name] for name in desc.params},
-                        modulus_override)
+    point = {name: params[name] for name in desc.params}
+    return _check_point(identity, [point], modulus_override)[0]
 
 
-def _check_point(identity: str, ordered: dict[str, int],
-                 modulus_override: int | None) -> CheckReport:
-    """check at a point whose parameters are those of the identity, in its
-    order, as the catalog's point generators give them.
+def _check_point(identity: str, points: list[dict[str, int]],
+                 modulus_override: int | None) -> list[CheckReport]:
+    """check at points of one identity, at one prime if it is prime-indexed,
+    whose parameters are the identity's, in its order, as the catalog's
+    point generators give them; the reports share the call's time evenly.
+    An identity with a parameter after p reads both sides off its rows.
 
     The PrimeContext is the one prime test, so it comes before the domain
     predicate; it carries the exponent of the reduction to its residues."""
     desc = _CATALOG[identity]
     start = time.perf_counter()
-    try:
-        ctx = get_prime_context(ordered["p"]) if "p" in ordered else None
-    except ValueError:  # not a prime >= 5
-        applicable = False
-    else:
-        applicable = desc.domain(**ordered)
-    if not applicable:
-        return CheckReport(identity, ordered, INAPPLICABLE, None, None, None,
-                           time.perf_counter() - start)
+    p = points[0].get("p")
     exponent = desc.exponent
     if exponent is not None and modulus_override is not None:
         exponent = modulus_override
-    if ctx is not None:
-        ctx.exponent = exponent
+    domain = desc.domain
     try:
-        lhs: int | Fraction = desc.lhs(ctx, **ordered)
-        rhs: int | Fraction = desc.rhs(ctx, **ordered)
-        modulus = None
-        if exponent is not None:
-            p = ordered["p"]
-            lhs = mod_reduce(lhs, p, exponent)
-            rhs = mod_reduce(rhs, p, exponent)
-            modulus = p ** exponent
-    except NotPIntegral:
-        return CheckReport(identity, ordered, NOT_P_INTEGRAL, None, None,
-                           None, time.perf_counter() - start)
-    except Exception as exc:
-        # one broken evaluator must not sink the rest of a sweep
-        where = ";".join(f"{k}={v}" for k, v in ordered.items())
-        print(f"error: {identity} {where}: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return CheckReport(identity, ordered, ERROR, None, None, None,
-                           time.perf_counter() - start)
-    status = VERIFIED if lhs == rhs else FAILED
-    if status == FAILED and desc.counted is not None \
-            and not desc.counted(**ordered):
-        # exploratory point outside the stated domain: report, don't count
-        status = INAPPLICABLE
-    return CheckReport(identity, ordered, status, lhs, rhs, modulus,
-                       time.perf_counter() - start)
+        ctx = None if p is None else get_prime_context(p)
+    except ValueError:  # not a prime >= 5
+        ctx = domain = None
+    if ctx:
+        ctx.exponent = exponent
+    modulus = None if exponent is None else p ** exponent
+    row_param = desc.params[-1] if ctx and len(desc.params) > 1 else None
+    outcomes, rows = [], None
+    for point in points:
+        if domain is None or not domain(**point):
+            outcomes.append((INAPPLICABLE, None, None, None))
+            continue
+        try:
+            if row_param:
+                rows = rows or (desc.lhs(ctx, p), desc.rhs(ctx, p))
+                i = point[row_param]
+                lhs, rhs = rows[0][i], rows[1][i]
+            else:
+                lhs, rhs = desc.lhs(ctx, **point), desc.rhs(ctx, **point)
+                if modulus is not None:
+                    lhs = mod_reduce(lhs, p, exponent)
+                    rhs = mod_reduce(rhs, p, exponent)
+        except NotPIntegral:
+            outcomes.append((NOT_P_INTEGRAL, None, None, None))
+            continue
+        except Exception as exc:
+            # one broken evaluator must not sink the rest of a sweep
+            where = ";".join(f"{k}={v}" for k, v in point.items())
+            print(f"error: {identity} {where}: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            outcomes.append((ERROR, None, None, None))
+            continue
+        status = VERIFIED if lhs == rhs else FAILED
+        if status == FAILED and desc.counted is not None \
+                and not desc.counted(**point):
+            # exploratory point outside the stated domain: report, don't count
+            status = INAPPLICABLE
+        outcomes.append((status, lhs, rhs, modulus))
+    share = (time.perf_counter() - start) / len(points)
+    return [CheckReport(identity, point, *outcome, share)
+            for point, outcome in zip(points, outcomes)]
 
 
 def _resolve_ids(identities: str | Iterable[str]) -> list[str]:
@@ -962,7 +965,14 @@ def _resolve_ids(identities: str | Iterable[str]) -> list[str]:
 
 def _check_batch(tasks: list[tuple[str, dict[str, int]]],
                  modulus_override: int | None) -> list[CheckReport]:
-    return [_check_point(i, prm, modulus_override) for i, prm in tasks]
+    """check at catalog points, given as (identity, params): the points of
+    one identity at one prime in one call, an index point alone."""
+    reports = []
+    for ident, run in groupby(tasks, itemgetter(0)):
+        key = itemgetter("p") if "p" in _CATALOG[ident].params else id
+        for _, points in groupby((params for _, params in run), key):
+            reports += _check_point(ident, list(points), modulus_override)
+    return reports
 
 
 def _run_batch(batch: tuple[int | None, tuple[str, ...]], lo: int, hi: int,
@@ -992,6 +1002,11 @@ def _run_batch(batch: tuple[int | None, tuple[str, ...]], lo: int, hi: int,
         chunks.append((reports[0].sort_key(),
                        reports if render is None else render(reports)))
     return chunks, start, table.entries(start)
+
+
+def _adopt(values: list[Fraction]) -> None:
+    """Pool initializer: the worker's table takes B_0, B_1, ... from here."""
+    bernoulli_table().merge(0, values)
 
 
 def _has_points(ident: str, p: int) -> bool:
@@ -1037,14 +1052,16 @@ def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
         # imported here, so a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # a fork pool starts all its workers at once: no more than batches
-        with ProcessPoolExecutor(max_workers=min(jobs, len(batches))) as pool:
+        # a fork pool starts all its workers at once: no more than batches;
+        # each adopts the entries held here (under fork it already has them)
+        with ProcessPoolExecutor(
+                max_workers=min(jobs, len(batches)), initializer=_adopt,
+                initargs=(bernoulli_table().entries(0),)) as pool:
             futures = [pool.submit(_run_batch, batch, *args)
                        for batch in batches]
             done = [f.result() for f in futures]
-    # a worker's table starts as a copy of this one (fork) or as a fresh
-    # one (spawn, forkserver) and grows only in its batches, so merged in
-    # order of their first index the batches' entries leave no gap
+    # a worker's table starts as this one and grows only in its batches, so
+    # merged in order of their first index their entries leave no gap
     table = bernoulli_table()
     for _, start, values in sorted(done, key=itemgetter(1)):
         table.merge(start, values)

@@ -512,14 +512,18 @@ class PrimeContext:
             self._half_power[exponent] = sums
         return self._half_power[exponent]
 
-    def full_power_residue(self, k: int, exponent: int) -> int:
-        """S_{p-1,k} mod p^exponent for 0 <= k <= 2p, by E. Lehmer's pairing
-        of a with p - a: (p - a)^k expanded in powers of p leaves
-        S_{h,k} + sum_{i < exponent} C(k, i) p^i (-1)^(k-i) S_{h,k-i}."""
-        p, s = self.p, self.half_power_residues(exponent)
-        total = sum(comb(k, i) * p ** i * (-1) ** (k - i) * s[k - i]
-                    for i in range(min(exponent, k + 1)))
-        return (s[k] + total) % p ** exponent
+    def full_power_residues(self, exponent: int, top: int) -> list[int]:
+        """S_{p-1,k} mod p^exponent for k = 0..top <= 2p by E. Lehmer's pairing
+        of a with p - a: (p - a)^k expanded in powers of p leaves S_{h,k} +
+        (-1)^k sum_{i < exponent} C(k, i) (-p)^i S_{h,k-i}, a pass per i."""
+        q, s = self.p ** exponent, self.half_power_residues(exponent)
+        t = [0] * (top + 1)
+        for i in range(min(exponent, top + 1)):
+            c = (-self.p) ** i
+            t[i:] = [x + comb(k, i) * c * y
+                     for k, x, y in zip(range(i, top + 1), t[i:], s)]
+        return [(y - x if k % 2 else y + x) % q
+                for k, (x, y) in enumerate(zip(t, s))]
 
     def harmonic_residues(
             self, exponent: int) -> tuple[list[int], list[int], list[int]]:

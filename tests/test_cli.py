@@ -173,27 +173,43 @@ def test_an_evaluator_that_raises_reports_error(monkeypatch, capsys):
     _, clean, _ = run(argv, capsys)
     desc = idmod._CATALOG["lemma2"]
 
-    def lhs(ctx, p, m):
-        if (p, m) == (11, 2):
+    # lemma2's lhs is a row evaluator: it raises for every m at p = 11
+    def lhs(ctx, p):
+        if p == 11:
             raise ZeroDivisionError("deliberate")
-        return desc.lhs(ctx, p, m)
+        return desc.lhs(ctx, p)
 
     monkeypatch.setitem(idmod._CATALOG, "lemma2",
                         dataclasses.replace(desc, lhs=lhs))
     code, out, err = run(argv, capsys)
     assert code == 1
-    # the sweep finished and only the raising point changed
+    # the sweep finished and only the points of the raising row changed
     changed = [(a, b) for a, b in zip(clean.splitlines(), out.splitlines())
                if a != b]
     assert len(out.splitlines()) == len(clean.splitlines()) == 16
-    assert len(changed) == 1
-    assert json.loads(changed[0][1]) == {
-        "identity": "lemma2", "params": {"p": 11, "m": 2}, "modulus": None,
-        "lhs": None, "rhs": None, "status": "error"}
+    assert [json.loads(b) for _, b in changed] == [
+        {"identity": "lemma2", "params": {"p": 11, "m": m}, "modulus": None,
+         "lhs": None, "rhs": None, "status": "error"} for m in range(1, 5)]
     lines = err.splitlines()
     assert [line for line in lines if line.startswith("error:")] == [
-        "error: lemma2 p=11;m=2: ZeroDivisionError: deliberate"]
-    assert lines[-1].endswith("0 not_p_integral, 1 error")
+        f"error: lemma2 p=11;m={m}: ZeroDivisionError: deliberate"
+        for m in range(1, 5)]
+    assert lines[-1].endswith("0 not_p_integral, 4 error")
+
+
+def test_row_points_share_the_row_time(capsys):
+    # a point checked in a row is timed as its share of the row: the time
+    # of both rows and the comparisons, split evenly over the prime's points
+    code, out, _ = run(["verify", "--primes", "5..31", "--identity",
+                        "lemma2"], capsys)
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert all(r["elapsed_ms"] >= 0 for r in rows)
+    by_prime = {}
+    for r in rows:
+        by_prime.setdefault(r["params"]["p"], set()).add(r["elapsed_ms"])
+    assert sorted(by_prime) == [5, 7, 11, 13, 17, 19, 23, 29, 31]
+    assert all(len(times) == 1 for times in by_prime.values()), by_prime
 
 
 # the whole stderr of a -v sweep: each point in report order, then the
@@ -256,30 +272,60 @@ def _csv_field(value):
     return str(value)
 
 
-def test_row_templates_match_json_dumps_and_the_csv_join():
-    reports = [
-        idmod.check("wilson", {"p": 7}),  # residues
-        idmod.check("lehmer_i", {"p": 11, "k": 3}),  # two parameters
-        idmod.check("alzer", {"n": 7}),  # exact Fractions
-        idmod.check("euler_identity", {"n": 5}),  # negative Fraction
-        idmod.check("clausen_von_staudt", {"n": 10}),  # integral Fraction
-        idmod.check("wilson", {"p": 9}),  # inapplicable, no values
-        idmod.CheckReport("lemma2", {"p": 11, "m": 2}, idmod.NOT_P_INTEGRAL,
-                          None, None, None),
-        idmod.CheckReport("lemma2", {"p": 11, "m": 3}, idmod.ERROR, None,
-                          None, None),
+def test_row_templates_match_json_dumps_and_the_csv_join(monkeypatch):
+    stamp = "2026-10-18T17:11:13.123456+00:00"
+
+    class Clock:
+        @staticmethod
+        def now(tz):
+            return Clock
+
+        @staticmethod
+        def isoformat():
+            return stamp
+
+    monkeypatch.setattr(cli, "datetime", Clock)
+    # one chunk per identity, as a sweep batch renders them
+    chunks = [
+        [idmod.check("wilson", {"p": 7})],  # residues
+        # two parameters, p written into the template, and an
+        # inapplicable point between residues
+        [idmod.check("lehmer_i", {"p": 11, "k": k}) for k in range(2, 11)],
+        # an exploratory point that fails: inapplicable, with values
+        [idmod.check("sun_lemma", {"p": 7, "k": 6}),
+         idmod.CheckReport("sun_lemma", {"p": 7, "k": 7}, idmod.INAPPLICABLE,
+                           1, 2, 49)],
+        [idmod.check("alzer", {"n": n}) for n in (1, 7)],  # exact Fractions
+        [idmod.check("euler_identity", {"n": 5})],  # negative Fraction
+        [idmod.check("clausen_von_staudt", {"n": 10})],  # integral Fraction
+        # two index parameters, neither written into the template
+        [idmod.check("prop1", {"n": n, "s": s}) for n in (1, 2)
+         for s in (3, 4)],
+        [idmod.check("wilson", {"p": 9})],  # inapplicable, no values
+        [idmod.CheckReport("lemma2", {"p": 11, "m": 2}, idmod.NOT_P_INTEGRAL,
+                           None, None, None),
+         idmod.CheckReport("lemma2", {"p": 11, "m": 3}, idmod.ERROR, None,
+                           None, None)],
     ]
-    statuses = {r.status for r in reports}
-    assert {idmod.VERIFIED, idmod.INAPPLICABLE, idmod.NOT_P_INTEGRAL,
-            idmod.ERROR} <= statuses
-    for r, elapsed in zip(reports, [0.0, 1.23456e-5, 0.5, 2e-9, 12.3456789,
-                                    3.0, 0.0001, 7.77e-6]):
-        r.elapsed = elapsed
-        for stamp in (None, "2026-10-18T17:11:13.123456+00:00"):
-            row = _report_row(r, stamp)
-            assert cli._json_row(r, stamp) == json.dumps(row) + "\n"
-            assert cli._csv_row(r, stamp) == ",".join(
-                _csv_field(v) for v in row.values()) + "\n"
+    reports = [r for chunk in chunks for r in chunk]
+    assert {r.status for r in reports} == {
+        idmod.VERIFIED, idmod.INAPPLICABLE, idmod.NOT_P_INTEGRAL, idmod.ERROR}
+    assert any(r.status == idmod.INAPPLICABLE and r.lhs is not None
+               for r in reports)
+    times = [0.0, 1.23456e-5, 0.5, 2e-9, 12.3456789, 3.0, 0.0001, 7.77e-6]
+    for i, r in enumerate(reports):
+        r.elapsed = times[i % len(times)]
+    for chunk in chunks:
+        for with_times in (False, True):
+            want = [_report_row(r, stamp if with_times else None)
+                    for r in chunk]
+            json_rows, _, _ = cli._render(chunk, "json", with_times, False)
+            assert json_rows == "".join(json.dumps(row) + "\n"
+                                        for row in want)
+            csv_rows, _, _ = cli._render(chunk, "csv", with_times, False)
+            assert csv_rows == "".join(
+                ",".join(_csv_field(v) for v in row.values()) + "\n"
+                for row in want)
 
 
 def test_import_leaves_the_process_pool_unloaded():

@@ -1,5 +1,6 @@
 """Catalog checks: frozen residue anchors, status plumbing, sweep behavior."""
 import concurrent.futures
+import dataclasses
 import multiprocessing
 from concurrent.futures import Future, ProcessPoolExecutor
 from fractions import Fraction
@@ -114,16 +115,17 @@ def test_harmonic_convolution_closed_form_matches_the_sum():
         assert closed == _harmonic_convolution_oracle(n), n
     assert _hc(1) == Fraction(1)
     assert _hc(2) == Fraction(35, 12)
-    # lemma 2's residue kernel reads the same form off a prime's prefixes
+    # lemma 2's rhs row reads the same form off a prime's prefixes
     p = 199
     ctx = get_prime_context(p)
     for e in (2, 3):
         ctx.exponent = e
+        row = catalog()["lemma2"].rhs(ctx, p)
         for m in range(1, 99):
             want = p * (2 * gen_harmonic(2 * m, 2)
                         - 2 * harmonic(2 * m) * harmonic(2 * m + 1)
                         + _harmonic_convolution_oracle(2 * m))
-            assert idmod._lemma2_rhs(ctx, p, m) == mod_reduce(want, p, e), m
+            assert row[m] == mod_reduce(want, p, e), m
 
 
 @lru_cache(maxsize=None)
@@ -217,6 +219,86 @@ EXACT_KERNEL_ORACLES = {
         2 * gen_harmonic(2 * m, 2)
         - 2 * harmonic(2 * m) * harmonic(2 * m + 1) + _hc(m)),
 }
+
+
+# ---------------------------------------------------------------------------
+# the per-point evaluators that the rows of the four per-(p, k) families
+# replaced, kept here as oracles: (identity, side) -> the residue at one
+# (p, k or m), read from the context's tables
+
+def _p_bernoulli_residue(ctx, n):
+    """p B_n mod p^N; the Bernoulli row holds p B_n itself at even n > 0
+    with (p - 1) | n."""
+    p, q = ctx.p, ctx.p ** ctx.exponent
+    b = ctx.bernoulli_residues(ctx.exponent, n)[n]
+    return b if n and n % (p - 1) == 0 else p * b % q
+
+
+def _full_power_residue(ctx, k):
+    """S_{p-1,k} mod p^N by pairing a with p - a, one k at a time."""
+    p, n = ctx.p, ctx.exponent
+    s = ctx.half_power_residues(n)
+    total = sum(comb(k, i) * p ** i * (-1) ** (k - i) * s[k - i]
+                for i in range(min(n, k + 1)))
+    return (s[k] + total) % p ** n
+
+
+def _lemma2_tail_residue(ctx, p, m):
+    """-p sum_{K=p-2m-1}^{p-2} H_K / (K + 2m + 2) mod p^N, term by term."""
+    h, _, inverses = ctx.harmonic_residues(ctx.exponent - 1)
+    tail = sum(map(mul, h[p - 2 * m - 1:p - 1], inverses))
+    return -p * tail % p ** ctx.exponent
+
+
+def _lemma2_form_residue(ctx, p, m):
+    """p (H_n^(2) + H_n (H_n - 2 H_{n+1})) mod p^N at n = 2m."""
+    h, h2, _ = ctx.harmonic_residues(ctx.exponent - 1)
+    n = 2 * m
+    return p * (h2[n] + h[n] * (h[n] - 2 * h[n + 1])) % p ** ctx.exponent
+
+
+POINT_ORACLES = {
+    ("lehmer_i", "lhs"): lambda ctx, p, k: _p_bernoulli_residue(ctx, 2 * k),
+    ("lehmer_i", "rhs"): lambda ctx, p, k: 2 * (
+        pow(4, -k, p ** ctx.exponent) * _full_power_residue(ctx, 2 * k)
+        - ctx.half_power_residues(ctx.exponent)[2 * k]),
+    ("lehmer_ii", "lhs"): lambda ctx, p, k: ctx.half_power_residues(
+        ctx.exponent)[2 * k],
+    ("lehmer_ii", "rhs"): lambda ctx, p, k: (
+        (pow(2, -2 * k, p ** ctx.exponent) - pow(2, -1, p ** ctx.exponent))
+        * _p_bernoulli_residue(ctx, 2 * k)),
+    ("sun_lemma", "lhs"): lambda ctx, p, k: _full_power_residue(ctx, k),
+    ("sun_lemma", "rhs"): lambda ctx, p, k: (
+        _p_bernoulli_residue(ctx, k) + p * k * _p_bernoulli_residue(ctx, k - 1)
+        * pow(2, -1, p ** ctx.exponent)),
+    ("lemma2", "lhs"): _lemma2_tail_residue,
+    ("lemma2", "rhs"): _lemma2_form_residue,
+}
+
+ROW_IDS = ["lehmer_i", "lehmer_ii", "sun_lemma", "lemma2"]
+
+
+@pytest.mark.parametrize("hi,overrides", [(199, [None]),
+                                          (61, [1, 2, 3, 4])])
+@pytest.mark.parametrize("identity", ROW_IDS)
+def test_rows_match_the_per_point_oracles(identity, hi, overrides):
+    # every entry a point of the range reads, in [0, p^N), at the declared
+    # exponent or at each --modulus override
+    desc = catalog()[identity]
+    assert desc.params[1:] == (("m",) if identity == "lemma2" else ("k",))
+    for p in primes_in(5, hi):
+        ctx = get_prime_context(p)
+        for override in overrides:
+            e = ctx.exponent = override or desc.exponent
+            rows = {"lhs": desc.lhs(ctx, p), "rhs": desc.rhs(ctx, p)}
+            points = [pt for pt in desc.points(p, p) if desc.domain(**pt)]
+            assert points
+            for params in points:
+                i = params[desc.params[1]]
+                for side, row in rows.items():
+                    want = POINT_ORACLES[identity, side](ctx, **params)
+                    assert row[i] == mod_reduce(want, p, e), (
+                        side, params, e)
 
 
 def _bernoulli_convolution_oracle(t):
@@ -705,8 +787,9 @@ def test_sweep_starts_no_more_workers_than_batches(monkeypatch):
     started = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             started.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -807,6 +890,63 @@ def test_parallel_sweep_leaves_the_table_a_serial_sweep_leaves(
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         partial(ProcessPoolExecutor, mp_context=context))
     assert swept_table(2) == serial
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_workers_start_with_this_process_table(monkeypatch, method):
+    # lev3_div_p1 reads B_{2p-2}, so B_120 at p = 61: a worker that starts
+    # with this process's B_0..B_122 builds none, and hands none back
+    table = sequences.BernoulliTable()
+    table.merge(0, [bernoulli(n) for n in range(123)])
+    monkeypatch.setattr(sequences, "_TABLE", table)
+    merged = []
+    monkeypatch.setattr(table, "merge",
+                        lambda start, values: merged.append(values))
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        partial(ProcessPoolExecutor, mp_context=context))
+    reports = sweep("lev3_div_p1", 5, 61, jobs=2)
+    assert {r.status for r in reports} == {VERIFIED}
+    assert len(merged) == 16  # one batch per prime in 5..61
+    assert merged == [[]] * 16
+    assert table.max_index == 122
+
+
+@pytest.mark.parametrize("raised, status", [
+    (ZeroDivisionError("deliberate"), "error"),
+    (NotPIntegral("deliberate pole"), NOT_P_INTEGRAL),
+])
+@pytest.mark.parametrize("side", ["lhs", "rhs"])
+def test_a_row_that_raises_fails_only_its_points(monkeypatch, capsys,
+                                                 raised, status, side):
+    ids = ["sun_lemma", "wilson"]
+    untimed = lambda rs: [(r.identity, r.params, r.status, r.lhs, r.rhs,
+                           r.modulus) for r in rs]
+    clean = untimed(sweep(ids, 5, 31))
+    assert capsys.readouterr().err == ""
+    desc = idmod._CATALOG["sun_lemma"]
+    row = getattr(desc, side)
+
+    def raising(ctx, p):
+        if p == 13:
+            raise raised
+        return row(ctx, p)
+
+    monkeypatch.setitem(idmod._CATALOG, "sun_lemma",
+                        dataclasses.replace(desc, **{side: raising}))
+    broken = untimed(sweep(ids, 5, 31))
+    assert len(broken) == len(clean)
+    changed = [(a, b) for a, b in zip(clean, broken) if a != b]
+    # every in-domain point of sun_lemma at 13 is k = 2..13
+    assert [a[1] for a, _ in changed] == [{"p": 13, "k": k}
+                                         for k in range(2, 14)]
+    assert all(b[2:] == (status, None, None, None) for _, b in changed)
+    err = capsys.readouterr().err.splitlines()
+    if status == "error":
+        assert err == [f"error: sun_lemma p=13;k={k}: ZeroDivisionError: "
+                       "deliberate" for k in range(2, 14)]
+    else:
+        assert err == []
 
 
 def test_catalog_sweep_grows_the_table_to_the_largest_index_read(
