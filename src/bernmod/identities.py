@@ -144,7 +144,7 @@ def _theorem1_lhs(ctx: PrimeContext, p: int) -> int:
 
 def _p_bernoulli_row(ctx: PrimeContext, top: int) -> list[int]:
     """p B_n mod p^N for n = 0..top from the Bernoulli row, which holds
-    p B_n itself where p divides the denominator, at n = p - 1 and 2p - 2."""
+    p B_n itself where p divides the denominator, at n a multiple of p - 1."""
     p, q = ctx.p, ctx.p ** ctx.exponent
     b = ctx.bernoulli_residues(ctx.exponent, top)[:top + 1]
     return [x if n and n % (p - 1) == 0 else p * x % q
@@ -357,44 +357,45 @@ def _odd_reciprocal_sum(ctx, p):
     return (h[p - 1] - h[(p - 1) // 2] * pow(2, -1, q)) % q
 
 
-# The identities with a parameter after p have row evaluators: lhs(ctx, p)
-# and rhs(ctx, p) give the residues at k = 0..p (at m = 0..(p-3)/2 for
-# lemma2), each in one pass over the context's tables.
+# The identities with a parameter after p have row evaluators: lhs(ctx, p,
+# top) and rhs(ctx, p, top) give the residues at k = 0..top (at m = 0..top
+# for lemma2), each in one pass over the context's tables.
 
-def _lehmer_i_lhs(ctx, p):
-    return _p_bernoulli_row(ctx, 2 * p)[::2]
+def _lehmer_i_lhs(ctx, p, top):
+    return _p_bernoulli_row(ctx, 2 * top)[::2]
 
 
-def _lehmer_i_rhs(ctx, p):
+def _lehmer_i_rhs(ctx, p, top):
     # p - 2a for a = 1..(p-1)/2 runs over the odd numbers below p, the full
     # range less the even bases 2a: (S_{p-1,2k} - 4^k S_{h,2k}) / 2^(2k-1)
     n, q = ctx.exponent, p ** ctx.exponent
-    full = ctx.full_power_residues(n, 2 * p)[::2]
+    full = ctx.full_power_residues(n, 2 * top)[::2]
     half = ctx.half_power_residues(n)[::2]
     return [2 * (w * f - h) % q
-            for w, f, h in zip(_quarter_powers(q, p + 1), full, half)]
+            for w, f, h in zip(_quarter_powers(q, top + 1), full, half)]
 
 
-def _lehmer_ii_lhs(ctx, p):
-    return ctx.half_power_residues(ctx.exponent)[:2 * p + 1:2]
+def _lehmer_ii_lhs(ctx, p, top):
+    return ctx.half_power_residues(ctx.exponent)[:2 * top + 1:2]
 
 
-def _lehmer_ii_rhs(ctx, p):
+def _lehmer_ii_rhs(ctx, p, top):
     # (2^(1-2k) - 1) p B_{2k} / 2 = (4^(-k) - 2^(-1)) p B_{2k}
     q = p ** ctx.exponent
-    half, b = pow(2, -1, q), _p_bernoulli_row(ctx, 2 * p)[::2]
-    return [(w - half) * x % q for w, x in zip(_quarter_powers(q, p + 1), b)]
+    half, b = pow(2, -1, q), _p_bernoulli_row(ctx, 2 * top)[::2]
+    return [(w - half) * x % q
+            for w, x in zip(_quarter_powers(q, top + 1), b)]
 
 
-def _sun_lhs(ctx, p):
-    return ctx.full_power_residues(ctx.exponent, p)
+def _sun_lhs(ctx, p, top):
+    return ctx.full_power_residues(ctx.exponent, top)
 
 
-def _sun_rhs(ctx, p):
+def _sun_rhs(ctx, p, top):
     # p B_k + (p^2 / 2) k B_{k-1}; at k = 0 the second term vanishes
     q = p ** ctx.exponent
-    b, half = _p_bernoulli_row(ctx, p), pow(2, -1, q)
-    return [(b[k] + p * k * b[k - 1] * half) % q for k in range(p + 1)]
+    b, half = _p_bernoulli_row(ctx, top), pow(2, -1, q)
+    return [(b[k] + p * k * b[k - 1] * half) % q for k in range(top + 1)]
 
 
 def _alzer_rhs(ctx, n):
@@ -466,7 +467,7 @@ def _lemma1_rhs(ctx, p):
             * pow(2, -1, q) % q)
 
 
-def _lemma2_lhs(ctx, p):
+def _lemma2_lhs(ctx, p, top):
     # -p times the tails T_j = sum_{K=j}^{p-2} H_K / (K + 2m + 2) at
     # j = p-2m-1, which count only mod p^(N-1).  K = j + i meets the divisor
     # p+1+i, so T_j is slot j + p - 4 of the product of two ints that hold
@@ -480,16 +481,16 @@ def _lemma2_lhs(ctx, p):
     t = (a * b).to_bytes((2 * p - 5) * w, "little")
     return [0] + [-p * int.from_bytes(t[(j + p - 4) * w:(j + p - 3) * w],
                                       "little") % p ** n
-                  for j in range(p - 3, 1, -2)]
+                  for j in range(p - 3, p - 2 * top - 2, -2)]
 
 
-def _lemma2_rhs(ctx, p):
+def _lemma2_rhs(ctx, p, top):
     # p (2 H_n^(2) - 2 H_n H_{n+1} + sum_{s<n} H_s/(n-s)) at n = 2m; that
     # sum is H_n^2 - H_n^(2), since both equal 2 sum_{s<=n} H_{s-1}/s
     q = p ** ctx.exponent
     h, h2, _ = ctx.harmonic_residues(ctx.exponent - 1)
     return [p * (h2[n] + h[n] * (h[n] - 2 * h[n + 1])) % q
-            for n in range(0, p - 2, 2)]
+            for n in range(0, 2 * top + 1, 2)]
 
 
 def _theorem1_rhs(ctx, p):
@@ -895,7 +896,8 @@ def _check_point(identity: str, points: list[dict[str, int]],
     """check at points of one identity, at one prime if it is prime-indexed,
     whose parameters are the identity's, in its order, as the catalog's
     point generators give them; the reports share the call's time evenly.
-    An identity with a parameter after p reads both sides off its rows.
+    An identity with a parameter after p reads both sides off its rows,
+    which end at the largest such parameter among the points in its domain.
 
     The PrimeContext is the one prime test, so it comes before the domain
     predicate; it carries the exponent of the reduction to its residues."""
@@ -914,14 +916,17 @@ def _check_point(identity: str, points: list[dict[str, int]],
         ctx.exponent = exponent
     modulus = None if exponent is None else p ** exponent
     row_param = desc.params[-1] if ctx and len(desc.params) > 1 else None
+    applies = [domain is not None and domain(**point) for point in points]
+    top = max((pt[row_param] for pt, ok in zip(points, applies) if ok),
+              default=0) if row_param else None
     outcomes, rows = [], None
-    for point in points:
-        if domain is None or not domain(**point):
+    for point, ok in zip(points, applies):
+        if not ok:
             outcomes.append((INAPPLICABLE, None, None, None))
             continue
         try:
             if row_param:
-                rows = rows or (desc.lhs(ctx, p), desc.rhs(ctx, p))
+                rows = rows or (desc.lhs(ctx, p, top), desc.rhs(ctx, p, top))
                 i = point[row_param]
                 lhs, rhs = rows[0][i], rows[1][i]
             else:

@@ -462,38 +462,32 @@ class PrimeContext:
         return self._odd_power[exponent]
 
     def bernoulli_residues(self, exponent: int, top: int) -> list[int]:
-        """B_i mod p^exponent for i = 0..top at least, top <= 2p, except
-        where p divides the denominator of B_i (i = p-1 and 2p-2), which
-        hold p B_i mod p^exponent; the denominators are squarefree, so p B_i
-        is p-integral.
+        """B_i mod p^exponent for i = 0..top at least, except at the positive
+        multiples of p-1, where p divides the squarefree denominator: those
+        hold p B_i mod p^exponent.
 
-        A row holds i <= p until an index past p is asked for, and then
-        i <= 2p, so a side that reads no further than B_p never extends the
-        exact table beyond it.  Entries are reduced from the exact table's
-        numerators and denominators, or from a row at a higher exponent
-        when one reaches as far.
+        The row at each exponent holds exactly top + 1 entries for the
+        largest top asked for, so no side extends the exact table past what
+        it reads.  New entries are reduced from a row at a higher exponent
+        that reaches top, else from the exact table.
         """
         if exponent < 1:
             raise ValueError(f"exponent must be >= 1, got {exponent}")
-        p = self.p
-        if not 0 <= top <= 2 * p:
-            raise ValueError(f"index must be in [0, {2 * p}], got {top}")
-        size = p + 1 if top <= p else 2 * p + 1
-        row = self._bernoulli.get(exponent, [])
-        if len(row) < size:
-            q = p ** exponent
+        row = self._bernoulli.setdefault(exponent, [])
+        if len(row) <= top:
+            p, q = self.p, self.p ** exponent
             finer = [r for e, r in self._bernoulli.items()
-                     if e > exponent and len(r) >= size]
+                     if e > exponent and len(r) > top]
             if finer:
-                row = [b % q for b in finer[0]]
+                row += [b % q for b in finer[0][len(row):top + 1]]
             else:
-                row = row[:]
-                for b in map(bernoulli, range(len(row), size)):
+                table = bernoulli_table()
+                table.value(top)
+                for b in table.entries(len(row))[:top + 1 - len(row)]:
                     den = b.denominator
                     if den % p == 0:
                         den //= p
                     row.append(b.numerator % q * pow(den, -1, q) % q)
-            self._bernoulli[exponent] = row
         return row
 
     def half_power_residues(self, exponent: int) -> list[int]:

@@ -174,10 +174,10 @@ def test_an_evaluator_that_raises_reports_error(monkeypatch, capsys):
     desc = idmod._CATALOG["lemma2"]
 
     # lemma2's lhs is a row evaluator: it raises for every m at p = 11
-    def lhs(ctx, p):
+    def lhs(ctx, p, top):
         if p == 11:
             raise ZeroDivisionError("deliberate")
-        return desc.lhs(ctx, p)
+        return desc.lhs(ctx, p, top)
 
     monkeypatch.setitem(idmod._CATALOG, "lemma2",
                         dataclasses.replace(desc, lhs=lhs))
@@ -431,7 +431,7 @@ def test_parallel_verify_fills_the_cache(tmp_path):
 
     serial = tmp_path / "serial.cache"
     assert verify(serial, "1").returncode == 0
-    assert load(serial).max_index == 122  # B_2p at p = 61
+    assert load(serial).max_index == 120  # B_{2p-2} at p = 61
     cache = tmp_path / "bern.cache"
     proc = verify(cache, "2")
     assert proc.returncode == 0, proc.stderr
@@ -464,7 +464,7 @@ def test_parallel_verify_builds_no_entry_after_the_pool(tmp_path, capsys,
                       "--no-timestamps"], capsys)
     assert code == 0
     assert extended == []
-    assert load(cache).max_index == 122
+    assert load(cache).max_index == 120
 
 
 def test_cache_is_rewritten_when_the_table_grows(tmp_path, capsys):

@@ -120,7 +120,7 @@ def test_harmonic_convolution_closed_form_matches_the_sum():
     ctx = get_prime_context(p)
     for e in (2, 3):
         ctx.exponent = e
-        row = catalog()["lemma2"].rhs(ctx, p)
+        row = catalog()["lemma2"].rhs(ctx, p, 98)
         for m in range(1, 99):
             want = p * (2 * gen_harmonic(2 * m, 2)
                         - 2 * harmonic(2 * m) * harmonic(2 * m + 1)
@@ -283,22 +283,41 @@ ROW_IDS = ["lehmer_i", "lehmer_ii", "sun_lemma", "lemma2"]
 @pytest.mark.parametrize("identity", ROW_IDS)
 def test_rows_match_the_per_point_oracles(identity, hi, overrides):
     # every entry a point of the range reads, in [0, p^N), at the declared
-    # exponent or at each --modulus override
+    # exponent or at each --modulus override; a row ends at its largest point
     desc = catalog()[identity]
-    assert desc.params[1:] == (("m",) if identity == "lemma2" else ("k",))
+    name = desc.params[1]
+    assert name == ("m" if identity == "lemma2" else "k")
     for p in primes_in(5, hi):
         ctx = get_prime_context(p)
+        points = [pt for pt in desc.points(p, p) if desc.domain(**pt)]
+        assert points
+        top = max(pt[name] for pt in points)
         for override in overrides:
             e = ctx.exponent = override or desc.exponent
-            rows = {"lhs": desc.lhs(ctx, p), "rhs": desc.rhs(ctx, p)}
-            points = [pt for pt in desc.points(p, p) if desc.domain(**pt)]
-            assert points
+            rows = {"lhs": desc.lhs(ctx, p, top), "rhs": desc.rhs(ctx, p, top)}
+            assert [len(row) for row in rows.values()] == [top + 1] * 2
             for params in points:
-                i = params[desc.params[1]]
+                i = params[name]
                 for side, row in rows.items():
                     want = POINT_ORACLES[identity, side](ctx, **params)
                     assert row[i] == mod_reduce(want, p, e), (
                         side, params, e)
+
+
+@pytest.mark.parametrize("identity, k, top", [
+    ("lehmer_ii", 2, 4),  # p B_4
+    ("lehmer_i", 3, 6),  # p B_6
+    ("sun_lemma", 3, 3),  # p B_3 and p B_2
+])
+def test_a_single_check_reads_the_table_to_its_own_point(
+        monkeypatch, identity, k, top):
+    # the rows of one check end at its k, so the exact table ends at the
+    # Bernoulli index that k reads, not at B_2p
+    fresh = sequences.BernoulliTable()
+    monkeypatch.setattr(sequences, "_TABLE", fresh)
+    get_prime_context.cache_clear()
+    assert check(identity, {"p": 1009, "k": k}).status == VERIFIED
+    assert fresh.max_index == top
 
 
 def _bernoulli_convolution_oracle(t):
@@ -871,7 +890,7 @@ def test_prime_context_builds_no_harmonic_numbers():
 
 @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
 @pytest.mark.parametrize("ids, top", [
-    pytest.param("zhao_p3", 31, id="prime-batch"),  # p = 31 reads B_31
+    pytest.param("zhao_p3", 28, id="prime-batch"),  # p = 31 reads B_28
     pytest.param(["clausen_von_staudt", "zhao_p3"], 200, id="index-batch"),
 ])
 def test_parallel_sweep_leaves_the_table_a_serial_sweep_leaves(
@@ -927,10 +946,10 @@ def test_a_row_that_raises_fails_only_its_points(monkeypatch, capsys,
     desc = idmod._CATALOG["sun_lemma"]
     row = getattr(desc, side)
 
-    def raising(ctx, p):
+    def raising(ctx, p, top):
         if p == 13:
             raise raised
-        return row(ctx, p)
+        return row(ctx, p, top)
 
     monkeypatch.setitem(idmod._CATALOG, "sun_lemma",
                         dataclasses.replace(desc, **{side: raising}))
@@ -1015,12 +1034,12 @@ def test_zhao_p3_holds_mod_p_squared_at_607():
 
 
 def test_zhao_p3_holds_mod_p_squared_at_2351():
-    # the largest prime below 3001 where it does; the point reads B_0..B_p
-    # and the shared table grows that far and no further
+    # the largest prime below 3001 where it does; the point reads
+    # B_0..B_{p-3} and the shared table grows that far and no further
     before = bernoulli_table().max_index
     report = check("zhao_p3", {"p": 2351}, modulus_override=2)
     assert report.status == VERIFIED
-    assert bernoulli_table().max_index == max(before, 2351)
+    assert bernoulli_table().max_index == max(before, 2348)
 
 
 def test_elapsed_is_recorded():

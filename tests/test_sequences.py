@@ -1,6 +1,7 @@
 """Bernoulli, harmonic, Eulerian and derived quantities against independent
 oracles: sympy, direct summation, and hand-frozen values."""
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 from functools import cache
@@ -514,27 +515,42 @@ def test_odd_power_sum_total_matches_the_double_loop():
 
 
 def test_bernoulli_residues_match_the_exact_table():
-    # B_i mod p^N, and p B_i where p divides the denominator: at i = p-1 and
-    # 2p-2 only; every exponent order, since a row is reduced from a finer
-    # one, and a row reaches B_{2p} only once an index past p is read
+    # B_i mod p^N, and p B_i at the positive multiples of p-1, where p
+    # divides the denominator; reads mixed over exponents and tops, since a
+    # row is reduced from a finer one that reaches as far, and each row holds
+    # exactly the entries up to the largest top read at its exponent
     for p in sympy.primerange(5, 200):
-        ctx = PrimeContext(p)
-        for e, top in (((3, p), (1, 2 * p), (2, p - 3), (2, 2 * p - 2))
-                       if p % 4 == 1 else
-                       ((1, p - 1), (2, 2 * p), (3, 0), (3, p + 1))):
-            q = p ** e
+        ctx, rng, longest = PrimeContext(p), random.Random(p), {}
+        for _ in range(6):
+            e, top = rng.randint(1, 3), rng.randint(0, 2 * p)
+            longest[e] = max(longest.get(e, -1), top)
             row = ctx.bernoulli_residues(e, top)
-            assert len(row) == (p + 1 if top <= p else 2 * p + 1)
+            assert len(row) == longest[e] + 1, (p, e, top)
+        for e, top in longest.items():
+            row = ctx.bernoulli_residues(e, 0)
+            assert len(row) == top + 1, (p, e)
             for i, got in enumerate(row):
                 b = bernoulli(i)
                 if b.denominator % p == 0:
-                    assert i in (p - 1, 2 * p - 2), (p, i)
+                    assert i and i % (p - 1) == 0, (p, i)
                     b *= p
                 assert got == mod_reduce(b, p, e), (p, e, i)
-            assert (row[p - 1] + 1) % p == 0  # p B_{p-1} = -1 mod p
-    for bad in ((0, 3), (1, -1), (1, 2 * p + 1)):
-        with pytest.raises(ValueError):
-            ctx.bernoulli_residues(*bad)
+            if top >= p - 1:
+                assert (row[p - 1] + 1) % p == 0  # p B_{p-1} = -1 mod p
+    with pytest.raises(ValueError):
+        ctx.bernoulli_residues(0, 3)
+
+
+def test_bernoulli_residues_read_one_slice_of_the_table(monkeypatch):
+    # the row reads the shared table's entries in one slice, not through a
+    # bernoulli(n) call per entry; a coarser row is reduced from a finer one
+    calls = []
+    monkeypatch.setattr(sequences, "bernoulli",
+                        lambda *args: calls.append(args) or bernoulli(*args))
+    ctx = PrimeContext(101)
+    for e, top in ((3, 50), (1, 202), (2, 120), (3, 150)):
+        assert len(ctx.bernoulli_residues(e, top)) == top + 1
+    assert calls == []
 
 
 def _tail_residue(ctx, m, exponent):
