@@ -14,9 +14,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, repeat
 from math import comb, factorial, lcm
-from operator import attrgetter, itemgetter, mul
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator
 
 from .modular import (
@@ -29,6 +29,8 @@ from .modular import (
 )
 from .sequences import (
     PrimeContext,
+    _pack,
+    _slots,
     bernoulli,
     bernoulli_table,
     divided_bernoulli,
@@ -370,13 +372,13 @@ def _lehmer_i_rhs(ctx, p, top):
     # range less the even bases 2a: (S_{p-1,2k} - 4^k S_{h,2k}) / 2^(2k-1)
     n, q = ctx.exponent, p ** ctx.exponent
     full = ctx.full_power_residues(n, 2 * top)[::2]
-    half = ctx.half_power_residues(n)[::2]
+    half = ctx.half_power_residues(n, 2 * top)[::2]
     return [2 * (w * f - h) % q
             for w, f, h in zip(_quarter_powers(q, top + 1), full, half)]
 
 
 def _lehmer_ii_lhs(ctx, p, top):
-    return ctx.half_power_residues(ctx.exponent)[:2 * top + 1:2]
+    return ctx.half_power_residues(ctx.exponent, 2 * top)[:2 * top + 1:2]
 
 
 def _lehmer_ii_rhs(ctx, p, top):
@@ -476,11 +478,9 @@ def _lemma2_lhs(ctx, p, top):
     n = ctx.exponent
     h, _, inverses = ctx.harmonic_residues(n - 1)
     w = (2 * (p ** (n - 1)).bit_length() + p.bit_length() + 7) // 8
-    a, b = (int.from_bytes(b"".join(x.to_bytes(w, "little") for x in xs),
-                           "little") for xs in (h[:p - 1], reversed(inverses)))
-    t = (a * b).to_bytes((2 * p - 5) * w, "little")
-    return [0] + [-p * int.from_bytes(t[(j + p - 4) * w:(j + p - 3) * w],
-                                      "little") % p ** n
+    t = _slots(_pack(h[:p - 1], w) * _pack(reversed(inverses), w), w,
+               2 * p - 5)
+    return [0] + [-p * t[j + p - 4] % p ** n
                   for j in range(p - 3, p - 2 * top - 2, -2)]
 
 
@@ -968,44 +968,38 @@ def _resolve_ids(identities: str | Iterable[str]) -> list[str]:
     return list(dict.fromkeys(ids))  # first occurrence order
 
 
-def _check_batch(tasks: list[tuple[str, dict[str, int]]],
-                 modulus_override: int | None) -> list[CheckReport]:
-    """check at catalog points, given as (identity, params): the points of
-    one identity at one prime in one call, an index point alone."""
-    reports = []
-    for ident, run in groupby(tasks, itemgetter(0)):
-        key = itemgetter("p") if "p" in _CATALOG[ident].params else id
-        for _, points in groupby((params for _, params in run), key):
-            reports += _check_point(ident, list(points), modulus_override)
-    return reports
+def _check_batch(batch: tuple[int | None, tuple[str, ...]], lo: int, hi: int,
+                 modulus_override: int | None) -> list[list[CheckReport]]:
+    """check at a batch's points, one report list per identity with points:
+    (p, ids), the points of prime p, one call per identity, or (None, (id,)),
+    the points in [lo, hi] of one index identity, each checked alone."""
+    p, ids = batch
+    if p is None:
+        (ident,) = ids
+        reports = [r for point in _CATALOG[ident].points(lo, hi)
+                   for r in _check_point(ident, [point], modulus_override)]
+        return [reports] if reports else []
+    return [_check_point(ident, points, modulus_override) for ident in ids
+            if (points := list(_CATALOG[ident].points(p, p)))]
 
 
 def _run_batch(batch: tuple[int | None, tuple[str, ...]], lo: int, hi: int,
                modulus_override: int | None,
                render: Callable[[list[CheckReport]], object] | None
                ) -> tuple[list[tuple[tuple, object]], int, list[Fraction]]:
-    """Build a batch's points, check them, and render each identity's share.
+    """Check a batch and render each identity's share.
 
-    A batch is (p, ids), the points of prime p, or (None, (id,)), the points
-    of one index-parameterized identity.  It gives one chunk per identity
-    with points: the sort key of the first report and render(reports), or
-    the reports themselves without render.  Within a prime an identity's
-    points ascend, so chunks sorted by that key put the reports in order.
-    It also gives the Bernoulli entries the batch appended to its process's
-    table: the index of the first, and the values.
+    It gives one chunk per identity with points: the sort key of the first
+    report and render(reports), or the reports themselves without render.
+    Within a prime an identity's points ascend, so chunks sorted by that key
+    put the reports in order.  It also gives the Bernoulli entries the batch
+    appended to its process's table: the index of the first, and the values.
     """
-    p, ids = batch
-    bounds = (lo, hi) if p is None else (p, p)
-    tasks = [(ident, point) for ident in ids
-             for point in _CATALOG[ident].points(*bounds)]
     table = bernoulli_table()
     start = table.max_index + 1
-    chunks = []
-    for _, group in groupby(_check_batch(tasks, modulus_override),
-                            attrgetter("identity")):
-        reports = list(group)
-        chunks.append((reports[0].sort_key(),
-                       reports if render is None else render(reports)))
+    chunks = [(reports[0].sort_key(),
+               reports if render is None else render(reports))
+              for reports in _check_batch(batch, lo, hi, modulus_override)]
     return chunks, start, table.entries(start)
 
 

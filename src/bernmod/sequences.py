@@ -5,20 +5,21 @@ tangent numbers), divided Bernoulli numbers, harmonic and generalized harmonic
 numbers, sums of powers, the Eulerian triangle with its even-ascent column
 sums, the Fermat quotient of 2, and the power-weighted Bernoulli convolution.
 Everything returns exact ints or Fractions; the *_mod variants work purely in
-modular arithmetic; fraction_sum adds exact terms over one denominator.  PrimeContext caches per-prime residue
-tables.  Exact harmonic numbers have two stores: the per-order memo behind
-harmonic and gen_harmonic, and identities._harmonic_prefix, whose integers
-H_j L and H_j^(2) L^2 the shifted-harmonic sums read.
+modular arithmetic; fraction_sum adds exact terms over one denominator.
+PrimeContext caches per-prime residue tables.  Exact harmonic numbers have
+two stores: the per-order memo behind harmonic and gen_harmonic, and
+identities._harmonic_prefix, whose integers H_j L and H_j^(2) L^2 the
+shifted-harmonic sums read.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from math import comb, isqrt, lcm
 from operator import mul
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .modular import is_prime, primes_in
 
@@ -374,33 +375,44 @@ def weighted_convolution(p: int, a: int = 2) -> Fraction:
         for i in range(2, p - 2, 2))
 
 
-def _half_power_sums(h: int, top: int, q: int) -> list[int]:
-    """S_{h,j} = 1^j + 2^j + ... + h^j mod q for j = 0..top, by baby and
-    giant steps over packed ints.
+def _pack(values: Iterable[int], w: int) -> int:
+    """One int holding the values in slots of w bytes, the first lowest."""
+    return int.from_bytes(b"".join([v.to_bytes(w, "little") for v in values]),
+                          "little")
 
-    With m = isqrt(top + 1), each base a gets one int holding a^0..a^(m-1)
-    mod q in slots of w bytes, and giant row u is the dot product of the
-    a^(um) mod q with those ints: its slot v is S_{h,um+v} before reduction.
-    A slot sums h products below q^2, so w bytes hold it with no carry into
-    the next slot.
+
+def _slots(x: int, w: int, count: int) -> list[int]:
+    """The first count slots of w bytes of x, the lowest first."""
+    b = x.to_bytes(count * w, "little")
+    return [int.from_bytes(b[i:i + w], "little")
+            for i in range(0, count * w, w)]
+
+
+def _half_power_sums(h: int, start: int, top: int, q: int) -> list[int]:
+    """S_{h,j} = 1^j + 2^j + ... + h^j mod q for j = start..top, by baby
+    and giant steps over packed ints.
+
+    With m = isqrt(top + 1 - start), each base a gets one int holding
+    a^0..a^(m-1) mod q in slots of w bytes, and giant row u is the dot
+    product of the a^(start+um) mod q with those ints: its slot v is
+    S_{h,start+um+v} before reduction.  A slot sums h products below q^2,
+    so w bytes hold it with no carry into the next slot.
     """
-    m = isqrt(top + 1)
+    m = isqrt(top + 1 - start)
     w = (2 * q.bit_length() + h.bit_length() + 7) // 8
     packs, steps = [], []
     for a in range(1, h + 1):
         baby, x = [], 1
         for _ in range(m):
-            baby.append(x.to_bytes(w, "little"))
+            baby.append(x)
             x = x * a % q
-        packs.append(int.from_bytes(b"".join(baby), "little"))
+        packs.append(_pack(baby, w))
         steps.append(x)
-    giant, sums = [1] * h, []
-    while len(sums) <= top:
-        row = sum(map(mul, giant, packs)).to_bytes(m * w, "little")
-        sums += [int.from_bytes(row[i:i + w], "little") % q
-                 for i in range(0, m * w, w)]
+    giant, sums = [pow(a, start, q) for a in range(1, h + 1)], []
+    while len(sums) <= top - start:
+        sums += [s % q for s in _slots(sum(map(mul, giant, packs)), w, m)]
         giant = [g * s % q for g, s in zip(giant, steps)]
-    return sums[:top + 1]
+    return sums[:top + 1 - start]
 
 
 class PrimeContext:
@@ -408,10 +420,10 @@ class PrimeContext:
 
     Caches the residue tables of the catalog's prime-indexed sides mod p^N:
     Bernoulli numbers, power sums and harmonic numbers, each built on its
-    first request, so once per (prime, exponent) at most.  It holds no
-    exact harmonic numbers.  Building one is a check's prime test, and check
-    sets `exponent` to the power of p it reduces at, for the evaluators that
-    read residues.
+    first request; the Bernoulli and half-range power rows then grow by
+    _grow.  It holds no exact harmonic numbers.  Building one is a check's
+    prime test, and check sets `exponent` to the power of p it reduces at,
+    for the evaluators that read residues.
     """
 
     def __init__(self, p: int):
@@ -461,56 +473,49 @@ class PrimeContext:
                 for a in range(1, p - 1)) % q
         return self._odd_power[exponent]
 
+    def _grow(self, rows: dict[int, list[int]], exponent: int, top: int,
+              source: Callable[[int, int, int], list[int]]) -> list[int]:
+        """The row at `exponent` in `rows`, grown to exactly top + 1 entries
+        for the largest top read: reduced from the longest row at a higher
+        exponent as far as it reaches, the rest from source(start, top, q),
+        the entries start..top mod q = p^exponent."""
+        if exponent < 1:
+            raise ValueError(f"exponent must be >= 1, got {exponent}")
+        row = rows.setdefault(exponent, [])
+        if len(row) <= top:
+            q = self.p ** exponent
+            finer = max((r for e, r in rows.items() if e > exponent),
+                        key=len, default=[])
+            row += [x % q for x in finer[len(row):top + 1]]
+            if len(row) <= top:
+                row += source(len(row), top, q)
+        return row
+
     def bernoulli_residues(self, exponent: int, top: int) -> list[int]:
         """B_i mod p^exponent for i = 0..top at least, except at the positive
         multiples of p-1, where p divides the squarefree denominator: those
-        hold p B_i mod p^exponent.
+        hold p B_i mod p^exponent.  Grown by _grow from the exact table, read
+        through one value(top) and one slice of its entries."""
+        def exact(start: int, top: int, q: int) -> list[int]:
+            p, table = self.p, bernoulli_table()
+            table.value(top)
+            new = table.entries(start)[:top + 1 - start]
+            return [n % q * pow(d // p if d % p == 0 else d, -1, q) % q
+                    for n, d in map(Fraction.as_integer_ratio, new)]
 
-        The row at each exponent holds exactly top + 1 entries for the
-        largest top asked for, so no side extends the exact table past what
-        it reads.  New entries are reduced from a row at a higher exponent
-        that reaches top, else from the exact table.
-        """
-        if exponent < 1:
-            raise ValueError(f"exponent must be >= 1, got {exponent}")
-        row = self._bernoulli.setdefault(exponent, [])
-        if len(row) <= top:
-            p, q = self.p, self.p ** exponent
-            finer = [r for e, r in self._bernoulli.items()
-                     if e > exponent and len(r) > top]
-            if finer:
-                row += [b % q for b in finer[0][len(row):top + 1]]
-            else:
-                table = bernoulli_table()
-                table.value(top)
-                for b in table.entries(len(row))[:top + 1 - len(row)]:
-                    den = b.denominator
-                    if den % p == 0:
-                        den //= p
-                    row.append(b.numerator % q * pow(den, -1, q) % q)
-        return row
+        return self._grow(self._bernoulli, exponent, top, exact)
 
-    def half_power_residues(self, exponent: int) -> list[int]:
+    def half_power_residues(self, exponent: int, top: int) -> list[int]:
         """S_{h,j} = 1^j + 2^j + ... + h^j mod p^exponent, h = (p-1)/2, for
-        j = 0..2p, by _half_power_sums.  A table at a higher exponent, if
-        one is built, is reduced instead."""
-        if exponent < 1:
-            raise ValueError(f"exponent must be >= 1, got {exponent}")
-        if exponent not in self._half_power:
-            q = self.p ** exponent
-            finer = [e for e in self._half_power if e > exponent]
-            if finer:
-                sums = [s % q for s in self._half_power[min(finer)]]
-            else:
-                sums = _half_power_sums((self.p - 1) // 2, 2 * self.p, q)
-            self._half_power[exponent] = sums
-        return self._half_power[exponent]
+        j = 0..top at least, grown by _grow from _half_power_sums."""
+        return self._grow(self._half_power, exponent, top,
+                          partial(_half_power_sums, (self.p - 1) // 2))
 
     def full_power_residues(self, exponent: int, top: int) -> list[int]:
-        """S_{p-1,k} mod p^exponent for k = 0..top <= 2p by E. Lehmer's pairing
-        of a with p - a: (p - a)^k expanded in powers of p leaves S_{h,k} +
+        """S_{p-1,k} mod p^exponent for k = 0..top by E. Lehmer's pairing of
+        a with p - a: (p - a)^k expanded in powers of p leaves S_{h,k} +
         (-1)^k sum_{i < exponent} C(k, i) (-p)^i S_{h,k-i}, a pass per i."""
-        q, s = self.p ** exponent, self.half_power_residues(exponent)
+        q, s = self.p ** exponent, self.half_power_residues(exponent, top)
         t = [0] * (top + 1)
         for i in range(min(exponent, top + 1)):
             c = (-self.p) ** i

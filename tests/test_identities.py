@@ -237,7 +237,7 @@ def _p_bernoulli_residue(ctx, n):
 def _full_power_residue(ctx, k):
     """S_{p-1,k} mod p^N by pairing a with p - a, one k at a time."""
     p, n = ctx.p, ctx.exponent
-    s = ctx.half_power_residues(n)
+    s = ctx.half_power_residues(n, k)
     total = sum(comb(k, i) * p ** i * (-1) ** (k - i) * s[k - i]
                 for i in range(min(n, k + 1)))
     return (s[k] + total) % p ** n
@@ -261,9 +261,9 @@ POINT_ORACLES = {
     ("lehmer_i", "lhs"): lambda ctx, p, k: _p_bernoulli_residue(ctx, 2 * k),
     ("lehmer_i", "rhs"): lambda ctx, p, k: 2 * (
         pow(4, -k, p ** ctx.exponent) * _full_power_residue(ctx, 2 * k)
-        - ctx.half_power_residues(ctx.exponent)[2 * k]),
+        - ctx.half_power_residues(ctx.exponent, 2 * k)[2 * k]),
     ("lehmer_ii", "lhs"): lambda ctx, p, k: ctx.half_power_residues(
-        ctx.exponent)[2 * k],
+        ctx.exponent, 2 * k)[2 * k],
     ("lehmer_ii", "rhs"): lambda ctx, p, k: (
         (pow(2, -2 * k, p ** ctx.exponent) - pow(2, -1, p ** ctx.exponent))
         * _p_bernoulli_residue(ctx, 2 * k)),
@@ -318,6 +318,32 @@ def test_a_single_check_reads_the_table_to_its_own_point(
     get_prime_context.cache_clear()
     assert check(identity, {"p": 1009, "k": k}).status == VERIFIED
     assert fresh.max_index == top
+
+
+@pytest.mark.parametrize("identity, k, exponent, size", [
+    ("sun_lemma", 3, 2, 4),  # S_{h,0..3} mod p^2
+    ("lehmer_ii", 2, 2, 5),  # S_{h,0..4} mod p^2
+    ("lehmer_i", 3, 3, 7),  # S_{h,0..6} mod p^3
+])
+def test_a_single_check_grows_the_half_power_row_to_its_own_point(
+        identity, k, exponent, size):
+    # the half-range row of one check ends at the power its k reads, not at
+    # j = 2p
+    get_prime_context.cache_clear()
+    assert check(identity, {"p": 1009, "k": k}).status == VERIFIED
+    ctx = get_prime_context(1009)
+    assert len(ctx.half_power_residues(exponent, -1)) == size
+
+
+def test_a_sweep_grows_each_half_power_row_to_its_largest_read():
+    # lehmer_i reads S_{h,0..2p-2} mod p^3; lehmer_ii reads to 2p mod p^2,
+    # and sun_lemma to p
+    p = 101
+    get_prime_context.cache_clear()
+    sweep(["lehmer_i", "lehmer_ii", "sun_lemma"], p, p)
+    ctx = get_prime_context(p)
+    assert [len(ctx.half_power_residues(e, -1)) for e in (3, 2)] == [
+        2 * p - 1, 2 * p + 1]
 
 
 def _bernoulli_convolution_oracle(t):
@@ -620,12 +646,20 @@ def _outcome(report):
 def test_batches_check_catalog_points_as_check_does(override):
     # a batch skips check's parameter validation, since catalog points come
     # with the identity's parameters in its order
-    tasks = [(ident, params) for ident, desc in catalog().items()
-             for params in desc.points(5, 61)]
-    batch = idmod._check_batch(tasks, override)
-    assert [_outcome(r) for r in batch] == [
-        _outcome(check(ident, params, modulus_override=override))
-        for ident, params in tasks]
+    by_prime = tuple(i for i, d in catalog().items() if "p" in d.params)
+    batches = [(None, (i,)) for i in catalog() if i not in by_prime]
+    batches += [(p, by_prime) for p in primes_in(5, 61)]
+    for p, ids in batches:
+        bounds = (5, 61) if p is None else (p, p)
+        tasks = [(ident, params) for ident in ids
+                 for params in catalog()[ident].points(*bounds)]
+        lists = idmod._check_batch((p, ids), 5, 61, override)
+        # one list per identity with points
+        assert [rs[0].identity for rs in lists] == list(
+            dict.fromkeys(ident for ident, _ in tasks))
+        assert [_outcome(r) for rs in lists for r in rs] == [
+            _outcome(check(ident, params, modulus_override=override))
+            for ident, params in tasks]
 
 
 _PREFIX_SIDES = [("alzer", 0), ("choi_srivastava_s1", 1),
@@ -669,7 +703,7 @@ def test_out_of_domain_is_inapplicable():
 
 @pytest.mark.parametrize("ident, p", [("lehmer_i", 7), ("lehmer_ii", 5)])
 def test_lehmer_points_past_k_equals_p_are_inapplicable(ident, p, capsys):
-    # both residue kernels read tables that end at index 2p
+    # both domains end at k = p
     assert check(ident, {"p": p, "k": p - 1}).status == VERIFIED
     for k in (p + 1, 2 * p):
         assert check(ident, {"p": p, "k": k}).status == INAPPLICABLE, k
@@ -774,9 +808,9 @@ def test_sweep_runs_costliest_batches_first(monkeypatch):
     started = []
     check_batch = idmod._check_batch
 
-    def record(tasks, modulus_override):
-        started.append(tasks[0][1].get("p", tasks[0][0]))
-        return check_batch(tasks, modulus_override)
+    def record(batch, lo, hi, modulus_override):
+        started.append(batch[1][0] if batch[0] is None else batch[0])
+        return check_batch(batch, lo, hi, modulus_override)
 
     monkeypatch.setattr(idmod, "_check_batch", record)
     sweep(["wilson", "alzer", "lemma2"], 5, 13)
@@ -788,9 +822,11 @@ def test_sweep_makes_no_batch_for_a_prime_without_points(monkeypatch):
     started = []
     check_batch = idmod._check_batch
 
-    def record(tasks, modulus_override):
-        started.append([(i, tuple(prm.values())) for i, prm in tasks])
-        return check_batch(tasks, modulus_override)
+    def record(batch, lo, hi, modulus_override):
+        lists = check_batch(batch, lo, hi, modulus_override)
+        started.append([(r.identity, tuple(r.params.values()))
+                         for rs in lists for r in rs])
+        return lists
 
     monkeypatch.setattr(idmod, "_check_batch", record)
     sweep(["zhao_p5", "zhao_p3"], 5, 17)

@@ -606,7 +606,7 @@ def test_power_rows_match_direct_sums_at_catalog_exponents():
         ctx = get_prime_context(p)
         half = (p - 1) // 2
         p2, p3 = p ** 2, p ** 3
-        for j, got in enumerate(ctx.half_power_residues(3)):
+        for j, got in enumerate(ctx.half_power_residues(3, 2 * p)):
             assert got == sum_powers(half, j) % p3, (p, j)
         full2, full3 = (ctx.full_power_residues(e, 2 * p) for e in (2, 3))
         for k in range(2, p + 1):
@@ -614,12 +614,36 @@ def test_power_rows_match_direct_sums_at_catalog_exponents():
         for k in range(2, p):
             if (2 * k - 2) % (p - 1):
                 odd = (full3[2 * k]
-                       - 4 ** k * ctx.half_power_residues(3)[2 * k])
+                       - 4 ** k * ctx.half_power_residues(3, 2 * k)[2 * k])
                 assert odd % p3 == _odd_even_power_sum_oracle(p, k) % p3, (
                     p, k)
         for k in range(1, p + 1):
-            assert (ctx.half_power_residues(2)[2 * k]
+            assert (ctx.half_power_residues(2, 2 * k)[2 * k]
                     == sum_powers(half, 2 * k) % p2), (p, k)
+
+
+def test_full_power_rows_past_two_p_match_direct_sums():
+    # the half-range row grows to any top, so a full row past k = 2p keeps
+    # all top + 1 entries
+    for p in (5, 13, 31):
+        ctx = PrimeContext(p)
+        for e in (1, 2, 3):
+            assert ctx.full_power_residues(e, 3 * p) == [
+                sum_powers(p - 1, k) % p ** e for k in range(3 * p + 1)], (
+                p, e)
+
+
+def test_half_power_rows_hold_exactly_the_largest_top_read():
+    # reads mixed over exponents and tops, so a row grows from a finer one
+    # as far as that reaches and from the kernel past it
+    for p in sympy.primerange(5, 100):
+        ctx, rng, longest = PrimeContext(p), random.Random(p), {}
+        sums = [sum_powers((p - 1) // 2, j) for j in range(3 * p + 1)]
+        for _ in range(6):
+            e, top = rng.randint(1, 3), rng.randint(0, 3 * p)
+            longest[e] = max(longest.get(e, -1), top)
+            assert ctx.half_power_residues(e, top) == [
+                s % p ** e for s in sums[:longest[e] + 1]], (p, e, top)
 
 
 def test_power_rows_do_not_depend_on_request_order():
@@ -637,13 +661,13 @@ def test_power_rows_do_not_depend_on_request_order():
         ctx = PrimeContext(p)
         for e in exponents:
             q = p ** e
-            assert ctx.half_power_residues(e) == [
+            assert ctx.half_power_residues(e, 2 * p) == [
                 sum_powers(half, j) % q for j in range(2 * p + 1)], e
             for k in ks:
                 assert (ctx.full_power_residues(e, 2 * p)[k]
                         == sum_powers(p - 1, k) % q), (e, k)
     with pytest.raises(ValueError):
-        ctx.half_power_residues(0)
+        ctx.half_power_residues(0, 2)
 
 
 def test_power_rows_do_not_depend_on_which_row_is_read_first():
@@ -651,7 +675,7 @@ def test_power_rows_do_not_depend_on_which_row_is_read_first():
     reads = {
         "full": lambda ctx, p, e: (ctx.full_power_residues(e, 5)[5],
                                    sum_powers(p - 1, 5) % p ** e),
-        "half": lambda ctx, p, e: (ctx.half_power_residues(e)[4],
+        "half": lambda ctx, p, e: (ctx.half_power_residues(e, 4)[4],
                                    sum_powers((p - 1) // 2, 4) % p ** e),
         "harmonic": lambda ctx, p, e: (ctx.harmonic_residues(e)[0][3],
                                        mod_reduce(harmonic(3), p, e)),
@@ -685,20 +709,24 @@ def _half_power_args(p, exponent):
 
 def test_packed_half_power_sums_match_the_stepped_pass():
     # the catalog's table, p^3, over a wide range; every exponent a
-    # --modulus probe can ask for over a short one; and one large prime
+    # --modulus probe can ask for over a short one; and one large prime;
+    # each from j = 0, and from a start inside the range, as when a row that
+    # ends there grows
     cases = [(p, 3) for p in sympy.primerange(5, 402)]
     cases += [(p, e) for p in sympy.primerange(5, 62) for e in range(1, 7)]
     cases.append((1009, 3))
     for p, e in cases:
-        args = _half_power_args(p, e)
-        assert _half_power_sums(*args) == _stepped_half_power_sums(*args), (
-            p, e)
+        h, top, q = _half_power_args(p, e)
+        want = _stepped_half_power_sums(h, top, q)
+        for start in (0, 1, p - 1, 2 * p - 1, top):
+            assert _half_power_sums(h, start, top, q) == want[start:], (
+                p, e, start)
 
 
 def test_packed_half_power_sums_at_3001():
     p = 3001
     h, top, q = _half_power_args(p, 3)
-    sums = _half_power_sums(h, top, q)
+    sums = _half_power_sums(h, 0, top, q)
     assert len(sums) == top + 1
     for j in (0, 1, 2, p - 2, p - 1, p, 2 * p - 2, 2 * p - 1, 2 * p):
         assert sums[j] == sum(pow(a, j, q) for a in range(1, h + 1)) % q, j
@@ -706,11 +734,14 @@ def test_packed_half_power_sums_at_3001():
 
 @settings(max_examples=200, deadline=None)
 @given(h=st.integers(min_value=0, max_value=40),
-       top=st.integers(min_value=0, max_value=90),
+       ends=st.lists(st.integers(min_value=0, max_value=90), min_size=2,
+                     max_size=2).map(sorted),
        q=st.integers(min_value=1, max_value=2 ** 80))
-def test_packed_half_power_sums_property(h, top, q):
+def test_packed_half_power_sums_property(h, ends, q):
     # moduli past 2^32 make slots wider than 64 bits
-    assert _half_power_sums(h, top, q) == _stepped_half_power_sums(h, top, q)
+    start, top = ends
+    assert (_half_power_sums(h, start, top, q)
+            == _stepped_half_power_sums(h, top, q)[start:])
 
 
 def test_building_a_prime_context_builds_no_power_row():
