@@ -16,7 +16,6 @@ from functools import partial
 
 from . import cache as cache_store
 from .identities import ERROR, FAILED, NOT_P_INTEGRAL, identity_ids, sweep
-from .modular import is_prime
 from .permutations import profile
 from .sequences import (
     MINUS_HALF,
@@ -184,50 +183,35 @@ def _cmd_verify(args: argparse.Namespace,
     return 1 if bad else 0
 
 
-def _require_prime(parser, p: int, minimum: int = 5) -> None:
-    if p < minimum or not is_prime(p):
-        parser.error(f"p must be a prime >= {minimum}, got {p}")
-
-
 def _cmd_compute(args: argparse.Namespace,
                  parser: argparse.ArgumentParser) -> int:
     what = args.what
     try:
         if what == "bernoulli":
-            if args.n < 0:
-                parser.error("n must be >= 0")
             if args.cache:
                 cached = _load_cache(args.cache)
             print(bernoulli(args.n, convention=args.convention))
             if args.cache:
                 _save_cache(args.cache, cached)
         elif what == "eulerian":
-            if args.n < 0 or args.m < 0:
-                parser.error("n and m must be >= 0")
+            if args.m < 0:  # eulerian(n, -1) is 0
+                parser.error("m must be >= 0")
             if args.p is not None:
-                _require_prime(parser, args.p, minimum=2)
                 print(eulerian_mod(args.n, args.m, args.p, args.k))
             else:
                 print(eulerian(args.n, args.m))
         elif what == "harmonic":
-            if args.n < 0:
-                parser.error("n must be >= 0")
             print(gen_harmonic(args.n, args.order))
         elif what == "nk":
             if args.p is not None:
-                _require_prime(parser, args.p)
                 print(even_ascent_count_mod(args.p, args.k))
             elif args.n is None:
                 parser.error("give N for the exact count or --p for a residue")
             else:
-                if args.n < 1:
-                    parser.error("N must be >= 1")
                 print(even_ascent_count(args.n))
         elif what == "q2":
-            _require_prime(parser, args.p, minimum=3)
             print(fermat_quotient_2(args.p))
         elif what == "conv":
-            _require_prime(parser, args.p)
             print(weighted_convolution(args.p, args.a))
     except ValueError as exc:
         parser.error(str(exc))

@@ -474,14 +474,13 @@ def _lemma2_lhs(ctx, p, top):
     # j = p-2m-1, which count only mod p^(N-1).  K = j + i meets the divisor
     # p+1+i, so T_j is slot j + p - 4 of the product of two ints that hold
     # H_0..H_{p-2} and the inverses of 2p-3 down to p+1 in slots of w bytes,
-    # room for a sum of p products
+    # room for a sum of p products; only the slots of m = 1..top are read
     n = ctx.exponent
     h, _, inverses = ctx.harmonic_residues(n - 1)
     w = (2 * (p ** (n - 1)).bit_length() + p.bit_length() + 7) // 8
     t = _slots(_pack(h[:p - 1], w) * _pack(reversed(inverses), w), w,
-               2 * p - 5)
-    return [0] + [-p * t[j + p - 4] % p ** n
-                  for j in range(p - 3, p - 2 * top - 2, -2)]
+               2 * p - 2 * top - 5, 2 * top - 1)
+    return [0] + [-p * x % p ** n for x in t[::-2]]
 
 
 def _lemma2_rhs(ctx, p, top):
@@ -879,10 +878,16 @@ def _descriptor(identity: str) -> IdentityDescriptor:
         raise UnknownIdentity(identity) from None
 
 
+def _require_exponent(modulus_override: int | None) -> None:
+    if modulus_override is not None and modulus_override < 1:
+        raise ValueError(f"exponent must be >= 1, got {modulus_override}")
+
+
 def check(identity: str, params: dict[str, int], *,
           modulus_override: int | None = None) -> CheckReport:
     """Evaluate both sides of one identity at one parameter point."""
     desc = _descriptor(identity)
+    _require_exponent(modulus_override)
     if set(params) != set(desc.params):
         raise ValueError(
             f"{identity} takes parameters {desc.params}, got {tuple(params)}"
@@ -897,7 +902,8 @@ def _check_point(identity: str, points: list[dict[str, int]],
     whose parameters are the identity's, in its order, as the catalog's
     point generators give them; the reports share the call's time evenly.
     An identity with a parameter after p reads both sides off its rows,
-    which end at the largest such parameter among the points in its domain.
+    evaluated once per call, which end at the largest such parameter among
+    the points in its domain.
 
     The PrimeContext is the one prime test, so it comes before the domain
     predicate; it carries the exponent of the reduction to its residues."""
@@ -917,16 +923,22 @@ def _check_point(identity: str, points: list[dict[str, int]],
     modulus = None if exponent is None else p ** exponent
     row_param = desc.params[-1] if ctx and len(desc.params) > 1 else None
     applies = [domain is not None and domain(**point) for point in points]
-    top = max((pt[row_param] for pt, ok in zip(points, applies) if ok),
-              default=0) if row_param else None
-    outcomes, rows = [], None
+    rows = None
+    if row_param and any(applies):
+        top = max(pt[row_param] for pt, ok in zip(points, applies) if ok)
+        try:
+            rows = desc.lhs(ctx, p, top), desc.rhs(ctx, p, top)
+        except Exception as exc:  # reported at each point in the domain
+            rows = exc
+    outcomes = []
     for point, ok in zip(points, applies):
         if not ok:
             outcomes.append((INAPPLICABLE, None, None, None))
             continue
         try:
+            if isinstance(rows, Exception):
+                raise rows
             if row_param:
-                rows = rows or (desc.lhs(ctx, p, top), desc.rhs(ctx, p, top))
                 i = point[row_param]
                 lhs, rhs = rows[0][i], rows[1][i]
             else:
@@ -1035,6 +1047,7 @@ def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
         raise ValueError(f"sweep range must start at 5 or above, got {lo}")
     if lo > hi:
         raise ValueError(f"empty sweep range {lo}..{hi}")
+    _require_exponent(modulus_override)
     ids = _resolve_ids(identities)
     by_prime = tuple(i for i in ids if "p" in _CATALOG[i].params)
 

@@ -381,11 +381,12 @@ def _pack(values: Iterable[int], w: int) -> int:
                           "little")
 
 
-def _slots(x: int, w: int, count: int) -> list[int]:
-    """The first count slots of w bytes of x, the lowest first."""
-    b = x.to_bytes(count * w, "little")
+def _slots(x: int, w: int, first: int, count: int) -> list[int]:
+    """count slots of w bytes of x >= 0 from slot `first` on, the lowest
+    first; a slot past the top of x is 0."""
+    b = x.to_bytes((x.bit_length() + 7) // 8, "little")
     return [int.from_bytes(b[i:i + w], "little")
-            for i in range(0, count * w, w)]
+            for i in range(first * w, (first + count) * w, w)]
 
 
 def _half_power_sums(h: int, start: int, top: int, q: int) -> list[int]:
@@ -410,7 +411,7 @@ def _half_power_sums(h: int, start: int, top: int, q: int) -> list[int]:
         steps.append(x)
     giant, sums = [pow(a, start, q) for a in range(1, h + 1)], []
     while len(sums) <= top - start:
-        sums += [s % q for s in _slots(sum(map(mul, giant, packs)), w, m)]
+        sums += [s % q for s in _slots(sum(map(mul, giant, packs)), w, 0, m)]
         giant = [g * s % q for g, s in zip(giant, steps)]
     return sums[:top + 1 - start]
 
@@ -418,12 +419,14 @@ def _half_power_sums(h: int, start: int, top: int, q: int) -> list[int]:
 class PrimeContext:
     """Per-prime workspace shared by congruence evaluators.
 
-    Caches the residue tables of the catalog's prime-indexed sides mod p^N:
-    Bernoulli numbers, power sums and harmonic numbers, each built on its
-    first request; the Bernoulli and half-range power rows then grow by
-    _grow.  It holds no exact harmonic numbers.  Building one is a check's
-    prime test, and check sets `exponent` to the power of p it reduces at,
-    for the evaluators that read residues.
+    Caches the residue tables of the catalog's prime-indexed sides mod p^N,
+    a row per exponent: Bernoulli numbers, half-range power sums, harmonic
+    numbers, N_{p-2} and the odd-power total.  Every row grows by one rule,
+    _grow, which reduces the finest row held as far as it reaches and
+    builds only the rest; full power sums are rebuilt from the half-range
+    row at each read.  It holds no exact harmonic numbers.  Building one
+    is a check's prime test, and check sets `exponent` to the power of p it
+    reduces at, for the evaluators that read residues.
     """
 
     def __init__(self, p: int):
@@ -431,47 +434,43 @@ class PrimeContext:
             raise ValueError(f"need a prime >= 5, got {p}")
         self.p = p
         self.exponent: int | None = None
-        self._even_ascent: dict[int, int] = {}
-        self._odd_power: dict[int, int] = {}
+        self._even_ascent: dict[int, list[int]] = {}
+        self._odd_power: dict[int, list[int]] = {}
         self._bernoulli: dict[int, list[int]] = {}
         self._half_power: dict[int, list[int]] = {}
-        self._harmonic: dict[int, tuple[list[int], list[int], list[int]]] = {}
+        self._harmonic: dict[int, list[int]] = {}
 
     def even_ascent_residue(self, exponent: int = 1) -> int:
-        """N_{p-2} mod p^exponent, in O(p).
+        """N_{p-2} mod p^exponent, a one-entry row grown by _grow from one
+        O(p) pass.
 
         The explicit sums E(p-2, mm) over even mm, grouped by j: (-1)^j
         C(p-1, j) meets a^(p-2) for each a <= p-2-j of the parity of p-2-j,
         the prefix P[p-2-j]; 0^(p-2) = 0, so one prefix list serves both.
         """
-        if exponent < 1:
-            raise ValueError(f"exponent must be >= 1, got {exponent}")
-        if exponent not in self._even_ascent:
+        def explicit(start: int, top: int, q: int) -> list[int]:
             p = self.p
-            pk = p ** exponent
             binoms = _signed_binomials_mod(p - 2, p - 3, p, exponent)
-            P = [pow(a, p - 2, pk) for a in range(p - 1)]
+            P = [pow(a, p - 2, q) for a in range(p - 1)]
             for t in range(2, p - 1):
                 P[t] += P[t - 2]
-            self._even_ascent[exponent] = sum(
-                b * P[p - 2 - j] for j, b in enumerate(binoms)) % pk
-        return self._even_ascent[exponent]
+            return [sum(b * P[p - 2 - j] for j, b in enumerate(binoms)) % q]
+
+        return self._grow(self._even_ascent, exponent, 0, explicit)[0]
 
     def odd_power_residue(self, exponent: int) -> int:
-        """sum over m = 0..(p-3)/2 of S_{2m+1, p-2}, mod p^exponent.
+        """sum over m = 0..(p-3)/2 of S_{2m+1, p-2}, mod p^exponent, a
+        one-entry row grown by _grow.
 
         Summed by power rather than by m: a^(p-2) occurs in S_{t, p-2} for
         each of the (p-1)/2 - a//2 odd t in [a, p-2].
         """
-        if exponent < 1:
-            raise ValueError(f"exponent must be >= 1, got {exponent}")
-        if exponent not in self._odd_power:
-            p, q = self.p, self.p ** exponent
-            half = (p - 1) // 2
-            self._odd_power[exponent] = sum(
-                pow(a, p - 2, q) * (half - a // 2)
-                for a in range(1, p - 1)) % q
-        return self._odd_power[exponent]
+        def by_power(start: int, top: int, q: int) -> list[int]:
+            p, half = self.p, (self.p - 1) // 2
+            return [sum(pow(a, p - 2, q) * (half - a // 2)
+                        for a in range(1, p - 1)) % q]
+
+        return self._grow(self._odd_power, exponent, 0, by_power)[0]
 
     def _grow(self, rows: dict[int, list[int]], exponent: int, top: int,
               source: Callable[[int, int, int], list[int]]) -> list[int]:
@@ -527,18 +526,21 @@ class PrimeContext:
     def harmonic_residues(
             self, exponent: int) -> tuple[list[int], list[int], list[int]]:
         """H_K and H_K^(2) mod p^exponent for K = 0..p-1, and the inverses
-        of p+1..2p-3, the divisors of the shifted harmonic tail; exponent 0
-        is the modulus 1, where every residue is 0."""
-        if exponent < 0:
-            raise ValueError(f"exponent must be >= 0, got {exponent}")
-        if exponent not in self._harmonic:
-            p, r = self.p, self.p ** exponent
-            inverses = [pow(j, -1, r) for j in range(1, p)]
-            h, h2 = ([x % r for x in accumulate(row, initial=0)]
+        of p+1..2p-3, the divisors of the shifted harmonic tail: the three
+        parts of one row of 3p - 3 entries grown by _grow.  Exponent 0 is
+        the modulus 1, where every residue is 0."""
+        p = self.p
+        if exponent == 0:
+            return [0] * p, [0] * p, [0] * (p - 3)
+
+        def by_inverses(start: int, top: int, q: int) -> list[int]:
+            inverses = [pow(j, -1, q) for j in range(1, p)]
+            h, h2 = ([x % q for x in accumulate(row, initial=0)]
                      for row in (inverses, [v * v for v in inverses]))
-            shifted = [pow(d, -1, r) for d in range(p + 1, 2 * p - 2)]
-            self._harmonic[exponent] = h, h2, shifted
-        return self._harmonic[exponent]
+            return h + h2 + [pow(d, -1, q) for d in range(p + 1, 2 * p - 2)]
+
+        row = self._grow(self._harmonic, exponent, 3 * p - 4, by_inverses)
+        return row[:p], row[p:2 * p], row[2 * p:]
 
 
 @lru_cache(maxsize=1)

@@ -131,21 +131,38 @@ def test_verify_unwritable_out_exits_two_before_sweeping(
 
 
 # SHA-256 of the stdout of `verify --identity all --primes 5..61
-# --no-timestamps` (3503 points), which pins every field of every report
+# --no-timestamps` (3503 points), which pins every field of every report, at
+# the declared exponents and at --modulus 1 and 4, with the exit code
 REPORT_DIGESTS = {
-    "json": "f3168a2e0c7118afbcddc8240b3fe386b4520a2806a4465f1abe6e5659f5fccb",
-    "csv": "0e44d8e82b581cafc4787a6598130fa0526f1164f28a1521f7226e47a834e590",
+    (None, "json"): (
+        "f3168a2e0c7118afbcddc8240b3fe386b4520a2806a4465f1abe6e5659f5fccb", 0),
+    (None, "csv"): (
+        "0e44d8e82b581cafc4787a6598130fa0526f1164f28a1521f7226e47a834e590", 0),
+    ("1", "json"): (
+        "2fb88a46045bbdf9d8c8759a9a6b9fc8d0e003d485f636e488c9f559ca371f68", 0),
+    ("1", "csv"): (
+        "6e30a378f626a8ae861b05bb558d226587911f53b04ef3966ee8964f75ecf8f5", 0),
+    ("4", "json"): (
+        "e4d33ffa562cff256b12b03240588a516718768d6efdc1a4213050080cf3f562", 1),
+    ("4", "csv"): (
+        "68c8acb4d6045e28d69c58b751f2f09dd18841f592b5f88a6129e4275304960e", 1),
 }
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("jobs, modulus", [
+    pytest.param(jobs, modulus, id=jobs + (f"-modulus{modulus}" if modulus
+                                           else ""))
+    for modulus in (None, "1", "4") for jobs in ("1", "2")])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_report_stream_is_pinned(fmt, jobs, capsys):
+def test_report_stream_is_pinned(fmt, jobs, modulus, capsys):
+    override = ["--modulus", modulus] if modulus else []
     code, out, _ = run(
         ["verify", "--identity", "all", "--primes", "5..61",
-         "--no-timestamps", "--jobs", jobs, "--format", fmt], capsys)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[fmt]
+         "--no-timestamps", "--jobs", jobs, "--format", fmt, *override],
+        capsys)
+    digest, exit_code = REPORT_DIGESTS[modulus, fmt]
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
     if fmt == "json":
         rows = [json.loads(line) for line in out.splitlines()]
         assert len(rows) == 3503
@@ -349,6 +366,14 @@ def test_import_leaves_the_process_pool_unloaded():
     ["compute", "q2", "8"],
     ["compute", "nk"],
     ["compute", "bernoulli", "-5"],
+    # a bad prime, degree, exponent or index is refused by the library
+    ["compute", "eulerian", "3", "1", "--p", "4"],
+    ["compute", "eulerian", "3", "-1"],
+    ["compute", "nk", "--p", "4"],
+    ["compute", "nk", "0"],
+    ["compute", "harmonic", "-1"],
+    ["compute", "q2", "2"],
+    ["compute", "conv", "--p", "4"],
     ["verify", "--primes", "5..7", "--modulus", "0"],
     ["verify", "--primes", "5..7", "--modulus", "-1"],
     ["verify", "--primes", "5..7", "--jobs", "0"],

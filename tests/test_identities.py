@@ -782,6 +782,15 @@ def test_sun_lemma_exploratory_points_never_count_as_failures():
         for k in (p - 1, p):
             report = check("sun_lemma", {"p": p, "k": k})
             assert report.status in (VERIFIED, INAPPLICABLE)
+    # at p^4 the congruence fails at k = p - 1, outside the stated domain,
+    # so that point is reported with its values but not counted; k = p holds
+    for p in primes_in(7, 23):
+        report = check("sun_lemma", {"p": p, "k": p - 1}, modulus_override=4)
+        assert report.status == INAPPLICABLE, p
+        assert None not in (report.lhs, report.rhs)
+        assert report.lhs != report.rhs, p
+        report = check("sun_lemma", {"p": p, "k": p}, modulus_override=4)
+        assert report.status == VERIFIED, p
 
 
 def test_sweep_range_validation():
@@ -789,6 +798,12 @@ def test_sweep_range_validation():
         sweep("wilson", 3, 11)
     with pytest.raises(ValueError):
         sweep("wilson", 11, 7)
+    # a modulus exponent below 1 is refused before any point is checked
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            sweep("lehmer_ii", 5, 5, modulus_override=bad)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            check("lehmer_ii", {"p": 5, "k": 1}, modulus_override=bad)
 
 
 def test_sweep_reports_are_sorted_and_complete():
@@ -981,15 +996,18 @@ def test_a_row_that_raises_fails_only_its_points(monkeypatch, capsys,
     assert capsys.readouterr().err == ""
     desc = idmod._CATALOG["sun_lemma"]
     row = getattr(desc, side)
+    calls = []
 
     def raising(ctx, p, top):
         if p == 13:
+            calls.append(top)
             raise raised
         return row(ctx, p, top)
 
     monkeypatch.setitem(idmod._CATALOG, "sun_lemma",
                         dataclasses.replace(desc, **{side: raising}))
     broken = untimed(sweep(ids, 5, 31))
+    assert calls == [13]  # the row is evaluated once, not once per point
     assert len(broken) == len(clean)
     changed = [(a, b) for a, b in zip(clean, broken) if a != b]
     # every in-domain point of sun_lemma at 13 is k = 2..13
@@ -1002,6 +1020,21 @@ def test_a_row_that_raises_fails_only_its_points(monkeypatch, capsys,
                        "deliberate" for k in range(2, 14)]
     else:
         assert err == []
+
+
+def test_a_catalog_sweep_counts_the_even_ascents_once_per_prime(
+        monkeypatch):
+    # result1 reads N_{p-2} mod p^2 before result2 and result4 read it mod
+    # p, which is then reduced from the p^2 row, not rebuilt
+    calls = []
+    binomials = sequences._signed_binomials_mod
+    monkeypatch.setattr(sequences, "_signed_binomials_mod",
+                        lambda *args: calls.append(args) or binomials(*args))
+    get_prime_context.cache_clear()
+    sweep("all", 5, 199)
+    primes = primes_in(5, 199)
+    assert len(primes) == 44
+    assert sorted(args[2] for args in calls) == primes
 
 
 def test_catalog_sweep_grows_the_table_to_the_largest_index_read(

@@ -553,6 +553,32 @@ def test_bernoulli_residues_read_one_slice_of_the_table(monkeypatch):
     assert calls == []
 
 
+def test_a_coarser_read_reduces_the_finest_table_held(monkeypatch):
+    # after the p^3 tables are built, a read at p^2 or p reduces them: no
+    # pow call, no binomial row, the values of a fresh build
+    p = 31
+    ctx = PrimeContext(p)
+    reads = {
+        "ascent": lambda ctx, e: ctx.even_ascent_residue(e),
+        "odd power": lambda ctx, e: ctx.odd_power_residue(e),
+        "harmonic": lambda ctx, e: ctx.harmonic_residues(e),
+    }
+    for read in reads.values():
+        read(ctx, 3)
+    want = {(name, e): read(PrimeContext(p), e)
+            for name, read in reads.items() for e in (2, 1)}
+    calls = []
+    monkeypatch.setattr(sequences, "pow",
+                        lambda *args: calls.append(args) or pow(*args),
+                        raising=False)
+    monkeypatch.setattr(sequences, "_signed_binomials_mod",
+                        lambda *args: calls.append(args))
+    for (name, e), value in want.items():
+        assert reads[name](ctx, e) == value, (name, e)
+    assert calls == []
+    assert [len(part) for part in ctx.harmonic_residues(1)] == [p, p, p - 3]
+
+
 def _tail_residue(ctx, m, exponent):
     """The shifted tail mod p^exponent from the context's harmonic residues:
     K = p-2m-1+i meets the divisor p+1+i for i = 0..2m-1."""
