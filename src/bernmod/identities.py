@@ -109,8 +109,9 @@ class IdentityDescriptor:
 # shared evaluator pieces
 #
 # The prime-indexed sides are residues mod p^N, N = ctx.exponent, read from
-# the context's tables: a Bernoulli side from bernoulli_residues, a power
-# side from power residues, a harmonic side from harmonic_residues.
+# the context's tables: a Bernoulli side that sums over a row from
+# bernoulli_residues, one that reads a few entries from bernoulli_residue, a
+# power side from power residues, a harmonic side from harmonic_residues.
 
 def _divided_convolution(t: int) -> Fraction:
     """sum_{j=2}^{t-2} (B_j/j)(B_{t-j}/(t-j)); odd j contribute nothing."""
@@ -161,11 +162,10 @@ def _quarter_powers(q: int, count: int) -> list[int]:
 
 
 def _agoh_giuga_residue(ctx: PrimeContext, exponent: int) -> int:
-    """A_p = (1 + p B_{p-1}) / p mod p^exponent, from the Bernoulli row one
-    power higher: p B_{p-1} = -1 mod p, so the division is exact."""
+    """A_p = (1 + p B_{p-1}) / p mod p^exponent, from p B_{p-1} one power
+    higher: p B_{p-1} = -1 mod p, so the division is exact."""
     r = ctx.p ** (exponent + 1)
-    b = ctx.bernoulli_residues(exponent + 1, ctx.p - 1)
-    return (1 + b[ctx.p - 1]) % r // ctx.p
+    return (1 + ctx.bernoulli_residue(exponent + 1, ctx.p - 1)) % r // ctx.p
 
 
 def _two_n_digits(ctx: PrimeContext) -> tuple[int, int]:
@@ -224,32 +224,30 @@ def _one_rhs(ctx, p):
 
 
 def _zhao_p3_rhs(ctx, p):
-    return -2 * ctx.bernoulli_residues(ctx.exponent, p - 3)[p - 3]
+    return -2 * ctx.bernoulli_residue(ctx.exponent, p - 3)
 
 
 def _zhao_p5_rhs(ctx, p):
-    q = p ** ctx.exponent
-    b = ctx.bernoulli_residues(ctx.exponent, p - 3)
-    return (-2 * b[p - 5] - 2 * mod_inverse(3, p, ctx.exponent)
-            * b[p - 3] ** 2) % q
+    n, q = ctx.exponent, p ** ctx.exponent
+    return (-2 * ctx.bernoulli_residue(n, p - 5) - 2 * mod_inverse(3, p, n)
+            * ctx.bernoulli_residue(n, p - 3) ** 2) % q
 
 
 def _lev3_p1_rhs(ctx, p):
     # digit 2 of 2p B_{2p-2}/(2p-2) - p^2 (B_{p-1}/(p-1))^2, that is of
     # (p B_{2p-2} - (p B_{p-1})^2 / (p-1)) / (p-1), read at p^3
     r = p ** 3
-    b = ctx.bernoulli_residues(3, 2 * p - 2)
+    b1, b2 = (ctx.bernoulli_residue(3, i) for i in (p - 1, 2 * p - 2))
     inv = mod_inverse(p - 1, p, 3)
-    return (b[2 * p - 2] - b[p - 1] ** 2 * inv) * inv % r // (p * p)
+    return (b2 - b1 ** 2 * inv) * inv % r // (p * p)
 
 
 def _lev3_shifted_rhs(ctx, p, s):
     # 2 (A_p - 1) D_{p-s} + 2 (digit 1 of D_{2p-1-s} - D_{p-s}), D_i = B_i/i,
-    # less D_{p-3}^2 at s = 5; A_p and the digit read the row at p^(N+1)
+    # less D_{p-3}^2 at s = 5; A_p and the digit read B_i mod p^(N+1)
     n = ctx.exponent
     r = p ** (n + 1)
-    b = ctx.bernoulli_residues(n + 1, 2 * p - 1 - s)
-    d = {i: b[i] * mod_inverse(i, p, n + 1) % r
+    d = {i: ctx.bernoulli_residue(n + 1, i) * mod_inverse(i, p, n + 1) % r
          for i in (p - 3, p - s, 2 * p - 1 - s)}
     digit = (d[2 * p - 1 - s] - d[p - s]) % (p * p) // p
     value = 2 * (_agoh_giuga_residue(ctx, n) - 1) * d[p - s] + 2 * digit
@@ -271,13 +269,13 @@ def _sub_h_lhs(ctx, p, r=1):
 
 
 def _sub_h_rhs(ctx, p):
-    b = ctx.bernoulli_residues(ctx.exponent, p - 3)[p - 3]
+    b = ctx.bernoulli_residue(ctx.exponent, p - 3)
     return 7 * mod_inverse(24, p, ctx.exponent) * p * b % p ** ctx.exponent
 
 
 def _sub_h2_rhs(ctx, p):
     return (-3 * mod_inverse(8, p, ctx.exponent)
-            * ctx.bernoulli_residues(ctx.exponent, p - 3)[p - 3]
+            * ctx.bernoulli_residue(ctx.exponent, p - 3)
             % p ** ctx.exponent)
 
 
@@ -534,9 +532,8 @@ def _factorial_lhs(ctx, p):
 
 
 def _glaisher_rhs(ctx, p):
-    # p B_{p-1} - p; the row holds p B_{p-1}
-    b = ctx.bernoulli_residues(ctx.exponent, p - 1)
-    return (b[p - 1] - p) % p ** ctx.exponent
+    # p B_{p-1} - p; the residue is p B_{p-1} itself
+    return (ctx.bernoulli_residue(ctx.exponent, p - 1) - p) % p ** ctx.exponent
 
 
 def _wilson_rhs(ctx, p):

@@ -8,6 +8,7 @@ denominator.  The caller knows p and k, so a residue carries neither.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import isqrt
 
 __all__ = [
@@ -94,16 +95,24 @@ def is_prime(n: int) -> bool:
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi, ascending.  Requires lo <= hi."""
+    """All primes p with lo <= p <= hi, ascending.  Requires lo <= hi.
+
+    Sieves the window [lo, hi] alone, crossing off the multiples of each
+    q <= isqrt(hi) from max(q^2, lo) on: a narrow window high up costs its
+    width and isqrt(hi) steps, not hi.  A composite q crosses off nothing
+    new, which is cheaper than finding the primes below isqrt(hi) first.
+    """
     if lo > hi:
         raise ValueError(f"empty range bounds: {lo} > {hi}")
-    if hi < 2:
+    lo = max(lo, 2)
+    if hi < lo:
         return []
-    if hi <= 1_000_000:
-        sieve = bytearray([1]) * (hi + 1)
-        sieve[0:2] = b"\x00\x00"
-        for q in range(2, isqrt(hi) + 1):
-            if sieve[q]:
-                sieve[q * q :: q] = bytearray(len(sieve[q * q :: q]))
-        return [n for n in range(max(lo, 2), hi + 1) if sieve[n]]
-    return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
+    root = isqrt(hi)
+    if root > 1_000_000:
+        return [n for n in range(lo, hi + 1) if is_prime(n)]
+    window = bytearray([1]) * (hi + 1 - lo)
+    for q in range(2, root + 1):
+        first = max(q * q, -(-lo // q) * q)
+        if first <= hi:
+            window[first - lo::q] = bytes(len(range(first, hi + 1, q)))
+    return list(compress(range(lo, hi + 1), window))

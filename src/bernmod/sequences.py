@@ -17,7 +17,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate
-from math import comb, isqrt, lcm
+from math import comb, isqrt, lcm, prod
 from operator import mul
 from typing import Callable, Iterable
 
@@ -55,10 +55,13 @@ _CONVENTIONS = (MINUS_HALF, PLUS_HALF)
 
 
 def von_staudt_denominator(n: int) -> int:
-    """Product of the primes q with (q-1) | n; the denominator of B_n for even n."""
+    """Product of the primes q with (q-1) | n; the denominator of B_n for even
+    n.  The divisors d of n come in pairs (d, n // d) with d <= isqrt(n)."""
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
-    return _von_staudt_denominators(n)[n]
+    divisors = {d for a in range(1, isqrt(n) + 1) if n % a == 0
+                for d in (a, n // a)}
+    return prod(d + 1 for d in divisors if is_prime(d + 1))
 
 
 def _von_staudt_denominators(top: int) -> list[int]:
@@ -156,11 +159,18 @@ class BernoulliTable:
             if e[n].denominator != want_den[n]:
                 raise ValueError(f"B_{n} has denominator {e[n].denominator}, "
                                  f"expected {want_den[n]}")
-        # the defining recurrence at the top entry ties every earlier value
-        # in, so a single altered numerator anywhere breaks this sum
+        # the defining recurrence sum_j C(n+1, j) B_j = 0 at the top entry
+        # ties every earlier value in, so a single altered numerator anywhere
+        # breaks it; summed as integers over D = lcm of the denominators, the
+        # nonzero terms only, with C(n+1, j) as a running product
         n = top - top % 2
         if n >= 2:
-            total = sum(comb(n + 1, j) * e[j] for j in range(n + 1))
+            D = lcm(*want_den[:n + 1:2])
+            total = (n + 1) * e[1].numerator * (D // e[1].denominator)
+            c = 1  # C(n+1, j)
+            for j in range(0, n + 1, 2):
+                total += c * e[j].numerator * (D // e[j].denominator)
+                c = c * (n + 1 - j) * (n - j) // ((j + 1) * (j + 2))
             if total != 0:
                 raise ValueError(f"entries fail the defining recurrence "
                                  f"at B_{n}")
@@ -494,15 +504,35 @@ class PrimeContext:
         """B_i mod p^exponent for i = 0..top at least, except at the positive
         multiples of p-1, where p divides the squarefree denominator: those
         hold p B_i mod p^exponent.  Grown by _grow from the exact table, read
-        through one value(top) and one slice of its entries."""
+        through one value(top) and one slice of its entries, of which only
+        B_0, B_1 and the even entries are reduced: B_i = 0 at odd i > 1."""
         def exact(start: int, top: int, q: int) -> list[int]:
-            p, table = self.p, bernoulli_table()
+            table = bernoulli_table()
             table.value(top)
             new = table.entries(start)[:top + 1 - start]
-            return [n % q * pow(d // p if d % p == 0 else d, -1, q) % q
-                    for n, d in map(Fraction.as_integer_ratio, new)]
+            return [0 if i % 2 and i > 1 else self._bernoulli_mod(x, q)
+                    for i, x in enumerate(new, start)]
 
         return self._grow(self._bernoulli, exponent, top, exact)
+
+    def bernoulli_residue(self, exponent: int, n: int) -> int:
+        """Entry n of bernoulli_residues(exponent, n), without growing a row:
+        reduced from a row held at this exponent or a finer one that reaches
+        n, else from the one exact B_n.  For the sides that read a few
+        entries of a row they do not sum over."""
+        if exponent < 1:
+            raise ValueError(f"exponent must be >= 1, got {exponent}")
+        q = self.p ** exponent
+        for e, row in self._bernoulli.items():
+            if e >= exponent and 0 <= n < len(row):
+                return row[n] % q
+        return self._bernoulli_mod(bernoulli(n), q)
+
+    def _bernoulli_mod(self, x: Fraction, q: int) -> int:
+        """x mod q, or p x mod q where p divides the squarefree denominator
+        of x, as at B_n for the positive multiples n of p-1."""
+        p, (n, d) = self.p, x.as_integer_ratio()
+        return n % q * pow(d // p if d % p == 0 else d, -1, q) % q
 
     def half_power_residues(self, exponent: int, top: int) -> list[int]:
         """S_{h,j} = 1^j + 2^j + ... + h^j mod p^exponent, h = (p-1)/2, for

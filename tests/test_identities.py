@@ -1037,6 +1037,23 @@ def test_a_catalog_sweep_counts_the_even_ascents_once_per_prime(
     assert sorted(args[2] for args in calls) == primes
 
 
+def test_a_bernoulli_side_sweep_builds_no_row_at_p_cubed(monkeypatch):
+    # lev3_div_p1's rhs reads B_{p-1} and B_{2p-2} at p^3, and the shifted
+    # rhs sides a few entries at p^2: one-entry reads, so the only rows are
+    # the ones the convolution sides sum over, at p
+    rows = []
+    residues = sequences.PrimeContext.bernoulli_residues
+    monkeypatch.setattr(sequences.PrimeContext, "bernoulli_residues",
+                        lambda ctx, e, top: rows.append((ctx.p, e))
+                        or residues(ctx, e, top))
+    get_prime_context.cache_clear()
+    ids = ["conv_order_p1", "zhao_p3", "zhao_p5", "lev3_div_p1",
+           "lev3_div_p3", "lev3_div_p5", "glaisher", "clausen_von_staudt"]
+    assert {r.status for r in sweep(ids, 5, 61)} == {VERIFIED}
+    assert {p for p, _ in rows} == set(primes_in(5, 61))
+    assert {e for _, e in rows} == {1}
+
+
 def test_catalog_sweep_grows_the_table_to_the_largest_index_read(
         monkeypatch):
     fresh = sequences.BernoulliTable()

@@ -2,6 +2,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,6 +109,16 @@ def test_primes_in_inclusive_endpoints():
     assert primes_in(8, 10) == []
     with pytest.raises(ValueError):
         primes_in(10, 5)
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (-7, 1), (-7, 2), (0, 30), (1, 2), (2, 2), (3, 3), (4, 4), (25, 25),
+    (401, 401), (2, 10_000), (9_973, 10_007), (100_000, 101_000),
+    (999_983, 999_983), (999_000, 1_001_000), (10 ** 9, 10 ** 9 + 300),
+])
+def test_primes_in_matches_sympy(lo, hi):
+    # narrow and wide windows, below 2, at lo = hi, and across 10^6
+    assert primes_in(lo, hi) == list(sympy.primerange(lo, hi + 1))
 
 
 @settings(max_examples=30)

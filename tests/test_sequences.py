@@ -249,6 +249,46 @@ def test_bernoulli_table_built_to_800_validates():
     assert table.value(800).denominator == von_staudt_denominator(800)
 
 
+def recurrence_sum(entries: list[Fraction]) -> Fraction:
+    """sum_{j<=n} C(n+1, j) B_j at the largest even n held, as the running
+    Fraction sum: the oracle for validate's integer sum."""
+    n = len(entries) - 1 - (len(entries) - 1) % 2
+    return sum((comb(n + 1, j) * entries[j] for j in range(n + 1)),
+               Fraction(0))
+
+
+@pytest.mark.parametrize("top", [2, 3, 120, 121])
+def test_validate_agrees_with_the_fraction_oracle(top):
+    # numerators altered with the denominators kept, so only the recurrence
+    # can tell: validate refuses a table exactly when the Fraction sum is not
+    # 0, also for two entries altered so that their changes cancel
+    good = BernoulliTable()
+    good.value(top)
+    n = top - top % 2
+    cases = [{}]
+    cases += [{i: 1} for i in range(2, n + 1, 2)]
+    cases += [{i: -3} for i in range(2, n + 1, 2)]
+    if n >= 4:
+        cases.append({2: comb(n + 1, 4), 4: -comb(n + 1, 2)})
+    for delta in cases:
+        entries = dict(good.items())
+        for i, k in delta.items():
+            entries[i] += k
+        table = BernoulliTable(entries=entries)
+        holds = recurrence_sum(table.entries(0)) == 0
+        assert holds == (len(delta) != 1), delta
+        if holds:
+            table.validate()
+        else:
+            with pytest.raises(ValueError, match="recurrence"):
+                table.validate()
+
+
+def test_von_staudt_denominator_matches_the_sieve():
+    sieve = sequences._von_staudt_denominators(2000)
+    assert [von_staudt_denominator(n) for n in range(1, 2001)] == sieve[1:]
+
+
 def test_harmonic_frozen_and_recurrence():
     assert harmonic(0) == 0
     assert harmonic(1) == 1
@@ -551,6 +591,37 @@ def test_bernoulli_residues_read_one_slice_of_the_table(monkeypatch):
     for e, top in ((3, 50), (1, 202), (2, 120), (3, 150)):
         assert len(ctx.bernoulli_residues(e, top)) == top + 1
     assert calls == []
+
+
+def test_bernoulli_residue_matches_the_exact_reduction(monkeypatch):
+    # one entry in the rows' convention, at every n <= 2p (n = 1 and the
+    # multiples of p - 1 included): from the exact B_n with no row held, and
+    # from a p^2 row where one reaches n; a read grows no row
+    def want(p, e, n):
+        b = bernoulli(n)
+        return mod_reduce(b * p if b.denominator % p == 0 else b, p, e)
+
+    for p in sympy.primerange(5, 200):
+        ctx = PrimeContext(p)
+        for e in range(1, 5):
+            for n in range(2 * p + 1):
+                assert ctx.bernoulli_residue(e, n) == want(p, e, n), (p, e, n)
+        assert ctx._bernoulli == {}
+        reduced = []
+        monkeypatch.setattr(ctx, "_bernoulli_mod", lambda x, q: reduced.append(
+            x) or PrimeContext._bernoulli_mod(ctx, x, q))
+        ctx.bernoulli_residues(2, p)
+        # the row reduces B_0, B_1 and the even entries only
+        assert len(reduced) == (p + 1) // 2 + 1, p
+        reduced.clear()
+        for e in range(1, 5):
+            for n in range(2 * p + 1):
+                assert ctx.bernoulli_residue(e, n) == want(p, e, n), (p, e, n)
+        assert len(reduced) == 2 * (2 * p + 1) + 2 * p, p  # past the row
+        assert {e: len(row) for e, row in ctx._bernoulli.items()} == {
+            2: p + 1}
+    with pytest.raises(ValueError):
+        ctx.bernoulli_residue(0, 3)
 
 
 def test_a_coarser_read_reduces_the_finest_table_held(monkeypatch):
