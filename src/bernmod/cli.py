@@ -101,24 +101,24 @@ _TIMED_COLUMNS = _COLUMNS + ("elapsed_ms", "timestamp")
 @cache_store.unlimited_int_digits()  # a spawned worker starts with the limit
 def _render(chunk, fmt: str, with_times: bool,
             verbose: bool) -> tuple[str, str, Counter]:
-    """One chunk of reports as its output rows, its -v echo lines (empty
-    without -v) and the count of each status; run in the sweep's batches,
-    so a timestamp records when its point was checked.
+    """One chunk as its output rows, its -v echo lines (empty without -v)
+    and the count of each status; run in the sweep's batches, so a
+    timestamp records when its point was checked.
 
     A chunk holds the points of one identity at one prime, or of one
     index-parameterized identity.  Its rows come from two %-templates, with
     values and without, that hold the identity, p and the modulus; a row
-    fills in the rest.  Ids, parameter names, statuses, Fraction strings and
-    ISO timestamps need no JSON escaping, so a template gives the bytes
-    json.dumps would.  A residue is a JSON integer, an exact value a string.
+    fills in the rest from the chunk's lists.  Ids, parameter names,
+    statuses, Fraction strings and ISO timestamps need no JSON escaping, so
+    a template gives the bytes json.dumps would.  A residue is a JSON
+    integer, an exact value a string.
     """
-    first = chunk[0]
-    fixed = int(len(first.params) > 1 and "p" in first.params)
+    names, modulus = chunk.params, chunk.modulus
+    fixed = int(len(names) > 1 and names[0] == "p")
     params = [(k, v if i < fixed else "%s")
-              for i, (k, v) in enumerate(first.params.items())]
-    modulus = next((r.modulus for r in chunk if r.lhs is not None), None)
+              for i, (k, v) in enumerate(zip(names, chunk.points[0]))]
     if fmt == "json":
-        head = (f'{{"identity": "{first.identity}", "params": {{'
+        head = (f'{{"identity": "{chunk.identity}", "params": {{'
                 + ", ".join(f'"{k}": {v}' for k, v in params) + "}, ")
         value = "%s" if modulus else '"%s"'
         valued = (f'{head}"modulus": {modulus or "null"}, "lhs": {value}, '
@@ -128,25 +128,22 @@ def _render(chunk, fmt: str, with_times: bool,
         tail = ', "elapsed_ms": %r, "timestamp": "%s"}\n' if with_times \
             else "}\n"
     else:
-        head = f"{first.identity},{';'.join(f'{k}={v}' for k, v in params)},"
+        head = f"{chunk.identity},{';'.join(f'{k}={v}' for k, v in params)},"
         valued, empty = f'{head}{modulus or ""},%s,%s,%s', head + ",,,%s"
         tail = ",%r,%s\n" if with_times else "\n"
     valued, empty = valued + tail, empty + tail
-    rows = []
-    for r in chunk:
-        fields = tuple(r.params.values())[fixed:]
-        if r.lhs is None:
-            template, fields = empty, fields + (r.status,)
-        else:
-            template, fields = valued, fields + (r.lhs, r.rhs, r.status)
-        if with_times:
-            fields += (round(r.elapsed * 1000.0, 3),
-                       datetime.now(timezone.utc).isoformat())
-        rows.append(template % fields)
-    echo = "".join(f"{r.identity} "
-                   f"{';'.join(f'{k}={v}' for k, v in r.params.items())} "
-                   f"{r.status}\n" for r in chunk) if verbose else ""
-    return "".join(rows), echo, Counter(r.status for r in chunk)
+    times = (round(chunk.elapsed * 1000.0, 3),
+             datetime.now(timezone.utc).isoformat()) if with_times else ()
+    rows = "".join([
+        empty % (*point[fixed:], status, *times) if lhs is None
+        else valued % (*point[fixed:], lhs, rhs, status, *times)
+        for point, lhs, rhs, status in zip(
+            chunk.points, chunk.lhs, chunk.rhs, chunk.status)])
+    echo = "".join(
+        f"{chunk.identity} {';'.join(f'{k}={v}' for k, v in zip(names, pt))}"
+        f" {status}\n" for pt, status in zip(chunk.points, chunk.status)
+    ) if verbose else ""
+    return rows, echo, Counter(chunk.status)
 
 
 def _cmd_verify(args: argparse.Namespace,

@@ -17,7 +17,7 @@ from functools import partial
 from itertools import accumulate, repeat
 from math import comb, factorial, lcm
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, NamedTuple
 
 from .modular import (
     NotPIntegral,
@@ -89,6 +89,21 @@ class CheckReport:
         return (self.identity, tuple(self.params.values()))
 
 
+class Chunk(NamedTuple):
+    """One identity at its points of one prime, or an index identity at all
+    its points, as parameter tuples; per point both sides (None where no
+    value was reached) and the status; elapsed is each point's share."""
+
+    identity: str
+    params: tuple[str, ...]
+    points: list[tuple[int, ...]]
+    lhs: tuple
+    rhs: tuple
+    status: list[str]
+    modulus: int | None
+    elapsed: float
+
+
 @dataclass(frozen=True)
 class IdentityDescriptor:
     """One catalog entry: evaluators, domain, modulus, and sweep points."""
@@ -98,10 +113,11 @@ class IdentityDescriptor:
     source: str
     params: tuple[str, ...]
     exponent: int | None  # prime-power exponent; None compares exactly
-    lhs: Callable[..., int | Fraction]
-    rhs: Callable[..., int | Fraction]
+    lhs: Callable[..., int | Fraction | list]
+    rhs: Callable[..., int | Fraction | list]
     domain: Callable[..., bool]
-    points: Callable[[int, int], Iterator[dict[str, int]]]
+    # the points at a prime p as parameter tuples; an index identity's: None
+    points: Callable[[int | None], list[tuple[int, ...]]]
     counted: Callable[..., bool] | None = None  # None: every domain point counts
 
 
@@ -131,7 +147,8 @@ def _divided_residue(ctx: PrimeContext, p: int, s: int) -> int:
     """sum_{j=2}^{t-2} (B_j/j)(B_{t-j}/(t-j)) mod p^N at t = p - s, s odd."""
     t, q = p - s, p ** ctx.exponent
     b = ctx.bernoulli_residues(ctx.exponent, t)
-    d = [b[j] * pow(j, -1, q) for j in range(2, t - 1, 2)]
+    inverses = ctx.inverse_residues(ctx.exponent)
+    d = [b[j] * inverses[j] for j in range(2, t - 1, 2)]
     return sum(map(mul, d, reversed(d))) % q
 
 
@@ -359,7 +376,8 @@ def _odd_reciprocal_sum(ctx, p):
 
 # The identities with a parameter after p have row evaluators: lhs(ctx, p,
 # top) and rhs(ctx, p, top) give the residues at k = 0..top (at m = 0..top
-# for lemma2), each in one pass over the context's tables.
+# for lemma2), each in one pass over the context's tables.  An index
+# identity's lhs(ctx, points) and rhs(ctx, points) are rows over its points.
 
 def _lehmer_i_lhs(ctx, p, top):
     return _p_bernoulli_row(ctx, 2 * top)[::2]
@@ -437,21 +455,28 @@ def _harmonic_prefix(top: int) -> tuple[int, list[int], list[int], list[int]]:
     return _prefix[1:]
 
 
-def _h_over_shift_lhs(ctx, n, s):
-    # sum_{j<=n} H_j / (j + s), as one integer over L^2, L = lcm(1..n+s)
-    L, recips, hl, _ = _harmonic_prefix(n + s)
-    return Fraction(sum(map(mul, hl[1:n + 1], recips[1 + s:])), L * L)
+def _h_over_shift_lhs(ctx, points, s=None):
+    # sum_{j<=n} H_j / (j + s) at each point (n,), or (n, s) for prop1: one
+    # running sum of the integers H_j L * L / (j + s) per shift, over L^2
+    pairs = [(pt[0], s if s is not None else pt[1]) for pt in points]
+    L, recips, hl, _ = _harmonic_prefix(max(n + t for n, t in pairs))
+    top, square = max(n for n, _ in pairs), L * L
+    runs = {t: list(accumulate(map(mul, hl[:top + 1], recips[t:])))
+            for t in {t for _, t in pairs}}
+    return [Fraction(runs[t][n], square) for n, t in pairs]
 
 
-def _prop1_rhs(ctx, n, s):
-    # main + corr - base - cross + tail, all over 2 L^2, L = lcm(1..n+s)
-    L, recips, hl, h2l2 = _harmonic_prefix(n + s)
-    main = hl[n + s] ** 2 - h2l2[n + s]  # 2 L^2 (H_{n+s}^2 - H_{n+s}^(2)) / 2
-    base = hl[s] ** 2 - h2l2[s]
-    corr = sum((hl[s - 1] - hl[i]) * recips[n + s - i] for i in range(s - 1))
-    cross = hl[s - 1] * hl[s]
-    tail = sum(hl[k] * recips[s - k] for k in range(1, s))
-    return Fraction(main - base + 2 * (corr - cross + tail), 2 * L * L)
+def _prop1_rhs(ctx, points):
+    # main + corr - base - cross + tail at each point (n, s), all over
+    # 2 L^2; base - 2 (tail - cross) depends on s alone
+    L, recips, hl, h2l2 = _harmonic_prefix(max(n + s for n, s in points))
+    fixed = {s: hl[s] ** 2 - h2l2[s] + 2 * (hl[s - 1] * hl[s] - sum(
+        hl[k] * recips[s - k] for k in range(1, s)))
+        for s in {s for _, s in points}}
+    return [Fraction(
+        hl[n + s] ** 2 - h2l2[n + s] - fixed[s] + 2 * sum(
+            (hl[s - 1] - hl[i]) * recips[n + s - i] for i in range(s - 1)),
+        2 * L * L) for n, s in points]
 
 
 def _lemma1_lhs(ctx, p):
@@ -553,33 +578,17 @@ def _cvs_rhs(ctx, n):
 
 def _by_prime(min_p: int) -> dict[str, Callable]:
     """Domain and points of an identity with one point per prime >= min_p."""
-    def points(lo: int, hi: int) -> Iterator[dict[str, int]]:
-        lo = max(lo, min_p)
-        if lo <= hi:
-            for p in primes_in(lo, hi):
-                yield {"p": p}
-    return {"domain": lambda p: p >= min_p, "points": points}
+    return {"domain": lambda p: p >= min_p,
+            "points": lambda p: [(p,)] if p >= min_p else []}
 
 
-def _per_prime_points(
-    min_p: int, name: str, values: Callable[[int], Iterable[int]]
-) -> Callable[[int, int], Iterator[dict[str, int]]]:
-    def gen(lo: int, hi: int) -> Iterator[dict[str, int]]:
-        lo = max(lo, min_p)
-        if lo <= hi:
-            for p in primes_in(lo, hi):
-                for v in values(p):
-                    yield {"p": p, name: v}
-    return gen
+def _index_points(values: Iterable[int]) -> Callable:
+    return lambda p: [(n,) for n in values]
 
 
-def _index_points(values: Iterable[int]) -> Callable[[int, int], Iterator[dict[str, int]]]:
-    vals = tuple(values)
-
-    def gen(lo: int, hi: int) -> Iterator[dict[str, int]]:
-        for n in vals:
-            yield {"n": n}
-    return gen
+def _each(side: Callable) -> Callable:
+    """An index identity's row evaluator from its side at one point."""
+    return lambda ctx, points: [side(ctx, *point) for point in points]
 
 
 def _build_catalog() -> dict[str, IdentityDescriptor]:
@@ -592,7 +601,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "euler_identity",
         "binomial Bernoulli self-convolution collapses to two terms",
         "L. Euler (1755)",
-        ("n",), None, _euler_lhs, _euler_rhs,
+        ("n",), None, _each(_euler_lhs), _each(_euler_rhs),
         domain=lambda n: n >= 1,
         points=_index_points(range(1, 61)),
     )
@@ -601,7 +610,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "binomial minus plain convolution of divided Bernoulli numbers "
         "equals -2 (B_n/n) H_n",
         "H. Miki (1978)",
-        ("n",), None, _miki_lhs, _miki_rhs,
+        ("n",), None, _each(_miki_lhs), _each(_miki_rhs),
         domain=lambda n: n >= 4,
         points=_index_points(range(4, 41)),
     )
@@ -675,7 +684,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "euler_tangent_relation",
         "tangent-number form equals the alternating Eulerian row sum (odd n)",
         "L. Euler (tangent numbers)",
-        ("n",), None, _tangent_lhs, _tangent_rhs,
+        ("n",), None, _each(_tangent_lhs), _each(_tangent_rhs),
         domain=lambda n: n >= 1 and n % 2 == 1,
         points=_index_points(range(1, 32, 2)),
     )
@@ -715,7 +724,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "E. Lehmer (1938)",
         ("p", "k"), 3, _lehmer_i_lhs, _lehmer_i_rhs,
         domain=lambda p, k: 1 <= k <= p and (2 * k - 2) % (p - 1) != 0,
-        points=_per_prime_points(5, "k", lambda p: range(2, p)),
+        points=lambda p: [(p, k) for k in range(2, p)],
     )
     add(
         "lehmer_ii",
@@ -723,7 +732,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "E. Lehmer (1938)",
         ("p", "k"), 2, _lehmer_ii_lhs, _lehmer_ii_rhs,
         domain=lambda p, k: 1 <= k <= p,
-        points=_per_prime_points(5, "k", lambda p: range(1, p + 1)),
+        points=lambda p: [(p, k) for k in range(1, p + 1)],
     )
     add(
         "sun_lemma",
@@ -731,49 +740,30 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "Z.-H. Sun",
         ("p", "k"), 2, _sun_lhs, _sun_rhs,
         domain=lambda p, k: 2 <= k <= p,
-        points=_per_prime_points(5, "k", lambda p: range(2, p + 1)),
+        points=lambda p: [(p, k) for k in range(2, p + 1)],
         counted=lambda p, k: k <= p - 2,
     )
-    add(
-        "alzer",
-        "sum of H_j/j in closed form",
-        "H. Alzer",
-        ("n",), None, partial(_h_over_shift_lhs, s=0), _alzer_rhs,
-        domain=lambda n: n >= 1,
-        points=_index_points(range(1, 101)),
-    )
-    add(
-        "choi_srivastava_s1",
-        "sum of H_j/(j+1) in closed form",
-        "J. Choi & H. M. Srivastava",
-        ("n",), None, partial(_h_over_shift_lhs, s=1), _cs1_rhs,
-        domain=lambda n: n >= 1,
-        points=_index_points(range(1, 101)),
-    )
-    add(
-        "choi_srivastava_s2",
-        "sum of H_j/(j+2) in closed form",
-        "J. Choi & H. M. Srivastava",
-        ("n",), None, partial(_h_over_shift_lhs, s=2), _cs2_rhs,
-        domain=lambda n: n >= 1,
-        points=_index_points(range(1, 101)),
-    )
-    add(
-        "choi_srivastava_s3",
-        "sum of H_j/(j+3) in closed form",
-        "J. Choi & H. M. Srivastava",
-        ("n",), None, partial(_h_over_shift_lhs, s=3), _cs3_rhs,
-        domain=lambda n: n >= 1,
-        points=_index_points(range(1, 101)),
-    )
+    for s, source, rhs in ((0, "H. Alzer", _alzer_rhs),
+                           (1, "J. Choi & H. M. Srivastava", _cs1_rhs),
+                           (2, "J. Choi & H. M. Srivastava", _cs2_rhs),
+                           (3, "J. Choi & H. M. Srivastava", _cs3_rhs)):
+        add(
+            f"choi_srivastava_s{s}" if s else "alzer",
+            f"sum of H_j/(j+{s}) in closed form" if s
+            else "sum of H_j/j in closed form",
+            source,
+            ("n",), None, partial(_h_over_shift_lhs, s=s), _each(rhs),
+            domain=lambda n: n >= 1,
+            points=_index_points(range(1, 101)),
+        )
     add(
         "prop1",
         "shifted harmonic sum sum_j H_j/(j+s) in closed form (s >= 3)",
         "generalizes the Choi-Srivastava family",
         ("n", "s"), None, _h_over_shift_lhs, _prop1_rhs,
         domain=lambda n, s: n >= 1 and s >= 3,
-        points=lambda lo, hi: ({"n": n, "s": s}
-                               for n in range(1, 51) for s in range(3, 21)),
+        points=lambda p: [(n, s) for n in range(1, 51)
+                          for s in range(3, 21)],
     )
     add(
         "lemma1",
@@ -789,7 +779,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "even-ascent count analysis",
         ("p", "m"), 2, _lemma2_lhs, _lemma2_rhs,
         domain=lambda p, m: 1 <= m <= (p - 3) // 2,
-        points=_per_prime_points(5, "m", lambda p: range(1, (p - 1) // 2)),
+        points=lambda p: [(p, m) for m in range(1, (p - 1) // 2)],
     )
     add(
         "theorem1",
@@ -845,7 +835,7 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "clausen_von_staudt",
         "denominator of B_n is the product of primes q with (q-1) | n",
         "T. Clausen / K. G. C. von Staudt (1840)",
-        ("n",), None, _cvs_lhs, _cvs_rhs,
+        ("n",), None, _each(_cvs_lhs), _each(_cvs_rhs),
         domain=lambda n: n >= 2 and n % 2 == 0,
         points=_index_points(range(2, 201, 2)),
     )
@@ -889,24 +879,50 @@ def check(identity: str, params: dict[str, int], *,
         raise ValueError(
             f"{identity} takes parameters {desc.params}, got {tuple(params)}"
         )
-    point = {name: params[name] for name in desc.params}
-    return _check_point(identity, [point], modulus_override)[0]
+    point = tuple(params[name] for name in desc.params)
+    return _reports(_check_rows(identity, [point], modulus_override))[0]
 
 
-def _check_point(identity: str, points: list[dict[str, int]],
-                 modulus_override: int | None) -> list[CheckReport]:
-    """check at points of one identity, at one prime if it is prime-indexed,
-    whose parameters are the identity's, in its order, as the catalog's
-    point generators give them; the reports share the call's time evenly.
-    An identity with a parameter after p reads both sides off its rows,
-    evaluated once per call, which end at the largest such parameter among
-    the points in its domain.
+def _reports(chunk: Chunk) -> list[CheckReport]:
+    """A chunk's points as reports; a point with no values has no modulus."""
+    return [CheckReport(chunk.identity, dict(zip(chunk.params, point)),
+                        status, lhs, rhs,
+                        None if lhs is None else chunk.modulus, chunk.elapsed)
+            for point, lhs, rhs, status in zip(
+                chunk.points, chunk.lhs, chunk.rhs, chunk.status)]
+
+
+def _sides(desc: IdentityDescriptor, ctx: PrimeContext | None,
+           points: list[tuple[int, ...]], exponent: int | None) -> Iterable:
+    """(lhs, rhs) at each of the points, all in the domain, from one row per
+    side: over the points, over 0..top read at each, or one entry reduced."""
+    if ctx is None:
+        return zip(desc.lhs(None, points), desc.rhs(None, points))
+    p = ctx.p
+    if len(desc.params) > 1:
+        top = max(k for _, k in points)
+        lhs, rhs = desc.lhs(ctx, p, top), desc.rhs(ctx, p, top)
+        return [(lhs[k], rhs[k]) for _, k in points]
+    lhs, rhs = desc.lhs(ctx, p), desc.rhs(ctx, p)
+    if exponent is not None:
+        lhs, rhs = mod_reduce(lhs, p, exponent), mod_reduce(rhs, p, exponent)
+    return [(lhs, rhs)]
+
+
+def _check_rows(identity: str, points: list[tuple[int, ...]],
+                modulus_override: int | None) -> Chunk:
+    """check at points of one identity, all at one prime if it is
+    prime-indexed, given as parameter tuples in the identity's order.  Each
+    side is one row over the points in the domain, evaluated once, and one
+    pass over the pair gives the statuses; a side that raises gives each of
+    those points not_p_integral, or error with one stderr line each.  The
+    points share the call's time evenly.
 
     The PrimeContext is the one prime test, so it comes before the domain
     predicate; it carries the exponent of the reduction to its residues."""
     desc = _CATALOG[identity]
     start = time.perf_counter()
-    p = points[0].get("p")
+    p = points[0][0] if desc.params[0] == "p" else None
     exponent = desc.exponent
     if exponent is not None and modulus_override is not None:
         exponent = modulus_override
@@ -917,51 +933,30 @@ def _check_point(identity: str, points: list[dict[str, int]],
         ctx = domain = None
     if ctx:
         ctx.exponent = exponent
-    modulus = None if exponent is None else p ** exponent
-    row_param = desc.params[-1] if ctx and len(desc.params) > 1 else None
-    applies = [domain is not None and domain(**point) for point in points]
-    rows = None
-    if row_param and any(applies):
-        top = max(pt[row_param] for pt, ok in zip(points, applies) if ok)
-        try:
-            rows = desc.lhs(ctx, p, top), desc.rhs(ctx, p, top)
-        except Exception as exc:  # reported at each point in the domain
-            rows = exc
-    outcomes = []
-    for point, ok in zip(points, applies):
-        if not ok:
-            outcomes.append((INAPPLICABLE, None, None, None))
-            continue
-        try:
-            if isinstance(rows, Exception):
-                raise rows
-            if row_param:
-                i = point[row_param]
-                lhs, rhs = rows[0][i], rows[1][i]
-            else:
-                lhs, rhs = desc.lhs(ctx, **point), desc.rhs(ctx, **point)
-                if modulus is not None:
-                    lhs = mod_reduce(lhs, p, exponent)
-                    rhs = mod_reduce(rhs, p, exponent)
-        except NotPIntegral:
-            outcomes.append((NOT_P_INTEGRAL, None, None, None))
-            continue
-        except Exception as exc:
-            # one broken evaluator must not sink the rest of a sweep
-            where = ";".join(f"{k}={v}" for k, v in point.items())
+    applies = [domain is not None and domain(*point) for point in points]
+    inside = [point for point, ok in zip(points, applies) if ok]
+    failure, values = None, repeat((None, None))
+    try:
+        values = iter(_sides(desc, ctx, inside, exponent) if inside else ())
+    except NotPIntegral:
+        failure = NOT_P_INTEGRAL
+    except Exception as exc:
+        # one broken evaluator must not sink the rest of a sweep
+        failure = ERROR
+        for point in inside:
+            where = ";".join(f"{k}={v}" for k, v in zip(desc.params, point))
             print(f"error: {identity} {where}: {type(exc).__name__}: {exc}",
                   file=sys.stderr)
-            outcomes.append((ERROR, None, None, None))
-            continue
-        status = VERIFIED if lhs == rhs else FAILED
-        if status == FAILED and desc.counted is not None \
-                and not desc.counted(**point):
-            # exploratory point outside the stated domain: report, don't count
-            status = INAPPLICABLE
-        outcomes.append((status, lhs, rhs, modulus))
-    share = (time.perf_counter() - start) / len(points)
-    return [CheckReport(identity, point, *outcome, share)
-            for point, outcome in zip(points, outcomes)]
+    pairs = [next(values) if ok else (None, None) for ok in applies]
+    status = [(failure or (VERIFIED if lhs == rhs else FAILED)) if ok
+              else INAPPLICABLE for ok, (lhs, rhs) in zip(applies, pairs)]
+    if desc.counted is not None:
+        # exploratory points outside the stated domain: report, don't count
+        status = [INAPPLICABLE if s == FAILED and not desc.counted(*point)
+                  else s for s, point in zip(status, points)]
+    return Chunk(identity, desc.params, points, *zip(*pairs), status,
+                 None if exponent is None else p ** exponent,
+                 (time.perf_counter() - start) / len(points))
 
 
 def _resolve_ids(identities: str | Iterable[str]) -> list[str]:
@@ -977,38 +972,29 @@ def _resolve_ids(identities: str | Iterable[str]) -> list[str]:
     return list(dict.fromkeys(ids))  # first occurrence order
 
 
-def _check_batch(batch: tuple[int | None, tuple[str, ...]], lo: int, hi: int,
-                 modulus_override: int | None) -> list[list[CheckReport]]:
-    """check at a batch's points, one report list per identity with points:
-    (p, ids), the points of prime p, one call per identity, or (None, (id,)),
-    the points in [lo, hi] of one index identity, each checked alone."""
+def _check_batch(batch: tuple[int | None, tuple[str, ...]],
+                 modulus_override: int | None) -> list[Chunk]:
+    """check at a batch's points, one chunk per identity with points: (p,
+    ids), the points of prime p, or (None, (id,)), an index identity's."""
     p, ids = batch
-    if p is None:
-        (ident,) = ids
-        reports = [r for point in _CATALOG[ident].points(lo, hi)
-                   for r in _check_point(ident, [point], modulus_override)]
-        return [reports] if reports else []
-    return [_check_point(ident, points, modulus_override) for ident in ids
-            if (points := list(_CATALOG[ident].points(p, p)))]
+    return [_check_rows(ident, points, modulus_override) for ident in ids
+            if (points := _CATALOG[ident].points(p))]
 
 
-def _run_batch(batch: tuple[int | None, tuple[str, ...]], lo: int, hi: int,
+def _run_batch(batch: tuple[int | None, tuple[str, ...]],
                modulus_override: int | None,
-               render: Callable[[list[CheckReport]], object] | None
+               render: Callable[[Chunk], object] | None
                ) -> tuple[list[tuple[tuple, object]], int, list[Fraction]]:
-    """Check a batch and render each identity's share.
-
-    It gives one chunk per identity with points: the sort key of the first
-    report and render(reports), or the reports themselves without render.
-    Within a prime an identity's points ascend, so chunks sorted by that key
-    put the reports in order.  It also gives the Bernoulli entries the batch
-    appended to its process's table: the index of the first, and the values.
+    """Check a batch: per chunk, the sort key of its first point and
+    render(chunk), or the chunk without render (points ascend within a
+    prime, so the chunks sort into report order); and the Bernoulli entries
+    the batch appended to its process's table: the first index, the values.
     """
     table = bernoulli_table()
     start = table.max_index + 1
-    chunks = [(reports[0].sort_key(),
-               reports if render is None else render(reports))
-              for reports in _check_batch(batch, lo, hi, modulus_override)]
+    chunks = [((chunk.identity, chunk.points[0]),
+               chunk if render is None else render(chunk))
+              for chunk in _check_batch(batch, modulus_override)]
     return chunks, start, table.entries(start)
 
 
@@ -1017,13 +1003,9 @@ def _adopt(values: list[Fraction]) -> None:
     bernoulli_table().merge(0, values)
 
 
-def _has_points(ident: str, p: int) -> bool:
-    return next(_CATALOG[ident].points(p, p), None) is not None
-
-
 def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
           jobs: int = 1, modulus_override: int | None = None,
-          render: Callable[[list[CheckReport]], object] | None = None
+          render: Callable[[Chunk], object] | None = None
           ) -> list:
     """Check every selected identity over its parameter points in [lo, hi].
 
@@ -1031,11 +1013,10 @@ def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
     exact identities sweep their fixed default ranges.  Reports come back
     sorted by (identity, parameter tuple) no matter how many workers ran.
 
-    With `render`, a picklable callable, each batch renders its reports as it
-    checks them, in the worker when there is a pool, and sweep returns the
-    chunks (sort key of the first report, render(reports)) in that order
-    instead: one per identity per batch, each batch's reports of one
-    identity in order.
+    With `render`, a picklable callable, each batch renders each identity's
+    Chunk as it checks it, in the worker when there is a pool, and sweep
+    returns (sort key of the chunk's first point, render(chunk)) in that
+    order instead of reports: one per identity per batch.
 
     Afterwards this process's Bernoulli table is the one a serial sweep
     leaves, with or without a pool.
@@ -1049,12 +1030,13 @@ def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
     by_prime = tuple(i for i in ids if "p" in _CATALOG[i].params)
 
     # costliest first, so no long batch starts last: the fixed-size
-    # index-parameter batches, then the primes from the top of the range down
+    # index-parameter batches, then the primes with points from the top of
+    # the range down
     batches = [(None, (i,)) for i in ids if "p" not in _CATALOG[i].params]
     if by_prime:
         batches += [(p, by_prime) for p in reversed(primes_in(lo, hi))
-                    if any(_has_points(i, p) for i in by_prime)]
-    args = (lo, hi, modulus_override, render)
+                    if any(_CATALOG[i].points(p) for i in by_prime)]
+    args = (modulus_override, render)
     if jobs <= 1 or len(batches) <= 1:
         done = [_run_batch(batch, *args) for batch in batches]
     else:
@@ -1078,4 +1060,4 @@ def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
                     key=itemgetter(0))
     if render is not None:
         return chunks
-    return [r for _, reports in chunks for r in reports]
+    return [r for _, chunk in chunks for r in _reports(chunk)]

@@ -415,9 +415,9 @@ def _half_power_sums(h: int, start: int, top: int, q: int) -> list[int]:
     for a in range(1, h + 1):
         baby, x = [], 1
         for _ in range(m):
-            baby.append(x)
+            baby.append(x.to_bytes(w, "little"))
             x = x * a % q
-        packs.append(_pack(baby, w))
+        packs.append(int.from_bytes(b"".join(baby), "little"))
         steps.append(x)
     giant, sums = [pow(a, start, q) for a in range(1, h + 1)], []
     while len(sums) <= top - start:
@@ -430,13 +430,13 @@ class PrimeContext:
     """Per-prime workspace shared by congruence evaluators.
 
     Caches the residue tables of the catalog's prime-indexed sides mod p^N,
-    a row per exponent: Bernoulli numbers, half-range power sums, harmonic
-    numbers, N_{p-2} and the odd-power total.  Every row grows by one rule,
-    _grow, which reduces the finest row held as far as it reaches and
-    builds only the rest; full power sums are rebuilt from the half-range
-    row at each read.  It holds no exact harmonic numbers.  Building one
-    is a check's prime test, and check sets `exponent` to the power of p it
-    reduces at, for the evaluators that read residues.
+    a row per exponent: Bernoulli numbers, half-range power sums, inverses,
+    harmonic numbers, N_{p-2} and the odd-power total.  Every row grows by
+    one rule, _grow, which reduces the finest row held as far as it reaches
+    and builds only the rest; full power sums are rebuilt from the
+    half-range row at each read.  It holds no exact harmonic numbers.
+    Building one is a check's prime test, and check sets `exponent` to the
+    power of p it reduces at, for the evaluators that read residues.
     """
 
     def __init__(self, p: int):
@@ -449,6 +449,7 @@ class PrimeContext:
         self._bernoulli: dict[int, list[int]] = {}
         self._half_power: dict[int, list[int]] = {}
         self._harmonic: dict[int, list[int]] = {}
+        self._inverse: dict[int, list[int]] = {}
 
     def even_ascent_residue(self, exponent: int = 1) -> int:
         """N_{p-2} mod p^exponent, a one-entry row grown by _grow from one
@@ -484,12 +485,15 @@ class PrimeContext:
 
     def _grow(self, rows: dict[int, list[int]], exponent: int, top: int,
               source: Callable[[int, int, int], list[int]]) -> list[int]:
-        """The row at `exponent` in `rows`, grown to exactly top + 1 entries
-        for the largest top read: reduced from the longest row at a higher
-        exponent as far as it reaches, the rest from source(start, top, q),
-        the entries start..top mod q = p^exponent."""
+        """The row at `exponent` in `rows`, grown to top + 1 entries for the
+        largest top read: reduced from the longest row at a higher exponent
+        as far as it reaches, the rest from source(start, top, q), the
+        entries start..top mod q = p^exponent.  A top between p and 2p reads
+        to 2p: E. Lehmer's rows end there, read to 2p - 2 at p^3 first."""
         if exponent < 1:
             raise ValueError(f"exponent must be >= 1, got {exponent}")
+        if self.p < top < 2 * self.p:
+            top = 2 * self.p
         row = rows.setdefault(exponent, [])
         if len(row) <= top:
             q = self.p ** exponent
@@ -545,8 +549,8 @@ class PrimeContext:
         a with p - a: (p - a)^k expanded in powers of p leaves S_{h,k} +
         (-1)^k sum_{i < exponent} C(k, i) (-p)^i S_{h,k-i}, a pass per i."""
         q, s = self.p ** exponent, self.half_power_residues(exponent, top)
-        t = [0] * (top + 1)
-        for i in range(min(exponent, top + 1)):
+        t = s[:top + 1]  # the term i = 0
+        for i in range(1, min(exponent, top + 1)):
             c = (-self.p) ** i
             t[i:] = [x + comb(k, i) * c * y
                      for k, x, y in zip(range(i, top + 1), t[i:], s)]
@@ -564,13 +568,30 @@ class PrimeContext:
             return [0] * p, [0] * p, [0] * (p - 3)
 
         def by_inverses(start: int, top: int, q: int) -> list[int]:
-            inverses = [pow(j, -1, q) for j in range(1, p)]
-            h, h2 = ([x % q for x in accumulate(row, initial=0)]
+            # 1/(p + j) = v (1 - pv + (pv)^2 - ...), v = 1/j, to p^N | (pv)^N
+            inverses, shifted = self.inverse_residues(exponent), []
+            for v in inverses[1:p - 2]:
+                x, total = -p * v % q, 0
+                while v:
+                    total, v = total + v, v * x % q
+                shifted.append(total % q)
+            h, h2 = ([x % q for x in accumulate(row)]
                      for row in (inverses, [v * v for v in inverses]))
-            return h + h2 + [pow(d, -1, q) for d in range(p + 1, 2 * p - 2)]
+            return h + h2 + shifted
 
         row = self._grow(self._harmonic, exponent, 3 * p - 4, by_inverses)
         return row[:p], row[p:2 * p], row[2 * p:]
+
+    def inverse_residues(self, exponent: int) -> list[int]:
+        """1/j mod p^exponent for j = 0..p-1 (0 at j = 0), a row grown by
+        _grow from q = (q // j) j + q % j, where q % j < j."""
+        def by_division(start: int, top: int, q: int) -> list[int]:
+            row = [0, 1]
+            for j in range(2, self.p):
+                row.append(-(q // j) * row[q % j] % q)
+            return row
+
+        return self._grow(self._inverse, exponent, self.p - 1, by_division)
 
 
 @lru_cache(maxsize=1)

@@ -151,9 +151,9 @@ def test_criterion_4_exact_identities():
         assert counts["prop1"] == 50 * 18
         # the general shifted form collapses to the s=3 closed form
         cat = catalog()
-        for n in range(1, 101):
-            assert (cat["prop1"].rhs(None, n=n, s=3)
-                    == cat["choi_srivastava_s3"].rhs(None, n=n)), n
+        ns = range(1, 101)
+        assert (cat["prop1"].rhs(None, [(n, 3) for n in ns])
+                == cat["choi_srivastava_s3"].rhs(None, [(n,) for n in ns]))
         anchor = check("prop1", {"n": 1, "s": 3})
         assert anchor.lhs == anchor.rhs == Fraction(1, 4)
 

@@ -214,6 +214,27 @@ def test_an_evaluator_that_raises_reports_error(monkeypatch, capsys):
     assert lines[-1].endswith("0 not_p_integral, 4 error")
 
 
+def test_verify_renders_the_rows_with_no_check_reports(monkeypatch, capsys):
+    # the CLI renders each chunk's rows as they are; only the library's
+    # check and sweep build reports, from the same chunks
+    built = []
+
+    class Counted(idmod.CheckReport):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(idmod, "CheckReport", Counted)
+    code, out, _ = run(["verify", "--identity", "all", "--primes", "5..61",
+                        "--no-timestamps"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 3503
+    assert built == []
+    assert idmod.check("wilson", {"p": 7}).status == idmod.VERIFIED
+    assert len(idmod.sweep("wilson", 5, 61)) == 16
+    assert built == ["wilson"] * 17
+
+
 def test_row_points_share_the_row_time(capsys):
     # a point checked in a row is timed as its share of the row: the time
     # of both rows and the comparisons, split evenly over the prime's points
@@ -302,40 +323,44 @@ def test_row_templates_match_json_dumps_and_the_csv_join(monkeypatch):
             return stamp
 
     monkeypatch.setattr(cli, "datetime", Clock)
+
+    def rows(ident, *points):
+        return idmod._check_rows(ident, list(points), None)
+
+    exploratory = rows("sun_lemma", (7, 6))
     # one chunk per identity, as a sweep batch renders them
     chunks = [
-        [idmod.check("wilson", {"p": 7})],  # residues
+        rows("wilson", (7,)),  # residues
         # two parameters, p written into the template, and an
         # inapplicable point between residues
-        [idmod.check("lehmer_i", {"p": 11, "k": k}) for k in range(2, 11)],
+        rows("lehmer_i", *((11, k) for k in range(2, 11))),
         # an exploratory point that fails: inapplicable, with values
-        [idmod.check("sun_lemma", {"p": 7, "k": 6}),
-         idmod.CheckReport("sun_lemma", {"p": 7, "k": 7}, idmod.INAPPLICABLE,
-                           1, 2, 49)],
-        [idmod.check("alzer", {"n": n}) for n in (1, 7)],  # exact Fractions
-        [idmod.check("euler_identity", {"n": 5})],  # negative Fraction
-        [idmod.check("clausen_von_staudt", {"n": 10})],  # integral Fraction
+        exploratory._replace(
+            points=[(7, 6), (7, 7)], lhs=[*exploratory.lhs, 1],
+            rhs=[*exploratory.rhs, 2],
+            status=[*exploratory.status, idmod.INAPPLICABLE]),
+        rows("alzer", (1,), (7,)),  # exact Fractions
+        rows("euler_identity", (5,)),  # negative Fraction
+        rows("clausen_von_staudt", (10,)),  # integral Fraction
         # two index parameters, neither written into the template
-        [idmod.check("prop1", {"n": n, "s": s}) for n in (1, 2)
-         for s in (3, 4)],
-        [idmod.check("wilson", {"p": 9})],  # inapplicable, no values
-        [idmod.CheckReport("lemma2", {"p": 11, "m": 2}, idmod.NOT_P_INTEGRAL,
-                           None, None, None),
-         idmod.CheckReport("lemma2", {"p": 11, "m": 3}, idmod.ERROR, None,
-                           None, None)],
+        rows("prop1", (1, 3), (1, 4), (2, 3), (2, 4)),
+        rows("wilson", (9,)),  # inapplicable, no values
+        idmod.Chunk("lemma2", ("p", "m"), [(11, 2), (11, 3)], [None, None],
+                    [None, None], [idmod.NOT_P_INTEGRAL, idmod.ERROR], 121,
+                    0.0),
     ]
-    reports = [r for chunk in chunks for r in chunk]
+    times = [0.0, 1.23456e-5, 0.5, 2e-9, 12.3456789, 3.0, 0.0001, 7.77e-6]
+    chunks = [chunk._replace(elapsed=times[i % len(times)])
+              for i, chunk in enumerate(chunks)]
+    reports = [r for chunk in chunks for r in idmod._reports(chunk)]
     assert {r.status for r in reports} == {
         idmod.VERIFIED, idmod.INAPPLICABLE, idmod.NOT_P_INTEGRAL, idmod.ERROR}
     assert any(r.status == idmod.INAPPLICABLE and r.lhs is not None
                for r in reports)
-    times = [0.0, 1.23456e-5, 0.5, 2e-9, 12.3456789, 3.0, 0.0001, 7.77e-6]
-    for i, r in enumerate(reports):
-        r.elapsed = times[i % len(times)]
     for chunk in chunks:
         for with_times in (False, True):
             want = [_report_row(r, stamp if with_times else None)
-                    for r in chunk]
+                    for r in idmod._reports(chunk)]
             json_rows, _, _ = cli._render(chunk, "json", with_times, False)
             assert json_rows == "".join(json.dumps(row) + "\n"
                                         for row in want)

@@ -1,4 +1,5 @@
 """Catalog checks: frozen residue anchors, status plumbing, sweep behavior."""
+import builtins
 import concurrent.futures
 import dataclasses
 import multiprocessing
@@ -278,6 +279,13 @@ POINT_ORACLES = {
 ROW_IDS = ["lehmer_i", "lehmer_ii", "sun_lemma", "lemma2"]
 
 
+def _points(desc, lo, hi):
+    """An identity's sweep points in [lo, hi] as dicts, prime by prime."""
+    primes = primes_in(lo, hi) if "p" in desc.params else [None]
+    return [dict(zip(desc.params, point))
+            for p in primes for point in desc.points(p)]
+
+
 @pytest.mark.parametrize("hi,overrides", [(199, [None]),
                                           (61, [1, 2, 3, 4])])
 @pytest.mark.parametrize("identity", ROW_IDS)
@@ -289,7 +297,7 @@ def test_rows_match_the_per_point_oracles(identity, hi, overrides):
     assert name == ("m" if identity == "lemma2" else "k")
     for p in primes_in(5, hi):
         ctx = get_prime_context(p)
-        points = [pt for pt in desc.points(p, p) if desc.domain(**pt)]
+        points = [pt for pt in _points(desc, p, p) if desc.domain(**pt)]
         assert points
         top = max(pt[name] for pt in points)
         for override in overrides:
@@ -336,14 +344,28 @@ def test_a_single_check_grows_the_half_power_row_to_its_own_point(
 
 
 def test_a_sweep_grows_each_half_power_row_to_its_largest_read():
-    # lehmer_i reads S_{h,0..2p-2} mod p^3; lehmer_ii reads to 2p mod p^2,
-    # and sun_lemma to p
+    # lehmer_i reads S_{h,0..2p-2} mod p^3, a read past p, so its row grows
+    # to 2p at once; lehmer_ii reads to 2p mod p^2 and sun_lemma to p, both
+    # reduced from it
     p = 101
     get_prime_context.cache_clear()
     sweep(["lehmer_i", "lehmer_ii", "sun_lemma"], p, p)
     ctx = get_prime_context(p)
     assert [len(ctx.half_power_residues(e, -1)) for e in (3, 2)] == [
-        2 * p - 1, 2 * p + 1]
+        2 * p + 1, 2 * p + 1]
+
+
+def test_a_catalog_sweep_runs_the_power_sum_kernel_once_per_prime(
+        monkeypatch):
+    # lehmer_ii's p^2 row reaches two entries past lehmer_i's largest read
+    # at p^3; the p^3 row covers them, so no second kernel pass builds them
+    calls = []
+    kernel = sequences._half_power_sums
+    monkeypatch.setattr(sequences, "_half_power_sums",
+                        lambda *args: calls.append(args) or kernel(*args))
+    get_prime_context.cache_clear()
+    sweep("all", 5, 199)
+    assert len(calls) == len(primes_in(5, 199)) == 44
 
 
 def _bernoulli_convolution_oracle(t):
@@ -527,7 +549,7 @@ def test_residue_kernels_match_the_exact_evaluators(identity, hi, overrides):
     desc = catalog()[identity]
     kernel = identity in {ident for ident, _ in EXACT_KERNEL_ORACLES}
     exact = {}
-    for params in desc.points(5, hi):
+    for params in _points(desc, 5, hi):
         p = params["p"]
         if kernel and p not in exact:
             exact[p] = _ExactPrime(p)
@@ -564,11 +586,14 @@ def test_sums_over_one_denominator_match_the_running_fraction_sums(
     evaluator = getattr(desc, side)
     oracle = SUM_ORACLES[identity, side]
     hi = 401 if identity in _CONVOLUTION_IDS else 199
-    points = list(desc.points(5, hi))
+    points = list(_points(desc, 5, hi))
     assert points
-    for params in points:
+    # an exact side is a row over the points, evaluated as a sweep does
+    row = (evaluator(None, [tuple(pt.values()) for pt in points])
+           if desc.exponent is None else None)
+    for i, params in enumerate(points):
         if desc.exponent is None:
-            got = evaluator(None, **params)
+            got = row[i]
             assert isinstance(got, Fraction)
             assert got == oracle(None, **params), params
         else:
@@ -594,7 +619,7 @@ def test_residue_sides_report_a_pole_as_not_p_integral():
         lhs=lambda ctx, p: mod_inverse(2 * p, p, ctx.exponent),
         rhs=lambda ctx, p: 0,
         domain=lambda p: p >= 5,
-        points=lambda lo, hi: iter(()),
+        points=lambda p: [],
     )
     idmod._CATALOG["test_residue_pole"] = desc
     try:
@@ -619,8 +644,9 @@ def test_prop1_collapses_to_the_s3_closed_form():
     cat = catalog()
     prop1 = cat["prop1"]
     s3 = cat["choi_srivastava_s3"]
-    for n in range(1, 61):
-        assert prop1.rhs(None, n=n, s=3) == s3.rhs(None, n=n)
+    ns = range(1, 61)
+    assert prop1.rhs(None, [(n, 3) for n in ns]) == s3.rhs(
+        None, [(n,) for n in ns])
 
 
 def test_unknown_identity_raises():
@@ -652,8 +678,9 @@ def test_batches_check_catalog_points_as_check_does(override):
     for p, ids in batches:
         bounds = (5, 61) if p is None else (p, p)
         tasks = [(ident, params) for ident in ids
-                 for params in catalog()[ident].points(*bounds)]
-        lists = idmod._check_batch((p, ids), 5, 61, override)
+                 for params in _points(catalog()[ident], *bounds)]
+        lists = [idmod._reports(chunk)
+                 for chunk in idmod._check_batch((p, ids), override)]
         # one list per identity with points
         assert [rs[0].identity for rs in lists] == list(
             dict.fromkeys(ident for ident, _ in tasks))
@@ -676,12 +703,14 @@ def test_harmonic_prefix_sides_do_not_depend_on_its_top(monkeypatch):
             idmod._harmonic_prefix(230)
         for ident, shift in _PREFIX_SIDES:
             desc = catalog()[ident]
-            for params in reversed(list(desc.points(5, 199))):
-                s = params.get("s", shift)
-                want = _h_over_shift_oracle(s)(None, params["n"])
-                assert desc.lhs(None, **params) == want, (ident, params)
-                if ident == "prop1":
-                    assert desc.rhs(None, **params) == want, params
+            # each point alone, then the whole row
+            points = desc.points(None)[::-1]
+            want = [_h_over_shift_oracle(pt[-1] if shift is None else shift)(
+                None, pt[0]) for pt in points]
+            sides = [desc.lhs, desc.rhs] if ident == "prop1" else [desc.lhs]
+            for side in sides:
+                assert [side(None, [pt])[0] for pt in points] == want, ident
+                assert side(None, points) == want, ident
     # one prefix, held at the largest top read, serves every smaller top
     assert idmod._prefix[0] == 230
     assert idmod._harmonic_prefix(4)[1] is idmod._harmonic_prefix(230)[1]
@@ -766,7 +795,7 @@ def test_not_p_integral_status_via_pole_evaluator():
         lhs=lambda ctx, p: Fraction(1, p),
         rhs=lambda ctx, p: Fraction(0),
         domain=lambda p: p >= 5,
-        points=lambda lo, hi: iter(()),
+        points=lambda p: [],
     )
     idmod._CATALOG["test_pole"] = desc
     try:
@@ -823,9 +852,9 @@ def test_sweep_runs_costliest_batches_first(monkeypatch):
     started = []
     check_batch = idmod._check_batch
 
-    def record(batch, lo, hi, modulus_override):
+    def record(batch, modulus_override):
         started.append(batch[1][0] if batch[0] is None else batch[0])
-        return check_batch(batch, lo, hi, modulus_override)
+        return check_batch(batch, modulus_override)
 
     monkeypatch.setattr(idmod, "_check_batch", record)
     sweep(["wilson", "alzer", "lemma2"], 5, 13)
@@ -837,11 +866,11 @@ def test_sweep_makes_no_batch_for_a_prime_without_points(monkeypatch):
     started = []
     check_batch = idmod._check_batch
 
-    def record(batch, lo, hi, modulus_override):
-        lists = check_batch(batch, lo, hi, modulus_override)
-        started.append([(r.identity, tuple(r.params.values()))
-                         for rs in lists for r in rs])
-        return lists
+    def record(batch, modulus_override):
+        chunks = check_batch(batch, modulus_override)
+        started.append([(chunk.identity, point) for chunk in chunks
+                        for point in chunk.points])
+        return chunks
 
     monkeypatch.setattr(idmod, "_check_batch", record)
     sweep(["zhao_p5", "zhao_p3"], 5, 17)
@@ -882,29 +911,28 @@ def test_sweep_starts_no_more_workers_than_batches(monkeypatch):
 
 @pytest.mark.parametrize("ident", identity_ids())
 def test_points_ascend_within_a_prime_and_match_per_prime(ident):
-    # a sweep batch builds the points of prime p as points(p, p) and renders
+    # a sweep batch reads the points of prime p as points(p) and renders
     # each identity's share as one chunk keyed by its first point, so the
     # chunks sort into report order only if these hold
     desc = catalog()[ident]
-    points = list(desc.points(5, 199))
-    assert points
-    assert all(tuple(pt) == desc.params for pt in points)
     if "p" not in desc.params:
-        keys = [tuple(pt.values()) for pt in points]
+        keys = desc.points(None)
+        assert keys and all(len(key) == len(desc.params) for key in keys)
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
         return
     assert desc.params[0] == "p"
+    assert _points(desc, 5, 199)
     for p in primes_in(5, 199):
-        mine = [pt for pt in points if pt["p"] == p]
-        assert list(desc.points(p, p)) == mine, p
-        keys = [tuple(pt.values()) for pt in mine]
+        keys = desc.points(p)
+        assert all(len(key) == 2 and key[0] == p for key in keys) \
+            if len(desc.params) == 2 else keys in ([], [(p,)]), p
         assert keys == sorted(keys) and len(set(keys)) == len(keys), p
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_rendered_chunks_hold_the_reports_in_order(jobs):
     ids = ["alzer", "lemma2", "wilson", "zhao_p5"]
-    chunks = sweep(ids, 5, 17, jobs=jobs, render=list)
+    chunks = sweep(ids, 5, 17, jobs=jobs, render=idmod._reports)
     keys = [key for key, _ in chunks]
     assert keys == sorted(keys)
     # one chunk per index-parameterized identity, one per prime for the rest
@@ -1035,6 +1063,128 @@ def test_a_catalog_sweep_counts_the_even_ascents_once_per_prime(
     primes = primes_in(5, 199)
     assert len(primes) == 44
     assert sorted(args[2] for args in calls) == primes
+
+
+_BERNOULLI_IDS = ["conv_order_p1", "zhao_p3", "zhao_p5", "lev3_div_p1",
+                  "lev3_div_p3", "lev3_div_p5", "glaisher",
+                  "clausen_von_staudt"]
+
+
+def _divided_residue_oracle(ctx, p, s):
+    """The divided convolution with its own inverses, as it was summed
+    before it read them off the harmonic row."""
+    t, q = p - s, p ** ctx.exponent
+    b = ctx.bernoulli_residues(ctx.exponent, t)
+    d = [b[j] * pow(j, -1, q) for j in range(2, t - 1, 2)]
+    return sum(map(mul, d, reversed(d))) % q
+
+
+def test_divided_convolutions_read_their_inverses_off_one_row(monkeypatch):
+    for p in primes_in(5, 199):
+        ctx = get_prime_context(p)
+        for e in (1, 2, 3):
+            ctx.exponent = e
+            inverses = ctx.inverse_residues(e)
+            assert [j * v % p ** e for j, v in enumerate(inverses)] == [
+                0] + [1] * (p - 1), (p, e)
+            for s in (1, 3, 5):
+                assert idmod._divided_residue(ctx, p, s) == \
+                    _divided_residue_oracle(ctx, p, s), (p, e, s)
+    # so a Bernoulli-side sweep inverts far less: 10,092 pow calls over
+    # 5..199 when each divided convolution took its own inverses
+    bernoulli(400)
+    get_prime_context.cache_clear()
+    calls = []
+    real = builtins.pow
+    monkeypatch.setattr(builtins, "pow",
+                        lambda *args: calls.append(1) or real(*args))
+    reports = sweep(_BERNOULLI_IDS, 5, 199)
+    monkeypatch.undo()
+    assert {r.status for r in reports} == {VERIFIED}
+    assert len(calls) < 5000
+
+
+def test_a_sweep_sieves_its_primes_once(monkeypatch):
+    # each identity's points at p are read off the one prime list
+    calls = []
+    monkeypatch.setattr(idmod, "primes_in",
+                        lambda lo, hi: calls.append((lo, hi))
+                        or primes_in(lo, hi))
+    reports = sweep(_BERNOULLI_IDS, 5, 401)
+    assert {r.status for r in reports} == {VERIFIED}
+    assert len(calls) <= 2
+
+
+def test_a_sweep_gives_the_reports_check_gives():
+    # every catalog point of the range, in order, as check reports it alone
+    reports = sweep("all", 5, 31)
+    assert [r.sort_key() for r in reports] == sorted(
+        (ident, tuple(point.values())) for ident, desc in catalog().items()
+        for point in _points(desc, 5, 31))
+    assert [_outcome(r) for r in reports] == [
+        _outcome(check(r.identity, r.params)) for r in reports]
+
+
+def _h_over_shift_point(n, s):
+    """sum_{j<=n} H_j / (j + s) at one point, as one integer over L^2,
+    L = lcm(1..n+s): the per-point lhs that the row replaced."""
+    L, recips, hl, _ = idmod._harmonic_prefix(n + s)
+    return Fraction(sum(map(mul, hl[1:n + 1], recips[1 + s:])), L * L)
+
+
+def _prop1_rhs_point(n, s):
+    """prop1's rhs at one point: the per-point form that the row replaced."""
+    L, recips, hl, h2l2 = idmod._harmonic_prefix(n + s)
+    main = hl[n + s] ** 2 - h2l2[n + s]
+    base = hl[s] ** 2 - h2l2[s]
+    corr = sum((hl[s - 1] - hl[i]) * recips[n + s - i] for i in range(s - 1))
+    cross = hl[s - 1] * hl[s]
+    tail = sum(hl[k] * recips[s - k] for k in range(1, s))
+    return Fraction(main - base + 2 * (corr - cross + tail), 2 * L * L)
+
+
+def test_shifted_harmonic_rows_match_the_per_point_oracles():
+    points = [(n, s) for n in range(1, 51) for s in range(21)]
+    want = [_h_over_shift_point(n, s) for n, s in points]
+    assert idmod._h_over_shift_lhs(None, points) == want
+    for s in range(21):
+        assert idmod._h_over_shift_lhs(
+            None, [(n,) for n in range(1, 51)], s=s) == [
+                w for (_, t), w in zip(points, want) if t == s], s
+    inside = [(n, s) for n, s in points if s >= 3]  # prop1's domain
+    assert idmod._prop1_rhs(None, inside) == [
+        _prop1_rhs_point(n, s) for n, s in inside]
+
+
+@pytest.mark.parametrize("ident, side, params", [
+    ("wilson", "lhs", (13,)),  # a one-entry row, at one prime
+    ("alzer", "rhs", None),  # an index identity's row, at every point
+])
+def test_a_raising_one_entry_or_index_row_fails_only_its_points(
+        monkeypatch, capsys, ident, side, params):
+    ids = ["alzer", "wilson"]
+    untimed = lambda rs: [_outcome(r) for r in rs]
+    clean = untimed(sweep(ids, 5, 31))
+    desc = idmod._CATALOG[ident]
+
+    def raising(ctx, at):
+        if params is None or at == params[0]:
+            raise ZeroDivisionError("deliberate")
+        return getattr(desc, side)(ctx, at)
+
+    monkeypatch.setitem(idmod._CATALOG, ident,
+                        dataclasses.replace(desc, **{side: raising}))
+    broken = untimed(sweep(ids, 5, 31))
+    changed = [a[1] for a, b in zip(clean, broken) if a != b]
+    assert len(broken) == len(clean)
+    want = [dict(zip(desc.params, point))
+            for point in ([params] if params else desc.points(None))]
+    assert changed == want
+    assert all(b[2:] == ("error", None, None, None)
+               for a, b in zip(clean, broken) if a != b)
+    where = [";".join(f"{k}={v}" for k, v in point.items()) for point in want]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {ident} {w}: ZeroDivisionError: deliberate" for w in where]
 
 
 def test_a_bernoulli_side_sweep_builds_no_row_at_p_cubed(monkeypatch):

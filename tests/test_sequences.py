@@ -554,21 +554,28 @@ def test_odd_power_sum_total_matches_the_double_loop():
         ctx.odd_power_residue(0)
 
 
+def _grown(p, top):
+    """The last index of a PrimeContext row whose largest read is top: a
+    read past p but short of 2p grows the row to 2p."""
+    return 2 * p if p < top < 2 * p else top
+
+
 def test_bernoulli_residues_match_the_exact_table():
     # B_i mod p^N, and p B_i at the positive multiples of p-1, where p
     # divides the denominator; reads mixed over exponents and tops, since a
     # row is reduced from a finer one that reaches as far, and each row holds
-    # exactly the entries up to the largest top read at its exponent
+    # exactly the entries up to the largest top read at its exponent, or to
+    # 2p for a top between p and 2p
     for p in sympy.primerange(5, 200):
         ctx, rng, longest = PrimeContext(p), random.Random(p), {}
         for _ in range(6):
             e, top = rng.randint(1, 3), rng.randint(0, 2 * p)
             longest[e] = max(longest.get(e, -1), top)
             row = ctx.bernoulli_residues(e, top)
-            assert len(row) == longest[e] + 1, (p, e, top)
+            assert len(row) == _grown(p, longest[e]) + 1, (p, e, top)
         for e, top in longest.items():
             row = ctx.bernoulli_residues(e, 0)
-            assert len(row) == top + 1, (p, e)
+            assert len(row) == _grown(p, top) + 1, (p, e)
             for i, got in enumerate(row):
                 b = bernoulli(i)
                 if b.denominator % p == 0:
@@ -589,7 +596,7 @@ def test_bernoulli_residues_read_one_slice_of_the_table(monkeypatch):
                         lambda *args: calls.append(args) or bernoulli(*args))
     ctx = PrimeContext(101)
     for e, top in ((3, 50), (1, 202), (2, 120), (3, 150)):
-        assert len(ctx.bernoulli_residues(e, top)) == top + 1
+        assert len(ctx.bernoulli_residues(e, top)) == _grown(101, top) + 1
     assert calls == []
 
 
@@ -732,7 +739,8 @@ def test_full_power_rows_past_two_p_match_direct_sums():
 
 def test_half_power_rows_hold_exactly_the_largest_top_read():
     # reads mixed over exponents and tops, so a row grows from a finer one
-    # as far as that reaches and from the kernel past it
+    # as far as that reaches and from the kernel past it; a top between p
+    # and 2p grows it to 2p
     for p in sympy.primerange(5, 100):
         ctx, rng, longest = PrimeContext(p), random.Random(p), {}
         sums = [sum_powers((p - 1) // 2, j) for j in range(3 * p + 1)]
@@ -740,7 +748,8 @@ def test_half_power_rows_hold_exactly_the_largest_top_read():
             e, top = rng.randint(1, 3), rng.randint(0, 3 * p)
             longest[e] = max(longest.get(e, -1), top)
             assert ctx.half_power_residues(e, top) == [
-                s % p ** e for s in sums[:longest[e] + 1]], (p, e, top)
+                s % p ** e for s in sums[:_grown(p, longest[e]) + 1]], (
+                    p, e, top)
 
 
 def test_power_rows_do_not_depend_on_request_order():
