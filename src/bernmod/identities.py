@@ -298,11 +298,11 @@ def _sub_h2_rhs(ctx, p):
 
 def _lev3_b_lhs(ctx, p):
     # sum_{k=1}^{p-2} B_k / (k 2^k); odd k > 1 contribute nothing
-    q = p ** ctx.exponent
-    b = ctx.bernoulli_residues(ctx.exponent, p - 2)
+    n, q = ctx.exponent, p ** ctx.exponent
+    b, inverses = ctx.bernoulli_residues(n, p - 2), ctx.inverse_residues(n)
     w = _quarter_powers(q, (p - 1) // 2)
-    return (b[1] * pow(2, -1, q) + sum(b[k] * w[k // 2] * pow(k, -1, q)
-                                       for k in range(2, p - 1, 2))) % q
+    return (b[1] * inverses[2] + sum(b[k] * w[k // 2] * inverses[k]
+                                     for k in range(2, p - 1, 2))) % q
 
 
 def _lev3_b_rhs(ctx, p):
@@ -348,8 +348,8 @@ def _result2_rhs(ctx, p):
 
 
 def _result3_lhs(ctx, p):
-    q = p ** ctx.exponent
-    return sum(pow(x, p - 2, q) for x in range(1, p - 1, 2)) % q
+    # the odd x <= p-2: P_{p-2} of the parity row
+    return ctx.parity_power_residues(ctx.exponent)[p - 2]
 
 
 def _result3_rhs(ctx, p):

@@ -6,7 +6,8 @@ numbers, sums of powers, the Eulerian triangle with its even-ascent column
 sums, the Fermat quotient of 2, and the power-weighted Bernoulli convolution.
 Everything returns exact ints or Fractions; the *_mod variants work purely in
 modular arithmetic; fraction_sum adds exact terms over one denominator.
-PrimeContext caches per-prime residue tables.  Exact harmonic numbers have
+PrimeContext caches per-prime residue tables; N_{p-2} mod p^k is read off its
+parity row of same-parity sums of a^(p-2).  Exact harmonic numbers have
 two stores: the per-order memo behind harmonic and gen_harmonic, and
 identities._harmonic_prefix, whose integers H_j L and H_j^(2) L^2 the
 shifted-harmonic sums read.
@@ -327,8 +328,8 @@ def even_ascent_count(n: int) -> int:
 
 
 def even_ascent_count_mod(p: int, k: int = 1) -> int:
-    """N_{p-2} mod p^k, in [0, p^k), for a prime p >= 5, via the modular
-    Eulerian path."""
+    """N_{p-2} mod p^k, in [0, p^k), for a prime p >= 5, off the parity
+    row of its PrimeContext."""
     return get_prime_context(p).even_ascent_residue(k)
 
 
@@ -431,10 +432,11 @@ class PrimeContext:
 
     Caches the residue tables of the catalog's prime-indexed sides mod p^N,
     a row per exponent: Bernoulli numbers, half-range power sums, inverses,
-    harmonic numbers, N_{p-2} and the odd-power total.  Every row grows by
-    one rule, _grow, which reduces the finest row held as far as it reaches
-    and builds only the rest; full power sums are rebuilt from the
-    half-range row at each read.  It holds no exact harmonic numbers.
+    harmonic numbers and the parity row of a^(p-2), off which N_{p-2} and
+    the odd-power total are read.  Every row grows by one rule, _grow, which
+    reduces the finest row held as far as it reaches and builds only the
+    rest; full power sums are rebuilt from the half-range row at each read.
+    It holds no exact harmonic numbers.
     Building one is a check's prime test, and check sets `exponent` to the
     power of p it reduces at, for the evaluators that read residues.
     """
@@ -444,44 +446,40 @@ class PrimeContext:
             raise ValueError(f"need a prime >= 5, got {p}")
         self.p = p
         self.exponent: int | None = None
-        self._even_ascent: dict[int, list[int]] = {}
-        self._odd_power: dict[int, list[int]] = {}
+        self._parity_power: dict[int, list[int]] = {}
         self._bernoulli: dict[int, list[int]] = {}
         self._half_power: dict[int, list[int]] = {}
         self._harmonic: dict[int, list[int]] = {}
         self._inverse: dict[int, list[int]] = {}
 
+    def parity_power_residues(self, exponent: int) -> list[int]:
+        """P_t = sum of a^(p-2) over a <= t with a = t (mod 2), mod
+        p^exponent, for t = 0..p-2: a row grown by _grow from one pow pass.
+        0^(p-2) = 0, so the even t sum over the even a >= 2."""
+        def by_parity(start: int, top: int, q: int) -> list[int]:
+            row = [pow(a, self.p - 2, q) for a in range(top + 1)]
+            for t in range(2, top + 1):
+                row[t] = (row[t] + row[t - 2]) % q
+            return row[start:]
+
+        return self._grow(self._parity_power, exponent, self.p - 2, by_parity)
+
     def even_ascent_residue(self, exponent: int = 1) -> int:
-        """N_{p-2} mod p^exponent, a one-entry row grown by _grow from one
-        O(p) pass.
-
-        The explicit sums E(p-2, mm) over even mm, grouped by j: (-1)^j
-        C(p-1, j) meets a^(p-2) for each a <= p-2-j of the parity of p-2-j,
-        the prefix P[p-2-j]; 0^(p-2) = 0, so one prefix list serves both.
-        """
-        def explicit(start: int, top: int, q: int) -> list[int]:
-            p = self.p
-            binoms = _signed_binomials_mod(p - 2, p - 3, p, exponent)
-            P = [pow(a, p - 2, q) for a in range(p - 1)]
-            for t in range(2, p - 1):
-                P[t] += P[t - 2]
-            return [sum(b * P[p - 2 - j] for j, b in enumerate(binoms)) % q]
-
-        return self._grow(self._even_ascent, exponent, 0, explicit)[0]
+        """N_{p-2} mod p^exponent off the parity row: the explicit sums
+        E(p-2, mm) over even mm, grouped by j, give the sum over j < p-2 of
+        (-1)^j C(p-1, j) P_{p-2-j}, the binomials a running product over the
+        inverses 1/j, all units since j < p."""
+        p, q = self.p, self.p ** exponent
+        row, c, total = self.parity_power_residues(exponent), 1, 0
+        for j, v in enumerate(self.inverse_residues(exponent)[1:p - 1]):
+            total += c * row[p - 2 - j]  # c = (-1)^j C(p-1, j), v = 1/(j+1)
+            c = -c * (p - 1 - j) * v % q
+        return total % q
 
     def odd_power_residue(self, exponent: int) -> int:
-        """sum over m = 0..(p-3)/2 of S_{2m+1, p-2}, mod p^exponent, a
-        one-entry row grown by _grow.
-
-        Summed by power rather than by m: a^(p-2) occurs in S_{t, p-2} for
-        each of the (p-1)/2 - a//2 odd t in [a, p-2].
-        """
-        def by_power(start: int, top: int, q: int) -> list[int]:
-            p, half = self.p, (self.p - 1) // 2
-            return [sum(pow(a, p - 2, q) * (half - a // 2)
-                        for a in range(1, p - 1)) % q]
-
-        return self._grow(self._odd_power, exponent, 0, by_power)[0]
+        """sum over m = 0..(p-3)/2 of S_{2m+1, p-2}, mod p^exponent: the
+        total of the parity row, since S_{t, p-2} = P_t + P_{t-1}."""
+        return sum(self.parity_power_residues(exponent)) % self.p ** exponent
 
     def _grow(self, rows: dict[int, list[int]], exponent: int, top: int,
               source: Callable[[int, int, int], list[int]]) -> list[int]:
@@ -577,7 +575,7 @@ class PrimeContext:
                 shifted.append(total % q)
             h, h2 = ([x % q for x in accumulate(row)]
                      for row in (inverses, [v * v for v in inverses]))
-            return h + h2 + shifted
+            return (h + h2 + shifted)[start:top + 1]
 
         row = self._grow(self._harmonic, exponent, 3 * p - 4, by_inverses)
         return row[:p], row[p:2 * p], row[2 * p:]
@@ -587,9 +585,9 @@ class PrimeContext:
         _grow from q = (q // j) j + q % j, where q % j < j."""
         def by_division(start: int, top: int, q: int) -> list[int]:
             row = [0, 1]
-            for j in range(2, self.p):
+            for j in range(2, top + 1):
                 row.append(-(q // j) * row[q % j] % q)
-            return row
+            return row[start:]
 
         return self._grow(self._inverse, exponent, self.p - 1, by_division)
 

@@ -3,6 +3,7 @@ import builtins
 import concurrent.futures
 import dataclasses
 import multiprocessing
+from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -1052,17 +1053,25 @@ def test_a_row_that_raises_fails_only_its_points(monkeypatch, capsys,
 
 def test_a_catalog_sweep_counts_the_even_ascents_once_per_prime(
         monkeypatch):
-    # result1 reads N_{p-2} mod p^2 before result2 and result4 read it mod
-    # p, which is then reduced from the p^2 row, not rebuilt
+    # N_{p-2}, the odd-power total and result3's odd sum all read one parity
+    # row per prime: one pass of a^(p-2) for a = 0..p-2, at the finest power
+    # read, the coarser rows reduced from it.  29,218 pow calls over 5..199
+    # when each of the three raised its own powers and lev3_b_over_k2k
+    # inverted each k
     calls = []
-    binomials = sequences._signed_binomials_mod
-    monkeypatch.setattr(sequences, "_signed_binomials_mod",
-                        lambda *args: calls.append(args) or binomials(*args))
+    real = builtins.pow
+    monkeypatch.setattr(builtins, "pow",
+                        lambda *args: calls.append(args) or real(*args))
     get_prime_context.cache_clear()
     sweep("all", 5, 199)
+    monkeypatch.undo()
     primes = primes_in(5, 199)
     assert len(primes) == 44
-    assert sorted(args[2] for args in calls) == primes
+    passes = Counter(args[1] + 2 for args in calls
+                     if len(args) == 3 and args[1] + 2 in primes
+                     and args[2] % (args[1] + 2) == 0)
+    assert passes == {p: p - 1 for p in primes}
+    assert len(calls) < 17000
 
 
 _BERNOULLI_IDS = ["conv_order_p1", "zhao_p3", "zhao_p5", "lev3_div_p1",

@@ -554,6 +554,20 @@ def test_odd_power_sum_total_matches_the_double_loop():
         ctx.odd_power_residue(0)
 
 
+def test_the_parity_row_matches_the_exact_sums():
+    # P_t = sum of a^(p-2) over a <= t of t's parity, as exact integers, at
+    # every t; each exponent from a fresh context, so each is a pow pass
+    for p in [*sympy.primerange(5, 402), 1093]:
+        exact = [0, 1]
+        for a in range(2, p - 1):
+            exact.append(exact[a - 2] + a ** (p - 2))
+        for e in (1, 2, 3, 4):
+            assert PrimeContext(p).parity_power_residues(e) == [
+                x % p ** e for x in exact], (p, e)
+    with pytest.raises(ValueError):
+        PrimeContext(5).parity_power_residues(0)
+
+
 def _grown(p, top):
     """The last index of a PrimeContext row whose largest read is top: a
     read past p but short of 2p grows the row to 2p."""
@@ -633,10 +647,11 @@ def test_bernoulli_residue_matches_the_exact_reduction(monkeypatch):
 
 def test_a_coarser_read_reduces_the_finest_table_held(monkeypatch):
     # after the p^3 tables are built, a read at p^2 or p reduces them: no
-    # pow call, no binomial row, the values of a fresh build
+    # pow call, no row source run, the values of a fresh build
     p = 31
     ctx = PrimeContext(p)
     reads = {
+        "parity": lambda ctx, e: ctx.parity_power_residues(e),
         "ascent": lambda ctx, e: ctx.even_ascent_residue(e),
         "odd power": lambda ctx, e: ctx.odd_power_residue(e),
         "harmonic": lambda ctx, e: ctx.harmonic_residues(e),
@@ -649,8 +664,11 @@ def test_a_coarser_read_reduces_the_finest_table_held(monkeypatch):
     monkeypatch.setattr(sequences, "pow",
                         lambda *args: calls.append(args) or pow(*args),
                         raising=False)
-    monkeypatch.setattr(sequences, "_signed_binomials_mod",
-                        lambda *args: calls.append(args))
+    grow = PrimeContext._grow
+    monkeypatch.setattr(
+        PrimeContext, "_grow", lambda self, rows, exponent, top, source: grow(
+            self, rows, exponent, top,
+            lambda *args: calls.append(args) or source(*args)))
     for (name, e), value in want.items():
         assert reads[name](ctx, e) == value, (name, e)
     assert calls == []
