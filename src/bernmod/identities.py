@@ -959,19 +959,6 @@ def _check_rows(identity: str, points: list[tuple[int, ...]],
                  (time.perf_counter() - start) / len(points))
 
 
-def _resolve_ids(identities: str | Iterable[str]) -> list[str]:
-    if isinstance(identities, str):
-        identities = [identities]
-    ids: list[str] = []
-    for ident in identities:
-        if ident == "all":
-            ids.extend(_CATALOG)
-        else:
-            _descriptor(ident)  # raises UnknownIdentity
-            ids.append(ident)
-    return list(dict.fromkeys(ids))  # first occurrence order
-
-
 def _check_batch(batch: tuple[int | None, tuple[str, ...]],
                  modulus_override: int | None) -> list[Chunk]:
     """check at a batch's points, one chunk per identity with points: (p,
@@ -1009,9 +996,13 @@ def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
           ) -> list:
     """Check every selected identity over its parameter points in [lo, hi].
 
-    Prime-indexed identities sweep the primes of the range; index-parameterized
-    exact identities sweep their fixed default ranges.  Reports come back
-    sorted by (identity, parameter tuple) no matter how many workers ran.
+    Prime-indexed identities sweep the primes of the range, a batch a
+    prime, which checks its identities finest declared exponent first, ties
+    in catalog order: its first read of each PrimeContext table is then the
+    finest and longest, and every coarser read reduces it.
+    Index-parameterized exact identities sweep their fixed default ranges.
+    Reports come back sorted by (identity, parameter tuple) no matter how
+    many workers ran or in what order the ids were given.
 
     With `render`, a picklable callable, each batch renders each identity's
     Chunk as it checks it, in the worker when there is a pool, and sweep
@@ -1026,8 +1017,13 @@ def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
     if lo > hi:
         raise ValueError(f"empty sweep range {lo}..{hi}")
     _require_exponent(modulus_override)
-    ids = _resolve_ids(identities)
-    by_prime = tuple(i for i in ids if "p" in _CATALOG[i].params)
+    chosen = [identities] if isinstance(identities, str) else list(identities)
+    for ident in chosen:
+        if ident != "all":
+            _descriptor(ident)  # raises UnknownIdentity
+    ids = [i for i in _CATALOG if "all" in chosen or i in chosen]
+    by_prime = tuple(sorted((i for i in ids if "p" in _CATALOG[i].params),
+                            key=lambda i: -_CATALOG[i].exponent))
 
     # costliest first, so no long batch starts last: the fixed-size
     # index-parameter batches, then the primes with points from the top of

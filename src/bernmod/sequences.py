@@ -400,17 +400,15 @@ def _slots(x: int, w: int, first: int, count: int) -> list[int]:
             for i in range(first * w, (first + count) * w, w)]
 
 
-def _half_power_sums(h: int, start: int, top: int, q: int) -> list[int]:
-    """S_{h,j} = 1^j + 2^j + ... + h^j mod q for j = start..top, by baby
-    and giant steps over packed ints.
-
-    With m = isqrt(top + 1 - start), each base a gets one int holding
-    a^0..a^(m-1) mod q in slots of w bytes, and giant row u is the dot
-    product of the a^(start+um) mod q with those ints: its slot v is
-    S_{h,start+um+v} before reduction.  A slot sums h products below q^2,
-    so w bytes hold it with no carry into the next slot.
+def _half_power_sums(h: int, top: int, q: int) -> list[int]:
+    """S_{h,j} = 1^j + 2^j + ... + h^j mod q for j = 0..top, by baby and
+    giant steps over packed ints: with m = isqrt(top + 1), each base a gets
+    one int holding a^0..a^(m-1) mod q in slots of w bytes, and giant row u
+    is the dot product of the a^(um) mod q (no pow: row 0 is a^0 = 1) with
+    those ints, whose slot v is S_{h,um+v} before reduction.  A slot sums h
+    products below q^2, so w bytes hold it with no carry into the next slot.
     """
-    m = isqrt(top + 1 - start)
+    m = isqrt(top + 1)
     w = (2 * q.bit_length() + h.bit_length() + 7) // 8
     packs, steps = [], []
     for a in range(1, h + 1):
@@ -420,11 +418,11 @@ def _half_power_sums(h: int, start: int, top: int, q: int) -> list[int]:
             x = x * a % q
         packs.append(int.from_bytes(b"".join(baby), "little"))
         steps.append(x)
-    giant, sums = [pow(a, start, q) for a in range(1, h + 1)], []
-    while len(sums) <= top - start:
+    giant, sums = [1] * h, []
+    while len(sums) <= top:
         sums += [s % q for s in _slots(sum(map(mul, giant, packs)), w, 0, m)]
         giant = [g * s % q for g, s in zip(giant, steps)]
-    return sums[:top + 1 - start]
+    return sums[:top + 1]
 
 
 class PrimeContext:
@@ -432,13 +430,12 @@ class PrimeContext:
 
     Caches the residue tables of the catalog's prime-indexed sides mod p^N,
     a row per exponent: Bernoulli numbers, half-range power sums, inverses,
-    harmonic numbers and the parity row of a^(p-2), off which N_{p-2} and
-    the odd-power total are read.  Every row grows by one rule, _grow, which
-    reduces the finest row held as far as it reaches and builds only the
-    rest; full power sums are rebuilt from the half-range row at each read.
-    It holds no exact harmonic numbers.
-    Building one is a check's prime test, and check sets `exponent` to the
-    power of p it reduces at, for the evaluators that read residues.
+    harmonic numbers and the parity row of a^(p-2), which also holds the
+    odd-power total and N_{p-2}.  Every row grows by one rule, _grow: one
+    source call, or a reduction of a finer row.  Full power sums are built
+    from the half-range row at each read.  It holds no exact harmonic
+    numbers.  Building one is a check's prime test, and check sets
+    `exponent` to the power of p it reduces at, for the residue evaluators.
     """
 
     def __init__(self, p: int):
@@ -452,42 +449,48 @@ class PrimeContext:
         self._harmonic: dict[int, list[int]] = {}
         self._inverse: dict[int, list[int]] = {}
 
-    def parity_power_residues(self, exponent: int) -> list[int]:
-        """P_t = sum of a^(p-2) over a <= t with a = t (mod 2), mod
-        p^exponent, for t = 0..p-2: a row grown by _grow from one pow pass.
-        0^(p-2) = 0, so the even t sum over the even a >= 2."""
-        def by_parity(start: int, top: int, q: int) -> list[int]:
-            row = [pow(a, self.p - 2, q) for a in range(top + 1)]
-            for t in range(2, top + 1):
-                row[t] = (row[t] + row[t - 2]) % q
-            return row[start:]
+    def _parity_row(self, exponent: int) -> list[int]:
+        """P_0..P_{p-2}, their total and N_{p-2} mod p^exponent: one row
+        grown by _grow from one pow pass.  N_{p-2} groups the explicit sums
+        E(p-2, mm) over even mm by j: the sum over j < p-2 of (-1)^j
+        C(p-1, j) P_{p-2-j}, the binomials a running product over the
+        inverses 1/j, all units since j < p."""
+        p = self.p
 
-        return self._grow(self._parity_power, exponent, self.p - 2, by_parity)
+        def by_parity(top: int, q: int) -> list[int]:
+            row = [pow(a, p - 2, q) for a in range(p - 1)]
+            for t in range(2, p - 1):
+                row[t] = (row[t] + row[t - 2]) % q
+            c, ascents = 1, 0
+            for j, v in enumerate(self.inverse_residues(exponent)[1:p - 1]):
+                ascents += c * row[p - 2 - j]  # c = (-1)^j C(p-1, j)
+                c = -c * (p - 1 - j) * v % q  # v = 1/(j+1)
+            return row + [sum(row) % q, ascents % q]
+
+        return self._grow(self._parity_power, exponent, p, by_parity)
+
+    def parity_power_residues(self, exponent: int) -> list[int]:
+        """P_t = sum of a^(p-2) over 0 < a <= t with a = t (mod 2), mod
+        p^exponent, for t = 0..p-2: the parity row less its two sums."""
+        return self._parity_row(exponent)[:self.p - 1]
 
     def even_ascent_residue(self, exponent: int = 1) -> int:
-        """N_{p-2} mod p^exponent off the parity row: the explicit sums
-        E(p-2, mm) over even mm, grouped by j, give the sum over j < p-2 of
-        (-1)^j C(p-1, j) P_{p-2-j}, the binomials a running product over the
-        inverses 1/j, all units since j < p."""
-        p, q = self.p, self.p ** exponent
-        row, c, total = self.parity_power_residues(exponent), 1, 0
-        for j, v in enumerate(self.inverse_residues(exponent)[1:p - 1]):
-            total += c * row[p - 2 - j]  # c = (-1)^j C(p-1, j), v = 1/(j+1)
-            c = -c * (p - 1 - j) * v % q
-        return total % q
+        """N_{p-2} mod p^exponent, summed into the parity row."""
+        return self._parity_row(exponent)[self.p]
 
     def odd_power_residue(self, exponent: int) -> int:
         """sum over m = 0..(p-3)/2 of S_{2m+1, p-2}, mod p^exponent: the
-        total of the parity row, since S_{t, p-2} = P_t + P_{t-1}."""
-        return sum(self.parity_power_residues(exponent)) % self.p ** exponent
+        parity row's total, since S_{t, p-2} = P_t + P_{t-1}."""
+        return self._parity_row(exponent)[self.p - 1]
 
     def _grow(self, rows: dict[int, list[int]], exponent: int, top: int,
-              source: Callable[[int, int, int], list[int]]) -> list[int]:
+              source: Callable[[int, int], list[int]]) -> list[int]:
         """The row at `exponent` in `rows`, grown to top + 1 entries for the
-        largest top read: reduced from the longest row at a higher exponent
-        as far as it reaches, the rest from source(start, top, q), the
-        entries start..top mod q = p^exponent.  A top between p and 2p reads
-        to 2p: E. Lehmer's rows end there, read to 2p - 2 at p^3 first."""
+        largest top read, from the longest row at a higher exponent if it
+        reaches top, else from source(top, q), the entries 0..top mod
+        q = p^exponent.  A top between p and 2p reads to 2p: E. Lehmer's
+        rows end there, read to 2p - 2 at p^3 first.  A sweep reads a
+        prime's finest exponent first, so each source runs once a prime."""
         if exponent < 1:
             raise ValueError(f"exponent must be >= 1, got {exponent}")
         if self.p < top < 2 * self.p:
@@ -497,9 +500,10 @@ class PrimeContext:
             q = self.p ** exponent
             finer = max((r for e, r in rows.items() if e > exponent),
                         key=len, default=[])
-            row += [x % q for x in finer[len(row):top + 1]]
-            if len(row) <= top:
-                row += source(len(row), top, q)
+            if len(finer) > top:
+                row += [x % q for x in finer[len(row):top + 1]]
+            else:
+                row += source(top, q)[len(row):]
         return row
 
     def bernoulli_residues(self, exponent: int, top: int) -> list[int]:
@@ -508,12 +512,11 @@ class PrimeContext:
         hold p B_i mod p^exponent.  Grown by _grow from the exact table, read
         through one value(top) and one slice of its entries, of which only
         B_0, B_1 and the even entries are reduced: B_i = 0 at odd i > 1."""
-        def exact(start: int, top: int, q: int) -> list[int]:
+        def exact(top: int, q: int) -> list[int]:
             table = bernoulli_table()
             table.value(top)
-            new = table.entries(start)[:top + 1 - start]
             return [0 if i % 2 and i > 1 else self._bernoulli_mod(x, q)
-                    for i, x in enumerate(new, start)]
+                    for i, x in enumerate(table.entries(0)[:top + 1])]
 
         return self._grow(self._bernoulli, exponent, top, exact)
 
@@ -545,7 +548,8 @@ class PrimeContext:
     def full_power_residues(self, exponent: int, top: int) -> list[int]:
         """S_{p-1,k} mod p^exponent for k = 0..top by E. Lehmer's pairing of
         a with p - a: (p - a)^k expanded in powers of p leaves S_{h,k} +
-        (-1)^k sum_{i < exponent} C(k, i) (-p)^i S_{h,k-i}, a pass per i."""
+        (-1)^k sum_{i < exponent} C(k, i) (-p)^i S_{h,k-i}, a pass per i,
+        at each call: twice a prime in a sweep, at p^3 and at p^2."""
         q, s = self.p ** exponent, self.half_power_residues(exponent, top)
         t = s[:top + 1]  # the term i = 0
         for i in range(1, min(exponent, top + 1)):
@@ -565,7 +569,7 @@ class PrimeContext:
         if exponent == 0:
             return [0] * p, [0] * p, [0] * (p - 3)
 
-        def by_inverses(start: int, top: int, q: int) -> list[int]:
+        def by_inverses(top: int, q: int) -> list[int]:
             # 1/(p + j) = v (1 - pv + (pv)^2 - ...), v = 1/j, to p^N | (pv)^N
             inverses, shifted = self.inverse_residues(exponent), []
             for v in inverses[1:p - 2]:
@@ -575,7 +579,7 @@ class PrimeContext:
                 shifted.append(total % q)
             h, h2 = ([x % q for x in accumulate(row)]
                      for row in (inverses, [v * v for v in inverses]))
-            return (h + h2 + shifted)[start:top + 1]
+            return h + h2 + shifted
 
         row = self._grow(self._harmonic, exponent, 3 * p - 4, by_inverses)
         return row[:p], row[p:2 * p], row[2 * p:]
@@ -583,11 +587,11 @@ class PrimeContext:
     def inverse_residues(self, exponent: int) -> list[int]:
         """1/j mod p^exponent for j = 0..p-1 (0 at j = 0), a row grown by
         _grow from q = (q // j) j + q % j, where q % j < j."""
-        def by_division(start: int, top: int, q: int) -> list[int]:
+        def by_division(top: int, q: int) -> list[int]:
             row = [0, 1]
             for j in range(2, top + 1):
                 row.append(-(q // j) * row[q % j] % q)
-            return row[start:]
+            return row
 
         return self._grow(self._inverse, exponent, self.p - 1, by_division)
 

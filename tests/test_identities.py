@@ -39,6 +39,7 @@ from bernmod.modular import (
     primes_in,
 )
 from bernmod.sequences import (
+    PrimeContext,
     bernoulli,
     bernoulli_table,
     divided_bernoulli,
@@ -863,7 +864,8 @@ def test_sweep_runs_costliest_batches_first(monkeypatch):
 
 
 def test_sweep_makes_no_batch_for_a_prime_without_points(monkeypatch):
-    # zhao_p5 starts at 13: the primes below it get no batch, not an empty one
+    # zhao_p5 starts at 13: the primes below it get no batch, not an empty
+    # one; a batch checks its identities in catalog order at equal exponents
     started = []
     check_batch = idmod._check_batch
 
@@ -875,8 +877,8 @@ def test_sweep_makes_no_batch_for_a_prime_without_points(monkeypatch):
 
     monkeypatch.setattr(idmod, "_check_batch", record)
     sweep(["zhao_p5", "zhao_p3"], 5, 17)
-    assert started == [[("zhao_p5", (17,)), ("zhao_p3", (17,))],
-                       [("zhao_p5", (13,)), ("zhao_p3", (13,))],
+    assert started == [[("zhao_p3", (17,)), ("zhao_p5", (17,))],
+                       [("zhao_p3", (13,)), ("zhao_p5", (13,))],
                        [("zhao_p3", (11,))]]
 
 
@@ -1057,7 +1059,9 @@ def test_a_catalog_sweep_counts_the_even_ascents_once_per_prime(
     # row per prime: one pass of a^(p-2) for a = 0..p-2, at the finest power
     # read, the coarser rows reduced from it.  29,218 pow calls over 5..199
     # when each of the three raised its own powers and lev3_b_over_k2k
-    # inverted each k
+    # inverted each k; 16,816 while the half-range kernel raised each base
+    # to its first power with pow and the exact Bernoulli entries were
+    # reduced at p and again at p^3
     calls = []
     real = builtins.pow
     monkeypatch.setattr(builtins, "pow",
@@ -1071,7 +1075,57 @@ def test_a_catalog_sweep_counts_the_even_ascents_once_per_prime(
                      if len(args) == 3 and args[1] + 2 in primes
                      and args[2] % (args[1] + 2) == 0)
     assert passes == {p: p - 1 for p in primes}
-    assert len(calls) < 17000
+    assert len(calls) <= 11998
+
+
+_TABLES = ("_parity_power", "_bernoulli", "_half_power", "_harmonic",
+           "_inverse")
+
+
+@pytest.mark.parametrize("ids, hi, override, tables", [
+    ("all", 199, None, _TABLES),
+    (list(reversed(identity_ids())), 199, None, _TABLES),
+    ("all", 61, 3, _TABLES),
+    (["lemma2", "sub_h_over_k2k"], 61, None, ("_harmonic", "_inverse")),
+], ids=["catalog", "reversed", "modulus-3", "reversed-pair"])
+def test_a_sweep_runs_each_table_source_once_per_prime(
+        monkeypatch, ids, hi, override, tables):
+    # a batch checks its identities finest declared exponent first, ties in
+    # catalog order whatever order they were asked for in (lemma2 reads the
+    # harmonic row at p, sub_h_over_k2k at p^2), so each PrimeContext
+    # table's first read is its finest and longest: one source call per
+    # prime, every other read a reduction of it
+    calls = Counter()
+    grow = PrimeContext._grow
+
+    def spy(self, rows, exponent, top, source):
+        table = next(name for name in _TABLES if getattr(self, name) is rows)
+        return grow(self, rows, exponent, top, lambda *args: calls.update(
+            [(self.p, table)]) or source(*args))
+
+    monkeypatch.setattr(PrimeContext, "_grow", spy)
+    get_prime_context.cache_clear()
+    sweep(ids, 5, hi, modulus_override=override)
+    assert calls == {(p, t): 1 for p in primes_in(5, hi) for t in tables}
+    # N_{p-2} is summed in that one parity pass, and read off the row after:
+    # with P_0..P_{p-2} wiped, the last prime's reads are unchanged
+    p = 5
+    ctx = get_prime_context(p)
+    for e, row in ctx._parity_power.items():
+        row[:p - 1] = [0] * (p - 1)
+        assert ctx.even_ascent_residue(e) == even_ascent_count(p - 2) % p ** e
+
+
+def test_result1_is_the_odd_power_total_plus_the_lemma2_tails():
+    # the paper's Result 1 through Lemma 2: the rhs of result1 is the total
+    # of S_{2m+1,p-2} plus the row of -p T_j over m = 1..(p-3)/2
+    for p in primes_in(5, 401):
+        ctx = get_prime_context(p)
+        for n in (1, 2, 3, 4):
+            ctx.exponent = n
+            tails = catalog()["lemma2"].lhs(ctx, p, (p - 3) // 2)
+            assert catalog()["result1"].rhs(ctx, p) == (
+                ctx.odd_power_residue(n) + sum(tails)) % p ** n, (p, n)
 
 
 _BERNOULLI_IDS = ["conv_order_p1", "zhao_p3", "zhao_p5", "lev3_div_p1",
