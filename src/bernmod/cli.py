@@ -9,8 +9,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from datetime import datetime, timezone
 from functools import partial
 
@@ -98,7 +99,6 @@ _COLUMNS = ("identity", "params", "modulus", "lhs", "rhs", "status")
 _TIMED_COLUMNS = _COLUMNS + ("elapsed_ms", "timestamp")
 
 
-@cache_store.unlimited_int_digits()  # a spawned worker starts with the limit
 def _render(chunk, fmt: str, with_times: bool,
             verbose: bool) -> tuple[str, str, Counter]:
     """One chunk as its output rows, its -v echo lines (empty without -v)
@@ -146,34 +146,108 @@ def _render(chunk, fmt: str, with_times: bool,
     return rows, echo, Counter(chunk.status)
 
 
+# this process's spool: (pid, directory, file open for appending); a forked
+# worker inherits its parent's and opens its own
+_spool = None
+
+
+def _spool_chunk(chunk, directory: str, fmt: str, with_times: bool,
+                 verbose: bool) -> tuple[str, int, int, int, Counter]:
+    """Render a chunk and append its rows, then its -v echo, to this
+    process's spool in directory, opened by its first chunk.  Returns where
+    they lie, (file name, offset, rows length, echo length), and the chunk's
+    status counts: all a batch sends back, so no rendered text outlives the
+    chunk in memory."""
+    global _spool
+    pid = os.getpid()
+    if _spool is None or _spool[:2] != (pid, directory):
+        # a spawned worker starts with the int/str digit limit: lift it for
+        # the worker's life, as main does for the run in the parent
+        getattr(sys, "set_int_max_str_digits", lambda limit: None)(0)
+        _spool = (pid, directory,
+                  open(os.path.join(directory, str(pid)), "xb"))
+    spool = _spool[2]
+    rows, echo, counts = _render(chunk, fmt, with_times, verbose)
+    offset = spool.tell()
+    # ASCII, so each length in characters is the length in bytes
+    spool.write((rows + echo).encode("ascii"))
+    spool.flush()  # a pool worker exits without flushing
+    return str(pid), offset, len(rows), len(echo), counts
+
+
+def _close_spool() -> None:
+    global _spool
+    if _spool is not None:
+        _spool[2].close()
+        _spool = None
+
+
+def _copy_ranges(directory: str, ranges, stream) -> None:
+    """Write the (spool file name, offset, length) byte ranges to a binary
+    stream, in order."""
+    with ExitStack() as files:
+        opened = {}
+        for name, offset, length in ranges:
+            if name not in opened:
+                opened[name] = files.enter_context(
+                    open(os.path.join(directory, name), "rb"))
+            spool = opened[name]
+            spool.seek(offset)
+            stream.write(spool.read(length))
+
+
+def _byte_stream(stream):
+    """The binary stream under a text stream, after what the text holds."""
+    stream.flush()
+    return stream.buffer
+
+
 def _cmd_verify(args: argparse.Namespace,
                 parser: argparse.ArgumentParser) -> int:
     lo, hi = args.primes
+    # each process appends its rendered chunks to a file in a directory
+    # made here before the sweep, as --out is opened, so a failure costs no
+    # work; in $TMPDIR as set, which tempfile would pass over if unwritable
+    tmp = os.environ.get("TMPDIR") or tempfile.gettempdir()
     try:
-        # opened before the sweep, so an unwritable path costs no work
-        out = open(args.out, "w") if args.out else nullcontext(sys.stdout)
+        spool = tempfile.TemporaryDirectory(prefix="bernmod-", dir=tmp)
     except OSError as exc:
-        parser.error(f"cannot write --out {args.out}: {exc.strerror}")
-    if args.cache:
-        cached = _load_cache(args.cache)
-    selected = args.identity if args.identity else "all"
-    render = partial(_render, fmt=args.format,
-                     with_times=not args.no_timestamps, verbose=args.verbose)
-    with out as stream:
-        chunks = sweep(selected, lo, hi, jobs=args.jobs,
-                       modulus_override=args.modulus, render=render)
-        if args.cache:
-            _save_cache(args.cache, cached)
-        if args.verbose:
-            for _, (_, echo, _) in chunks:
-                sys.stderr.write(echo)
-        if args.format == "csv":
-            columns = _COLUMNS if args.no_timestamps else _TIMED_COLUMNS
-            stream.write(",".join(columns) + "\n")
-        counts = Counter()
-        for _, (rows, _, chunk_counts) in chunks:
-            stream.write(rows)
-            counts.update(chunk_counts)
+        parser.error(f"cannot make a spool directory in {tmp}: "
+                     f"{exc.strerror}")
+    with spool as directory:
+        try:
+            out = (open(args.out, "wb") if args.out
+                   else nullcontext(_byte_stream(sys.stdout)))
+        except OSError as exc:
+            parser.error(f"cannot write --out {args.out}: {exc.strerror}")
+        with out as stream:
+            if args.cache:
+                cached = _load_cache(args.cache)
+            selected = args.identity if args.identity else "all"
+            render = partial(_spool_chunk, directory=directory,
+                             fmt=args.format,
+                             with_times=not args.no_timestamps,
+                             verbose=args.verbose)
+            try:
+                records = [record for _, record in sweep(
+                    selected, lo, hi, jobs=args.jobs,
+                    modulus_override=args.modulus, render=render)]
+            finally:
+                _close_spool()
+            if args.cache:
+                _save_cache(args.cache, cached)
+            if args.verbose:
+                _copy_ranges(directory, [(name, at + rows, echo) for
+                                         name, at, rows, echo, _ in records],
+                             _byte_stream(sys.stderr))
+            if args.format == "csv":
+                columns = _COLUMNS if args.no_timestamps else _TIMED_COLUMNS
+                stream.write((",".join(columns) + "\n").encode())
+            _copy_ranges(directory, [(name, at, rows) for
+                                     name, at, rows, _, _ in records], stream)
+    counts = Counter()
+    for *_, chunk_counts in records:
+        counts.update(chunk_counts)
     summary = ", ".join(f"{counts[s]} {s}" for s in _STATUS_ORDER)
     print(f"checked {counts.total()} points: {summary}", file=sys.stderr)
     bad = counts[FAILED] + counts[NOT_P_INTEGRAL] + counts[ERROR]

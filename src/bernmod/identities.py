@@ -31,16 +31,17 @@ from .sequences import (
     PrimeContext,
     _pack,
     _slots,
+    alternating_eulerian_sum,
     bernoulli,
     bernoulli_table,
     divided_bernoulli,
-    euler_number_sides,
     fermat_quotient_2,
     fraction_sum,
     gen_harmonic,
     get_prime_context,
     harmonic,
     product_term,
+    tangent_side,
     von_staudt_denominator,
 )
 
@@ -315,11 +316,11 @@ def _lev3_b_rhs(ctx, p):
 
 
 def _tangent_lhs(ctx, n):
-    return euler_number_sides(n)[0]
+    return tangent_side(n)
 
 
 def _tangent_rhs(ctx, n):
-    return euler_number_sides(n)[1]
+    return alternating_eulerian_sum(n)
 
 
 def _even_ascent_lhs(ctx, p):

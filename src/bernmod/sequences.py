@@ -42,6 +42,8 @@ __all__ = [
     "even_ascent_count",
     "even_ascent_count_mod",
     "euler_number_sides",
+    "tangent_side",
+    "alternating_eulerian_sum",
     "fermat_quotient_2",
     "fraction_sum",
     "product_term",
@@ -334,17 +336,29 @@ def even_ascent_count_mod(p: int, k: int = 1) -> int:
 
 
 def euler_number_sides(n: int) -> tuple[Fraction, Fraction]:
-    """Both sides of the tangent-number relation at odd n.
+    """Both sides of the tangent-number relation at odd n:
+    (tangent_side(n), alternating_eulerian_sum(n))."""
+    return tangent_side(n), alternating_eulerian_sum(n)
 
-    Left: 2^(n+1) (2^(n+1) - 1) B_{n+1} / (n+1).
-    Right: the alternating Eulerian row sum sum_{m=0}^{n-1} (-1)^m E(n, m).
-    """
+
+def _require_odd(n: int) -> None:
     if n < 1 or n % 2 == 0:
         raise ValueError(f"need odd n >= 1, got {n}")
+
+
+def tangent_side(n: int) -> Fraction:
+    """2^(n+1) (2^(n+1) - 1) B_{n+1} / (n+1) at odd n: the left side of the
+    tangent-number relation."""
+    _require_odd(n)
     w = 2 ** (n + 1)
-    lhs = w * (w - 1) * bernoulli(n + 1) / (n + 1)
-    rhs = Fraction(sum((-1) ** m * eulerian(n, m) for m in range(n)))
-    return lhs, rhs
+    return w * (w - 1) * bernoulli(n + 1) / (n + 1)
+
+
+def alternating_eulerian_sum(n: int) -> Fraction:
+    """sum_{m=0}^{n-1} (-1)^m E(n, m) at odd n: the right side of the
+    tangent-number relation."""
+    _require_odd(n)
+    return Fraction(sum((-1) ** m * eulerian(n, m) for m in range(n)))
 
 
 def fermat_quotient_2(p: int) -> int:

@@ -1,10 +1,14 @@
 """Command line behavior: output formats, exit codes, cache wiring."""
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -128,6 +132,89 @@ def test_verify_unwritable_out_exits_two_before_sweeping(
     assert calls == []
     assert "cannot write --out" in capsys.readouterr().err
     assert not target.parent.exists()
+
+
+def test_verify_unwritable_tmpdir_exits_two_before_sweeping(
+        tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr("bernmod.cli.sweep",
+                        lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setenv("TMPDIR", str(tmp_path / "missing"))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--primes", "5..7", "--identity", "wilson"])
+    assert exc.value.code == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"bernmod: error: cannot make a spool directory in "
+        f"{tmp_path / 'missing'}: No such file or directory"]
+
+
+def _raise_at_11(side):
+    def raising(ctx, p):
+        if p == 11:
+            raise KeyboardInterrupt
+        return side(ctx, p)
+    return raising
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", ["verified", "failed", "interrupted"])
+def test_verify_leaves_no_spool(case, jobs, tmp_path, monkeypatch, capsys):
+    # the spool directory is made in $TMPDIR and removed on every exit
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    made = []
+    if jobs == "1":  # a spy on a pool worker's chunks would not pickle
+        real_spool_chunk = cli._spool_chunk
+
+        def spool_chunk(chunk, directory, **kwargs):
+            made.append(directory)
+            return real_spool_chunk(chunk, directory, **kwargs)
+
+        monkeypatch.setattr(cli, "_spool_chunk", spool_chunk)
+    argv = ["verify", "--primes", "5..13", "--identity", "result4",
+            "--no-timestamps", "--jobs", jobs]
+    if case == "failed":  # N_9 differs from H_1 + ... + H_9 mod 121
+        argv += ["--modulus", "2"]
+    if case == "interrupted":
+        desc = idmod._CATALOG["result4"]
+        monkeypatch.setitem(idmod._CATALOG, "result4", dataclasses.replace(
+            desc, lhs=_raise_at_11(desc.lhs)))
+        # the patched catalog reaches pool workers only through fork
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            partial(ProcessPoolExecutor, mp_context=fork))
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        code, out, _ = run(argv, capsys)
+        assert code == (case == "failed")
+        assert len(out.splitlines()) == 4
+    if jobs == "1":
+        assert made and {os.path.dirname(d) for d in made} == {str(tmp_path)}
+    assert list(tmp_path.iterdir()) == []
+    assert cli._spool is None
+
+
+def test_spawned_worker_renders_beyond_the_str_digit_limit(tmp_path):
+    # 5^7000 and 7^7000 have 4893 and 5916 digits; under spawn a worker
+    # starts with the interpreter's 4300-digit limit
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+           "TMPDIR": str(tmp_path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", START_METHOD_MAIN, "spawn", "verify",
+         "--identity", "wilson", "--primes", "5..7", "--modulus", "7000",
+         "--no-timestamps", "--jobs", "2"],
+        capture_output=True, text=True, timeout=120, env=env)
+    # Wilson's theorem holds mod p only: two failed points, exit 1
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    with unlimited_int_digits():
+        rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["modulus"] for r in rows] == [5 ** 7000, 7 ** 7000]
+    assert [r["rhs"] for r in rows] == [5 ** 7000 - 1, 7 ** 7000 - 1]
+    assert list(tmp_path.iterdir()) == []
 
 
 # SHA-256 of the stdout of `verify --identity all --primes 5..61
@@ -632,13 +719,12 @@ def test_large_prime_set_peak_rss_at_the_wolstenholme_prime():
     assert peak_kb < 60 * 1024, f"peak RSS {peak_kb} KB"
 
 
-def test_catalog_sweep_peak_rss_over_5_to_401():
-    # the whole catalog over 5..401 (52,764 points) in one fresh process:
-    # each batch renders its rows as it checks them, so no report outlives
-    # its batch; 24.5 MB measured (63.7 MB when every report was held)
+def _catalog_peak_kb(primes, jobs):
+    """Peak RSS in KB of the whole catalog's verify over primes, in one
+    fresh process and its workers, and the stderr of that run."""
     argv = [sys.executable, "-S", "-c", PEAK_RSS_LAUNCHER, sys.executable,
             "-m", "bernmod", "verify", "--identity", "all", "--primes",
-            "5..401", "--no-timestamps"]
+            primes, "--no-timestamps", "--jobs", jobs]
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=120,
@@ -646,15 +732,36 @@ def test_catalog_sweep_peak_rss_over_5_to_401():
     assert proc.returncode == 0, proc.stderr
     code, peak_kb = map(int, proc.stdout.split())
     assert code == 0, proc.stderr
-    assert "checked 52764 points" in proc.stderr
+    return peak_kb, proc.stderr
+
+
+def test_catalog_sweep_peak_rss_over_5_to_401():
+    # the whole catalog over 5..401 (52,764 points) in one fresh process:
+    # each batch renders its rows as it checks them and spools them, so no
+    # row outlives its batch in memory; 19.3 MB measured (24.5 MB when the
+    # rendered rows were held, 63.7 MB when every report was)
+    peak_kb, err = _catalog_peak_kb("5..401", "1")
+    assert "checked 52764 points" in err
     assert peak_kb < 40 * 1024, f"peak RSS {peak_kb} KB"
 
 
-def test_a_closed_pipe_exits_141_without_a_traceback():
+def test_catalog_sweep_peak_rss_does_not_grow_with_the_range():
+    # with a 2-worker pool, 5..1009 (274,217 points) peaks within 8 MB of
+    # 5..401, as each batch spools its rows and sends back only where they
+    # lie: 4.5 MB apart measured (31 MB when the parent held the text)
+    small_kb, _ = _catalog_peak_kb("5..401", "2")
+    large_kb, err = _catalog_peak_kb("5..1009", "2")
+    assert "checked 274217 points" in err
+    assert large_kb - small_kb < 8 * 1024, (small_kb, large_kb)
+
+
+def test_a_closed_pipe_exits_141_without_a_traceback(tmp_path):
     # `bernmod verify ... | head -1`: the rows of 5..61 (about 0.5 MB)
-    # overflow the pipe, so a write meets the closed read end
+    # overflow the pipe, so a write meets the closed read end, and the
+    # spool goes with the rest
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+           "TMPDIR": str(tmp_path)}
     proc = subprocess.Popen(
         [sys.executable, "-m", "bernmod", "verify", "--identity", "all",
          "--primes", "5..61", "--no-timestamps"],
@@ -667,7 +774,9 @@ def test_a_closed_pipe_exits_141_without_a_traceback():
     finally:
         proc.kill()
         proc.wait()
+        proc.stderr.close()
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_console_entry_point_subprocess():

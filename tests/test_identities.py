@@ -732,6 +732,22 @@ def test_out_of_domain_is_inapplicable():
     assert check("sun_lemma", {"p": 4, "k": 2}).status == INAPPLICABLE
 
 
+def test_each_tangent_side_computes_only_its_own_value(monkeypatch):
+    desc = catalog()["euler_tangent_relation"]
+    points = [(n,) for n in range(1, 32, 2)]
+    want = [sequences.euler_number_sides(n) for n, in points]
+
+    def unread(*args):
+        raise AssertionError("read by the other side")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sequences, "eulerian", unread)
+        assert desc.lhs(None, points) == [lhs for lhs, _ in want]
+    with monkeypatch.context() as patch:
+        patch.setattr(sequences, "bernoulli", unread)
+        assert desc.rhs(None, points) == [rhs for _, rhs in want]
+
+
 @pytest.mark.parametrize("ident, p", [("lehmer_i", 7), ("lehmer_ii", 5)])
 def test_lehmer_points_past_k_equals_p_are_inapplicable(ident, p, capsys):
     # both domains end at k = p
@@ -1322,6 +1338,17 @@ def test_sharpness_at_p_squared_among_primes_to_101():
 
     assert sharp("theorem1") == {11, 31}
     assert sharp("zhao_p3") == {11, 17, 29, 67}
+
+
+def test_lemma2_lehmer_ii_and_sun_lemma_hold_one_power_up_to_401():
+    # declared mod p^2, all three hold mod p^3 at every point of 5..401,
+    # sun_lemma's uncounted k = p - 1 and k = p included
+    reports = sweep(["lemma2", "lehmer_ii", "sun_lemma"], 5, 401,
+                    modulus_override=3)
+    assert Counter(r.identity for r in reports) == {
+        "lemma2": 7026, "lehmer_ii": 14283, "sun_lemma": 14206}
+    assert {r.status for r in reports} == {VERIFIED}
+    assert all(r.modulus == r.params["p"] ** 3 for r in reports)
 
 
 def test_zhao_p3_holds_mod_p_squared_at_607():
