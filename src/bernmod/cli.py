@@ -16,7 +16,8 @@ from datetime import datetime, timezone
 from functools import partial
 
 from . import cache as cache_store
-from .identities import ERROR, FAILED, NOT_P_INTEGRAL, identity_ids, sweep
+from .identities import (ERROR, FAILED, INAPPLICABLE, NOT_P_INTEGRAL, VERIFIED,
+                         identity_ids, sweep)
 from .permutations import profile
 from .sequences import (
     MINUS_HALF,
@@ -34,8 +35,7 @@ from .sequences import (
 
 __all__ = ["main"]
 
-_STATUS_ORDER = ("verified", "failed", "inapplicable", "not_p_integral",
-                 "error")
+_STATUS_ORDER = (VERIFIED, FAILED, INAPPLICABLE, NOT_P_INTEGRAL, ERROR)
 
 
 def _prime_range(text: str) -> tuple[int, int]:

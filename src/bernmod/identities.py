@@ -23,7 +23,6 @@ from .modular import (
     NotPIntegral,
     hensel_digit,
     is_prime,
-    mod_inverse,
     mod_reduce,
     primes_in,
 )
@@ -85,9 +84,6 @@ class CheckReport:
     rhs: int | Fraction | None
     modulus: int | None  # None for exact comparisons
     elapsed: float = 0.0
-
-    def sort_key(self) -> tuple:
-        return (self.identity, tuple(self.params.values()))
 
 
 class Chunk(NamedTuple):
@@ -216,24 +212,25 @@ def theorem1_rhs(p: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# evaluators (ctx is a PrimeContext when the identity is prime-indexed)
+# evaluators: a prime-indexed side takes (ctx, p), ctx the PrimeContext; an
+# index identity's exact side takes its point's parameters alone (see _each)
 
-def _euler_lhs(ctx, n):
+def _euler_lhs(n):
     return fraction_sum(product_term(comb(n, j), bernoulli(j), bernoulli(n - j))
                         for j in range(n + 1))
 
 
-def _euler_rhs(ctx, n):
+def _euler_rhs(n):
     return -n * bernoulli(n - 1) - (n - 1) * bernoulli(n)
 
 
-def _miki_lhs(ctx, n):
+def _miki_lhs(n):
     return fraction_sum(product_term(
         comb(n, j), bernoulli(j), bernoulli(n - j), Fraction(1, j * (n - j)))
         for j in range(2, n - 1))
 
 
-def _miki_rhs(ctx, n):
+def _miki_rhs(n):
     return _divided_convolution(n) - 2 * divided_bernoulli(n) * harmonic(n)
 
 
@@ -247,7 +244,7 @@ def _zhao_p3_rhs(ctx, p):
 
 def _zhao_p5_rhs(ctx, p):
     n, q = ctx.exponent, p ** ctx.exponent
-    return (-2 * ctx.bernoulli_residue(n, p - 5) - 2 * mod_inverse(3, p, n)
+    return (-2 * ctx.bernoulli_residue(n, p - 5) - 2 * pow(3, -1, q)
             * ctx.bernoulli_residue(n, p - 3) ** 2) % q
 
 
@@ -256,16 +253,19 @@ def _lev3_p1_rhs(ctx, p):
     # (p B_{2p-2} - (p B_{p-1})^2 / (p-1)) / (p-1), read at p^3
     r = p ** 3
     b1, b2 = (ctx.bernoulli_residue(3, i) for i in (p - 1, 2 * p - 2))
-    inv = mod_inverse(p - 1, p, 3)
+    inv = pow(p - 1, -1, r)
     return (b2 - b1 ** 2 * inv) * inv % r // (p * p)
 
 
 def _lev3_shifted_rhs(ctx, p, s):
     # 2 (A_p - 1) D_{p-s} + 2 (digit 1 of D_{2p-1-s} - D_{p-s}), D_i = B_i/i,
-    # less D_{p-3}^2 at s = 5; A_p and the digit read B_i mod p^(N+1)
+    # less D_{p-3}^2 at s = 5; A_p and the digit read B_i mod p^(N+1).  For
+    # p >= 5 the one divisor that p divides is 0 = p - s, at s = p
+    if s == p:
+        raise NotPIntegral(f"D_0 = B_0/0 is not p-integral at p={p}")
     n = ctx.exponent
     r = p ** (n + 1)
-    d = {i: ctx.bernoulli_residue(n + 1, i) * mod_inverse(i, p, n + 1) % r
+    d = {i: ctx.bernoulli_residue(n + 1, i) * pow(i, -1, r) % r
          for i in (p - 3, p - s, 2 * p - 1 - s)}
     digit = (d[2 * p - 1 - s] - d[p - s]) % (p * p) // p
     value = 2 * (_agoh_giuga_residue(ctx, n) - 1) * d[p - s] + 2 * digit
@@ -288,13 +288,13 @@ def _sub_h_lhs(ctx, p, r=1):
 
 def _sub_h_rhs(ctx, p):
     b = ctx.bernoulli_residue(ctx.exponent, p - 3)
-    return 7 * mod_inverse(24, p, ctx.exponent) * p * b % p ** ctx.exponent
+    q = p ** ctx.exponent
+    return 7 * pow(24, -1, q) * p * b % q
 
 
 def _sub_h2_rhs(ctx, p):
-    return (-3 * mod_inverse(8, p, ctx.exponent)
-            * ctx.bernoulli_residue(ctx.exponent, p - 3)
-            % p ** ctx.exponent)
+    q = p ** ctx.exponent
+    return -3 * pow(8, -1, q) * ctx.bernoulli_residue(ctx.exponent, p - 3) % q
 
 
 def _lev3_b_lhs(ctx, p):
@@ -313,14 +313,6 @@ def _lev3_b_rhs(ctx, p):
     h, _, _ = ctx.harmonic_residues(n)
     return (-h[(p - 1) // 2] * pow(2, -1, q)
             + _agoh_giuga_residue(ctx, n) - 1) % q
-
-
-def _tangent_lhs(ctx, n):
-    return tangent_side(n)
-
-
-def _tangent_rhs(ctx, n):
-    return alternating_eulerian_sum(n)
 
 
 def _even_ascent_lhs(ctx, p):
@@ -417,43 +409,32 @@ def _sun_rhs(ctx, p, top):
     return [(b[k] + p * k * b[k - 1] * half) % q for k in range(top + 1)]
 
 
-def _alzer_rhs(ctx, n):
+def _alzer_rhs(n):
     return (harmonic(n) ** 2 + gen_harmonic(n, 2)) / 2
 
 
-def _cs1_rhs(ctx, n):
+def _cs1_rhs(n):
     return (harmonic(n + 1) ** 2 - gen_harmonic(n + 1, 2)) / 2
 
 
-def _cs2_rhs(ctx, n):
+def _cs2_rhs(n):
     return ((harmonic(n + 2) ** 2 - gen_harmonic(n + 2, 2)) / 2
             + Fraction(1, n + 2) - 1)
 
 
-def _cs3_rhs(ctx, n):
+def _cs3_rhs(n):
     return ((harmonic(n + 3) ** 2 - gen_harmonic(n + 3, 2)) / 2
             + Fraction(3, 2 * (n + 3)) + Fraction(1, 2 * (n + 2))
             - Fraction(7, 4))
 
 
-# (T, L, L / j, H_j L, H_j^(2) L^2) for j = 0..T, L = lcm(1..T): the one
-# prefix, rebuilt only when a larger top is read
-_prefix: tuple[int, int, list[int], list[int], list[int]] = (
-    0, 1, [0], [0], [0])
-
-
 def _harmonic_prefix(top: int) -> tuple[int, list[int], list[int], list[int]]:
-    """L, a common multiple of 1..top, and for j = 0..T, T >= top, the
-    integers L / j (0 at j = 0), H_j L and H_j^(2) L^2.  The one prefix
-    serves every top it reaches; any common multiple L gives the same
-    Fraction."""
-    global _prefix
-    if _prefix[0] < top:
-        L = lcm(*range(1, top + 1))
-        recips = [0] + [L // j for j in range(1, top + 1)]
-        _prefix = (top, L, recips, list(accumulate(recips)),
-                   list(accumulate(x * x for x in recips)))
-    return _prefix[1:]
+    """L = lcm(1..top) and, for j = 0..top, the integers L / j (0 at j = 0),
+    H_j L and H_j^(2) L^2, built on each call."""
+    L = lcm(*range(1, top + 1))
+    recips = [0] + [L // j for j in range(1, top + 1)]
+    return (L, recips, list(accumulate(recips)),
+            list(accumulate(x * x for x in recips)))
 
 
 def _h_over_shift_lhs(ctx, points, s=None):
@@ -566,11 +547,11 @@ def _wilson_rhs(ctx, p):
     return -1
 
 
-def _cvs_lhs(ctx, n):
+def _cvs_lhs(n):
     return Fraction(bernoulli(n).denominator)
 
 
-def _cvs_rhs(ctx, n):
+def _cvs_rhs(n):
     return Fraction(von_staudt_denominator(n))
 
 
@@ -588,8 +569,9 @@ def _index_points(values: Iterable[int]) -> Callable:
 
 
 def _each(side: Callable) -> Callable:
-    """An index identity's row evaluator from its side at one point."""
-    return lambda ctx, points: [side(ctx, *point) for point in points]
+    """An index identity's row evaluator from its exact side at one point,
+    which takes the point's parameters alone."""
+    return lambda ctx, points: [side(*point) for point in points]
 
 
 def _build_catalog() -> dict[str, IdentityDescriptor]:
@@ -685,7 +667,8 @@ def _build_catalog() -> dict[str, IdentityDescriptor]:
         "euler_tangent_relation",
         "tangent-number form equals the alternating Eulerian row sum (odd n)",
         "L. Euler (tangent numbers)",
-        ("n",), None, _each(_tangent_lhs), _each(_tangent_rhs),
+        ("n",), None, _each(tangent_side),
+        _each(alternating_eulerian_sum),
         domain=lambda n: n >= 1 and n % 2 == 1,
         points=_index_points(range(1, 32, 2)),
     )

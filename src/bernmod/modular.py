@@ -14,7 +14,6 @@ from math import isqrt
 __all__ = [
     "NotPIntegral",
     "mod_reduce",
-    "mod_inverse",
     "hensel_digit",
     "is_prime",
     "primes_in",
@@ -40,16 +39,6 @@ def mod_reduce(x: Fraction | int, p: int, k: int = 1) -> int:
         raise NotPIntegral(f"{x} is not p-integral at p={p}")
     m = p ** k
     return x.numerator * pow(x.denominator, -1, m) % m
-
-
-def mod_inverse(a: int, p: int, k: int = 1) -> int:
-    """a^-1 mod p^k, in [0, p^k).
-
-    Raises NotPIntegral when p divides a, as mod_reduce does for 1/a.
-    """
-    if a % p == 0:
-        raise NotPIntegral(f"1/{a} is not p-integral at p={p}")
-    return pow(a, -1, p ** k)
 
 
 def hensel_digit(x: Fraction | int, p: int, i: int) -> int:

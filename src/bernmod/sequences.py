@@ -7,10 +7,8 @@ sums, the Fermat quotient of 2, and the power-weighted Bernoulli convolution.
 Everything returns exact ints or Fractions; the *_mod variants work purely in
 modular arithmetic; fraction_sum adds exact terms over one denominator.
 PrimeContext caches per-prime residue tables; N_{p-2} mod p^k is read off its
-parity row of same-parity sums of a^(p-2).  Exact harmonic numbers have
-two stores: the per-order memo behind harmonic and gen_harmonic, and
-identities._harmonic_prefix, whose integers H_j L and H_j^(2) L^2 the
-shifted-harmonic sums read.
+parity row of same-parity sums of a^(p-2).  Exact harmonic numbers are held
+in one store, the per-order memo behind harmonic and gen_harmonic.
 """
 from __future__ import annotations
 

@@ -34,7 +34,6 @@ from bernmod.modular import (
     NotPIntegral,
     hensel_digit,
     is_prime,
-    mod_inverse,
     mod_reduce,
     primes_in,
 )
@@ -618,7 +617,7 @@ def test_residue_sides_report_a_pole_as_not_p_integral():
         source="test fixture",
         params=("p",),
         exponent=2,
-        lhs=lambda ctx, p: mod_inverse(2 * p, p, ctx.exponent),
+        lhs=lambda ctx, p: mod_reduce(Fraction(1, 2 * p), p, ctx.exponent),
         rhs=lambda ctx, p: 0,
         domain=lambda p: p >= 5,
         points=lambda p: [],
@@ -630,6 +629,23 @@ def test_residue_sides_report_a_pole_as_not_p_integral():
         del idmod._CATALOG["test_residue_pole"]
     assert report.status == NOT_P_INTEGRAL
     assert report.lhs is None and report.rhs is None
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("s", [3, 5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_lev3_shifted_rhs_has_its_one_pole_at_s_equal_to_p(p, s, n):
+    # D_{p-s} = B_0/0 at s = p; every other divisor is a unit mod p, in or
+    # out of the catalog's domain
+    ctx = get_prime_context(p)
+    ctx.exponent = n
+    if p == s:
+        with pytest.raises(NotPIntegral):
+            idmod._lev3_shifted_rhs(ctx, p, s=s)
+        return
+    got = idmod._lev3_shifted_rhs(ctx, p, s=s)
+    assert 0 <= got < p ** n
+    assert got == mod_reduce(_lev3_shifted_rhs_oracle(ctx, p, s), p, n)
 
 
 def test_exact_identity_reports_carry_fractions():
@@ -696,27 +712,18 @@ _PREFIX_SIDES = [("alzer", 0), ("choi_srivastava_s1", 1),
                  ("prop1", None)]
 
 
-def test_harmonic_prefix_sides_do_not_depend_on_its_top(monkeypatch):
-    # descending from a cold prefix, so the first point builds the largest
-    # top, then all again over a prefix grown to 230
-    monkeypatch.setattr(idmod, "_prefix", (0, 1, [0], [0], [0]))
-    for grown in (False, True):
-        if grown:
-            idmod._harmonic_prefix(230)
-        for ident, shift in _PREFIX_SIDES:
-            desc = catalog()[ident]
-            # each point alone, then the whole row
-            points = desc.points(None)[::-1]
-            want = [_h_over_shift_oracle(pt[-1] if shift is None else shift)(
-                None, pt[0]) for pt in points]
-            sides = [desc.lhs, desc.rhs] if ident == "prop1" else [desc.lhs]
-            for side in sides:
-                assert [side(None, [pt])[0] for pt in points] == want, ident
-                assert side(None, points) == want, ident
-    # one prefix, held at the largest top read, serves every smaller top
-    assert idmod._prefix[0] == 230
-    assert idmod._harmonic_prefix(4)[1] is idmod._harmonic_prefix(230)[1]
-    assert not hasattr(idmod._harmonic_prefix, "cache_info")
+def test_harmonic_prefix_sides_do_not_depend_on_its_top():
+    # each point alone, over the prefix of its own top, then the whole row,
+    # over the prefix of the largest, descending
+    for ident, shift in _PREFIX_SIDES:
+        desc = catalog()[ident]
+        points = desc.points(None)[::-1]
+        want = [_h_over_shift_oracle(pt[-1] if shift is None else shift)(
+            None, pt[0]) for pt in points]
+        sides = [desc.lhs, desc.rhs] if ident == "prop1" else [desc.lhs]
+        for side in sides:
+            assert [side(None, [pt])[0] for pt in points] == want, ident
+            assert side(None, points) == want, ident
 
 
 def test_out_of_domain_is_inapplicable():
@@ -855,7 +862,7 @@ def test_sweep_range_validation():
 
 def test_sweep_reports_are_sorted_and_complete():
     reports = sweep(["wilson", "lemma2"], 5, 13)
-    keys = [r.sort_key() for r in reports]
+    keys = [(r.identity, tuple(r.params.values())) for r in reports]
     assert keys == sorted(keys)
     wilson_primes = [r.params["p"] for r in reports
                      if r.identity == "wilson"]
@@ -958,7 +965,8 @@ def test_rendered_chunks_hold_the_reports_in_order(jobs):
     assert [k[0] for k in keys] == ["alzer"] + ["lemma2"] * 5 \
         + ["wilson"] * 5 + ["zhao_p5"] * 2
     for key, reports in chunks:
-        assert reports[0].sort_key() == key
+        assert (reports[0].identity,
+                tuple(reports[0].params.values())) == key
         assert {r.identity for r in reports} == {key[0]}
     untimed = lambda rs: [(r.identity, r.params, r.status, r.lhs, r.rhs,
                            r.modulus) for r in rs]
@@ -1197,7 +1205,7 @@ def test_a_sweep_sieves_its_primes_once(monkeypatch):
 def test_a_sweep_gives_the_reports_check_gives():
     # every catalog point of the range, in order, as check reports it alone
     reports = sweep("all", 5, 31)
-    assert [r.sort_key() for r in reports] == sorted(
+    assert [(r.identity, tuple(r.params.values())) for r in reports] == sorted(
         (ident, tuple(point.values())) for ident, desc in catalog().items()
         for point in _points(desc, 5, 31))
     assert [_outcome(r) for r in reports] == [
