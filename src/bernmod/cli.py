@@ -79,7 +79,7 @@ def _load_cache(path: str) -> int:
     except (cache_store.CorruptCache, OSError) as exc:
         print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
         return 0
-    bernoulli_table().merge(0, loaded.entries(0))
+    bernoulli_table().merge(loaded.entries())
     return loaded.max_index + 1
 
 
@@ -171,7 +171,10 @@ def _spool_chunk(chunk, directory: str, fmt: str, with_times: bool,
     offset = spool.tell()
     # ASCII, so each length in characters is the length in bytes
     spool.write((rows + echo).encode("ascii"))
-    spool.flush()  # a pool worker exits without flushing
+    # flushed per chunk: a pool worker exits without flushing, and this
+    # process's spool is open when a pool forks, so a forked worker that drops
+    # the inherited file object must find nothing buffered in it to write
+    spool.flush()
     return str(pid), offset, len(rows), len(echo), counts
 
 

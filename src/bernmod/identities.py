@@ -955,23 +955,20 @@ def _check_batch(batch: tuple[int | None, tuple[str, ...]],
 def _run_batch(batch: tuple[int | None, tuple[str, ...]],
                modulus_override: int | None,
                render: Callable[[Chunk], object] | None
-               ) -> tuple[list[tuple[tuple, object]], int, list[Fraction]]:
+               ) -> tuple[list[tuple[tuple, object]], int]:
     """Check a batch: per chunk, the sort key of its first point and
     render(chunk), or the chunk without render (points ascend within a
-    prime, so the chunks sort into report order); and the Bernoulli entries
-    the batch appended to its process's table: the first index, the values.
-    """
-    table = bernoulli_table()
-    start = table.max_index + 1
+    prime, so the chunks sort into report order); and the last index of its
+    process's Bernoulli table, which holds every entry the batch read."""
     chunks = [((chunk.identity, chunk.points[0]),
                chunk if render is None else render(chunk))
               for chunk in _check_batch(batch, modulus_override)]
-    return chunks, start, table.entries(start)
+    return chunks, bernoulli_table().max_index
 
 
 def _adopt(values: list[Fraction]) -> None:
     """Pool initializer: the worker's table takes B_0, B_1, ... from here."""
-    bernoulli_table().merge(0, values)
+    bernoulli_table().merge(values)
 
 
 def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
@@ -993,8 +990,9 @@ def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
     returns (sort key of the chunk's first point, render(chunk)) in that
     order instead of reports: one per identity per batch.
 
-    Afterwards this process's Bernoulli table is the one a serial sweep
-    leaves, with or without a pool.
+    A pool starts after this process has run the top prime's batch, with
+    the Bernoulli table that batch left.  Afterwards this process's table is
+    the one a serial sweep leaves, with or without a pool.
     """
     if lo < 5:
         raise ValueError(f"sweep range must start at 5 or above, got {lo}")
@@ -1012,31 +1010,32 @@ def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
     # costliest first, so no long batch starts last: the fixed-size
     # index-parameter batches, then the primes with points from the top of
     # the range down
-    batches = [(None, (i,)) for i in ids if "p" not in _CATALOG[i].params]
-    if by_prime:
-        batches += [(p, by_prime) for p in reversed(primes_in(lo, hi))
-                    if any(_CATALOG[i].points(p) for i in by_prime)]
+    index = [(None, (i,)) for i in ids if "p" not in _CATALOG[i].params]
+    primed = [(p, by_prime) for p in reversed(primes_in(lo, hi))
+              if any(_CATALOG[i].points(p) for i in by_prime)] \
+        if by_prime else []
     args = (modulus_override, render)
-    if jobs <= 1 or len(batches) <= 1:
-        done = [_run_batch(batch, *args) for batch in batches]
+    if jobs <= 1 or len(index) + len(primed) <= 2:
+        # two batches would leave the pool one worker: pure overhead
+        done = [_run_batch(batch, *args) for batch in index + primed]
     else:
         # imported here, so a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # a fork pool starts all its workers at once: no more than batches;
-        # each adopts the entries held here (under fork it already has them)
+        # the top prime's batch reads furthest into the Bernoulli table, so
+        # it runs here, and the workers start with that table; a fork pool
+        # starts all its workers at once, so no more than batches
+        done = [_run_batch(batch, *args) for batch in primed[:1]]
+        pooled = index + primed[1:]
         with ProcessPoolExecutor(
-                max_workers=min(jobs, len(batches)), initializer=_adopt,
-                initargs=(bernoulli_table().entries(0),)) as pool:
+                max_workers=min(jobs, len(pooled)), initializer=_adopt,
+                initargs=(bernoulli_table().entries(),)) as pool:
             futures = [pool.submit(_run_batch, batch, *args)
-                       for batch in batches]
-            done = [f.result() for f in futures]
-    # a worker's table starts as this one and grows only in its batches, so
-    # merged in order of their first index their entries leave no gap
-    table = bernoulli_table()
-    for _, start, values in sorted(done, key=itemgetter(1)):
-        table.merge(start, values)
-    chunks = sorted((c for batch_chunks, _, _ in done for c in batch_chunks),
+                       for batch in pooled]
+            done += [f.result() for f in futures]
+        # an index batch can read further (clausen_von_staudt reads B_200)
+        bernoulli_table().value(max(top for _, top in done))
+    chunks = sorted((c for batch_chunks, _ in done for c in batch_chunks),
                     key=itemgetter(0))
     if render is not None:
         return chunks

@@ -104,9 +104,9 @@ class BernoulliTable:
     def items(self) -> list[tuple[int, Fraction]]:
         return list(enumerate(self._entries))
 
-    def entries(self, start: int) -> list[Fraction]:
-        """B_start..B_max, the entries held from index `start` on."""
-        return self._entries[start:]
+    def entries(self) -> list[Fraction]:
+        """B_0..B_max, the entries held."""
+        return self._entries[:]
 
     def value(self, n: int) -> Fraction:
         if n < 0:
@@ -133,17 +133,14 @@ class BernoulliTable:
             e.append(Fraction((-1) ** (m - 1) * n * col[m],
                               (1 << n) * ((1 << n) - 1)))
 
-    def merge(self, start: int, values: list[Fraction]) -> None:
-        """Adopt B_start, B_start+1, ... from `values` where this table ends
-        before them; an index it already holds must agree."""
+    def merge(self, values: list[Fraction]) -> None:
+        """Adopt B_0, B_1, ... from `values` past where this table ends; an
+        index it already holds must agree."""
         mine = self._entries
-        if start > len(mine):
-            raise ValueError(f"entries from B_{start} leave a gap after "
-                             f"B_{len(mine) - 1}")
-        for n, (a, b) in enumerate(zip(mine[start:], values), start):
+        for n, (a, b) in enumerate(zip(mine, values)):
             if a != b:
                 raise ValueError(f"conflicting value for B_{n}")
-        mine.extend(values[len(mine) - start:])
+        mine.extend(values[len(mine):])
 
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError on violation."""
@@ -528,7 +525,7 @@ class PrimeContext:
             table = bernoulli_table()
             table.value(top)
             return [0 if i % 2 and i > 1 else self._bernoulli_mod(x, q)
-                    for i, x in enumerate(table.entries(0)[:top + 1])]
+                    for i, x in enumerate(table.entries()[:top + 1])]
 
         return self._grow(self._bernoulli, exponent, top, exact)
 

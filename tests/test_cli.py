@@ -584,23 +584,31 @@ def test_parallel_verify_fills_the_cache(tmp_path):
 
 def test_parallel_verify_builds_no_entry_after_the_pool(tmp_path, capsys,
                                                        monkeypatch):
-    # the batches hand back what the workers built, so this process saves
-    # its table as it stands and never extends it itself
-    extended = []
+    # this process runs the top prime's batch, which reads furthest, before
+    # the pool starts: it builds B_0..B_120 once, and no forked worker
+    # extends the table it inherits; each extension is logged to a file, so
+    # the workers' show up too
+    log = tmp_path / "extended"
     extend = BernoulliTable._extend
 
     def spy(table, target):
-        extended.append(target)
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {target}\n")
         extend(table, target)
 
     monkeypatch.setattr(sequences, "_TABLE", BernoulliTable())
     monkeypatch.setattr(BernoulliTable, "_extend", spy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        partial(ProcessPoolExecutor,
+                                mp_context=multiprocessing.get_context("fork")))
     cache = tmp_path / "bern.cache"
     code, _, _ = run(["verify", "--identity", "lev3_div_p1", "--primes",
                       "5..61", "--jobs", "2", "--cache", str(cache),
                       "--no-timestamps"], capsys)
     assert code == 0
-    assert extended == []
+    extended = [line.split() for line in log.read_text().splitlines()]
+    assert {pid for pid, _ in extended} == {str(os.getpid())}
+    assert [int(target) for _, target in extended][-1] == 120
     assert load(cache).max_index == 120
 
 

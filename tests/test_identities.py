@@ -907,8 +907,9 @@ def test_sweep_makes_no_batch_for_a_prime_without_points(monkeypatch):
 
 def test_sweep_starts_no_more_workers_than_batches(monkeypatch):
     # a fork pool starts every worker up front, so a huge --jobs must be
-    # capped by the batch count; this fake pool runs each batch inline, in
-    # place of the class sweep imports when it starts a pool
+    # capped by the batch count, less the top prime's, which this process
+    # runs; this fake pool runs each batch inline, in place of the class
+    # sweep imports when it starts a pool
     started = []
 
     class InlinePool:
@@ -929,7 +930,7 @@ def test_sweep_starts_no_more_workers_than_batches(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     parallel = sweep("wilson", 5, 31, jobs=10**6)
-    assert started == [9]  # one batch per prime in 5..31
+    assert started == [8]  # one batch per prime in 5..31, but 31's
     untimed = lambda rs: [(r.identity, r.params, r.status, r.lhs, r.rhs,
                            r.modulus) for r in rs]
     assert untimed(parallel) == untimed(sweep("wilson", 5, 31))
@@ -1001,8 +1002,8 @@ def test_prime_context_builds_no_harmonic_numbers():
 ])
 def test_parallel_sweep_leaves_the_table_a_serial_sweep_leaves(
         monkeypatch, method, ids, top):
-    # each batch hands back the entries it appended to its worker's table,
-    # and this process adopts them, whatever the start method
+    # this process runs the top prime's batch and reads as far as the
+    # furthest pool batch read, whatever the start method
     def swept_table(jobs):
         monkeypatch.setattr(sequences, "_TABLE", sequences.BernoulliTable())
         reports = sweep(ids, 5, 31, jobs=jobs)
@@ -1020,21 +1021,35 @@ def test_parallel_sweep_leaves_the_table_a_serial_sweep_leaves(
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
 def test_pool_workers_start_with_this_process_table(monkeypatch, method):
     # lev3_div_p1 reads B_{2p-2}, so B_120 at p = 61: a worker that starts
-    # with this process's B_0..B_122 builds none, and hands none back
+    # with this process's B_0..B_122 builds none, so each batch's table
+    # still ends at B_122
     table = sequences.BernoulliTable()
-    table.merge(0, [bernoulli(n) for n in range(123)])
+    table.merge([bernoulli(n) for n in range(123)])
     monkeypatch.setattr(sequences, "_TABLE", table)
-    merged = []
-    monkeypatch.setattr(table, "merge",
-                        lambda start, values: merged.append(values))
+    futures = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            futures.append(super().submit(fn, *args))
+            return futures[-1]
+
     context = multiprocessing.get_context(method)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        partial(ProcessPoolExecutor, mp_context=context))
+                        partial(RecordingPool, mp_context=context))
     reports = sweep("lev3_div_p1", 5, 61, jobs=2)
     assert {r.status for r in reports} == {VERIFIED}
-    assert len(merged) == 16  # one batch per prime in 5..61
-    assert merged == [[]] * 16
+    # one batch per prime in 5..61, less 61's, which this process runs
+    assert [f.result()[1] for f in futures] == [122] * 15
     assert table.max_index == 122
+
+
+def test_pooled_sweep_without_a_prime_batch():
+    # no batch at all, and index batches only: this process runs none
+    assert sweep("wilson", 24, 28, jobs=2) == []
+    ids = ["alzer", "clausen_von_staudt", "euler_identity"]
+    untimed = lambda rs: [(r.identity, r.params, r.status, r.lhs, r.rhs,
+                           r.modulus) for r in rs]
+    assert untimed(sweep(ids, 24, 28, jobs=2)) == untimed(sweep(ids, 24, 28))
 
 
 @pytest.mark.parametrize("raised, status", [

@@ -115,9 +115,11 @@ def test_primes_in_inclusive_endpoints():
     (-7, 1), (-7, 2), (0, 30), (1, 2), (2, 2), (3, 3), (4, 4), (25, 25),
     (401, 401), (2, 10_000), (9_973, 10_007), (100_000, 101_000),
     (999_983, 999_983), (999_000, 1_001_000), (10 ** 9, 10 ** 9 + 300),
+    (10 ** 14, 10 ** 14 + 300),
 ])
 def test_primes_in_matches_sympy(lo, hi):
-    # narrow and wide windows, below 2, at lo = hi, and across 10^6
+    # narrow and wide windows, below 2, at lo = hi, and across 10^6; past
+    # isqrt(hi) = 10^6 the window is scanned with is_prime, not sieved
     assert primes_in(lo, hi) == list(sympy.primerange(lo, hi + 1))
 
 

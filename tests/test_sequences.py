@@ -118,22 +118,22 @@ def test_bernoulli_table_merge_and_validate():
     a.value(10)
     b = BernoulliTable()
     b.value(20)
-    a.merge(0, b.entries(0))
+    a.merge(b.entries())
     assert a.max_index == 20
     assert a.value(20) == Fraction(-174611, 330)
     a.validate()
-    # entries from any index this table reaches: the overlap must agree, and
-    # what lies beyond its end is appended
+    # the entries held must agree, and what lies beyond this table's end is
+    # appended
     c = BernoulliTable()
     c.value(30)
-    a.merge(15, c.entries(15))
+    a.merge(c.entries())
     assert a.items() == c.items()
-    a.merge(4, c.entries(4)[:3])  # wholly inside: nothing changes
+    a.merge(c.entries()[:7])  # wholly inside: nothing changes
     assert a.items() == c.items()
+    bad = c.entries() + [Fraction(0)]  # one past this table's end
+    bad[12] = Fraction(1, 2730)
     with pytest.raises(ValueError, match="conflicting value for B_12"):
-        a.merge(10, [c.value(10), c.value(11), Fraction(1, 2730)])
-    with pytest.raises(ValueError, match="gap"):
-        a.merge(32, [Fraction(0)])
+        a.merge(bad)
     assert a.items() == c.items()  # a rejected merge appends nothing
 
     tampered = dict(b.items())
@@ -199,7 +199,7 @@ def test_bernoulli_table_does_not_depend_on_request_order():
 
     loaded = BernoulliTable(entries=dict(enumerate(want[:30])))
     merged = BernoulliTable()
-    merged.merge(0, loaded.entries(0))
+    merged.merge(loaded.entries())
     assert merged.max_index == 29
     assert merged.value(100) == want[100]
     assert agrees(merged)
@@ -222,13 +222,13 @@ def test_bernoulli_table_ends_at_the_largest_index_read():
 
 
 def test_bernoulli_table_extends_past_a_longer_merged_table():
-    # the merge leaves this table's tangent column behind its entries; the
-    # entries start where this table ends, as a sweep batch hands them back
+    # the merge leaves this table's tangent column behind its entries, as a
+    # loaded cache or a pool worker's adopted entries do
     table = BernoulliTable()
     table.value(500)
     longer = BernoulliTable()
     longer.value(802)
-    table.merge(501, longer.entries(501))
+    table.merge(longer.entries())
     assert table.max_index == 802
     table.value(900)
     assert table.max_index == 900
@@ -275,7 +275,7 @@ def test_validate_agrees_with_the_fraction_oracle(top):
         for i, k in delta.items():
             entries[i] += k
         table = BernoulliTable(entries=entries)
-        holds = recurrence_sum(table.entries(0)) == 0
+        holds = recurrence_sum(table.entries()) == 0
         assert holds == (len(delta) != 1), delta
         if holds:
             table.validate()
