@@ -147,7 +147,7 @@ def _render(chunk, fmt: str, with_times: bool,
 
 
 # this process's spool: (pid, directory, file open for appending); a forked
-# worker inherits its parent's and opens its own
+# --jobs child inherits its parent's and opens its own
 _spool = None
 
 
@@ -161,8 +161,8 @@ def _spool_chunk(chunk, directory: str, fmt: str, with_times: bool,
     global _spool
     pid = os.getpid()
     if _spool is None or _spool[:2] != (pid, directory):
-        # a spawned worker starts with the int/str digit limit: lift it for
-        # the worker's life, as main does for the run in the parent
+        # a spawned child starts with the int/str digit limit: lift it for
+        # the child's life, as main does for the run in the parent
         getattr(sys, "set_int_max_str_digits", lambda limit: None)(0)
         _spool = (pid, directory,
                   open(os.path.join(directory, str(pid)), "xb"))
@@ -171,8 +171,8 @@ def _spool_chunk(chunk, directory: str, fmt: str, with_times: bool,
     offset = spool.tell()
     # ASCII, so each length in characters is the length in bytes
     spool.write((rows + echo).encode("ascii"))
-    # flushed per chunk: a pool worker exits without flushing, and this
-    # process's spool is open when a pool forks, so a forked worker that drops
+    # flushed per chunk: a child process exits without flushing, and this
+    # process's spool is open when it forks a child, so a child that drops
     # the inherited file object must find nothing buffered in it to write
     spool.flush()
     return str(pid), offset, len(rows), len(echo), counts
@@ -339,7 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=os.environ.get("BERNMOD_CACHE"),
                         help="Bernoulli cache file (default $BERNMOD_CACHE)")
     verify.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                        help="worker processes for the sweep")
+                        help="processes that check points, this one "
+                             "included (default 1)")
     verify.add_argument("--no-timestamps", action="store_true",
                         help="omit timestamp and elapsed_ms for "
                              "reproducible output")

@@ -966,11 +966,6 @@ def _run_batch(batch: tuple[int | None, tuple[str, ...]],
     return chunks, bernoulli_table().max_index
 
 
-def _adopt(values: list[Fraction]) -> None:
-    """Pool initializer: the worker's table takes B_0, B_1, ... from here."""
-    bernoulli_table().merge(values)
-
-
 def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
           jobs: int = 1, modulus_override: int | None = None,
           render: Callable[[Chunk], object] | None = None
@@ -986,13 +981,16 @@ def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
     many workers ran or in what order the ids were given.
 
     With `render`, a picklable callable, each batch renders each identity's
-    Chunk as it checks it, in the worker when there is a pool, and sweep
+    Chunk as it checks it, in the process that runs the batch, and sweep
     returns (sort key of the chunk's first point, render(chunk)) in that
     order instead of reports: one per identity per batch.
 
-    A pool starts after this process has run the top prime's batch, with
-    the Bernoulli table that batch left.  Afterwards this process's table is
-    the one a serial sweep leaves, with or without a pool.
+    `jobs` processes check points, this one included.  This process runs
+    the top prime's batch first, then deals the other batches round-robin
+    into at most `jobs` stripes: a child process runs each stripe but the
+    last, starting with the Bernoulli table that batch left, and this
+    process runs the last.  Afterwards this process's table is the one a
+    serial sweep leaves, with or without children.
     """
     if lo < 5:
         raise ValueError(f"sweep range must start at 5 or above, got {lo}")
@@ -1014,25 +1012,24 @@ def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
     primed = [(p, by_prime) for p in reversed(primes_in(lo, hi))
               if any(_CATALOG[i].points(p) for i in by_prime)] \
         if by_prime else []
-    args = (modulus_override, render)
+    run = partial(_run_batch, modulus_override=modulus_override,
+                  render=render)
     if jobs <= 1 or len(index) + len(primed) <= 2:
-        # two batches would leave the pool one worker: pure overhead
-        done = [_run_batch(batch, *args) for batch in index + primed]
+        # with two batches this process would run both and start no child
+        done = [run(batch) for batch in index + primed]
     else:
-        # imported here, so a serial run never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        # imported here, so a serial sweep loads neither this module nor
+        # multiprocessing
+        from .parallel import run_stripes
 
         # the top prime's batch reads furthest into the Bernoulli table, so
-        # it runs here, and the workers start with that table; a fork pool
-        # starts all its workers at once, so no more than batches
-        done = [_run_batch(batch, *args) for batch in primed[:1]]
+        # it runs here first, and the children start with that table; the
+        # rest are dealt round-robin, so the last stripe, which this process
+        # runs, is the lightest
+        done = [run(batch) for batch in primed[:1]]
         pooled = index + primed[1:]
-        with ProcessPoolExecutor(
-                max_workers=min(jobs, len(pooled)), initializer=_adopt,
-                initargs=(bernoulli_table().entries(),)) as pool:
-            futures = [pool.submit(_run_batch, batch, *args)
-                       for batch in pooled]
-            done += [f.result() for f in futures]
+        count = min(jobs, len(pooled))
+        done += run_stripes(run, [pooled[i::count] for i in range(count)])
         # an index batch can read further (clausen_von_staudt reads B_200)
         bernoulli_table().value(max(top for _, top in done))
     chunks = sorted((c for batch_chunks, _ in done for c in batch_chunks),

@@ -1,5 +1,4 @@
 """Command line behavior: output formats, exit codes, cache wiring."""
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -7,8 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+import time
 from pathlib import Path
 
 import pytest
@@ -160,7 +158,8 @@ def _raise_at_11(side):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("case", ["verified", "failed", "interrupted"])
-def test_verify_leaves_no_spool(case, jobs, tmp_path, monkeypatch, capsys):
+def test_verify_leaves_no_spool(case, jobs, tmp_path, monkeypatch, capsys,
+                                start_children_by):
     # the spool directory is made in $TMPDIR and removed on every exit
     monkeypatch.setenv("TMPDIR", str(tmp_path))
     made = []
@@ -180,12 +179,12 @@ def test_verify_leaves_no_spool(case, jobs, tmp_path, monkeypatch, capsys):
         desc = idmod._CATALOG["result4"]
         monkeypatch.setitem(idmod._CATALOG, "result4", dataclasses.replace(
             desc, lhs=_raise_at_11(desc.lhs)))
-        # the patched catalog reaches pool workers only through fork
-        fork = multiprocessing.get_context("fork")
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            partial(ProcessPoolExecutor, mp_context=fork))
+        # the patched catalog reaches a child only through fork; at
+        # --jobs 2 p = 11 is in the child's stripe
+        launched = start_children_by("fork")
         with pytest.raises(KeyboardInterrupt):
             main(argv)
+        assert launched == ["fork"] * (jobs == "2")
     else:
         code, out, _ = run(argv, capsys)
         assert code == (case == "failed")
@@ -194,6 +193,36 @@ def test_verify_leaves_no_spool(case, jobs, tmp_path, monkeypatch, capsys):
         assert made and {os.path.dirname(d) for d in made} == {str(tmp_path)}
     assert list(tmp_path.iterdir()) == []
     assert cli._spool is None
+
+
+def test_interrupted_parallel_verify_does_not_wait_for_a_child(
+        tmp_path, monkeypatch, start_children_by):
+    # this process runs p = 13 first, then the lighter of the stripes
+    # (11, 5) and (7); an interrupt in its stripe ends the run at once,
+    # though the child's would take a minute, and leaves no child and no
+    # spool
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    parent = os.getpid()
+    desc = idmod._CATALOG["result4"]
+
+    def lhs(ctx, p):
+        if os.getpid() != parent:
+            time.sleep(60)
+        elif p < 13:
+            raise KeyboardInterrupt
+        return desc.lhs(ctx, p)
+
+    monkeypatch.setitem(idmod._CATALOG, "result4",
+                        dataclasses.replace(desc, lhs=lhs))
+    launched = start_children_by("fork")
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify", "--primes", "5..13", "--identity", "result4",
+              "--no-timestamps", "--jobs", "2"])
+    assert time.monotonic() - start < 20
+    assert launched == ["fork"]
+    assert multiprocessing.active_children() == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_spawned_worker_renders_beyond_the_str_digit_limit(tmp_path):
@@ -458,15 +487,18 @@ def test_row_templates_match_json_dumps_and_the_csv_join(monkeypatch):
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # a serial run never starts a pool, so it pays nothing to import one
+    # a serial run never starts a child process, so it pays nothing to
+    # import the machinery for one
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, bernmod.cli; "
-         "print('concurrent.futures.process' in sys.modules)"],
+        [sys.executable, "-c", "import sys; from bernmod.cli import main; "
+         "code = main(['verify', '--primes', '5..31', '--no-timestamps']); "
+         "print(code, *(name in sys.modules for name in ("
+         "'bernmod.parallel', 'multiprocessing', 'concurrent.futures')))"],
         capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "0 False False False"
 
 
 @pytest.mark.parametrize("argv", [
@@ -583,11 +615,12 @@ def test_parallel_verify_fills_the_cache(tmp_path):
 
 
 def test_parallel_verify_builds_no_entry_after_the_pool(tmp_path, capsys,
-                                                       monkeypatch):
+                                                       monkeypatch,
+                                                       start_children_by):
     # this process runs the top prime's batch, which reads furthest, before
-    # the pool starts: it builds B_0..B_120 once, and no forked worker
+    # the children start: it builds B_0..B_120 once, and no forked child
     # extends the table it inherits; each extension is logged to a file, so
-    # the workers' show up too
+    # the children's show up too
     log = tmp_path / "extended"
     extend = BernoulliTable._extend
 
@@ -598,14 +631,13 @@ def test_parallel_verify_builds_no_entry_after_the_pool(tmp_path, capsys,
 
     monkeypatch.setattr(sequences, "_TABLE", BernoulliTable())
     monkeypatch.setattr(BernoulliTable, "_extend", spy)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        partial(ProcessPoolExecutor,
-                                mp_context=multiprocessing.get_context("fork")))
+    launched = start_children_by("fork")
     cache = tmp_path / "bern.cache"
     code, _, _ = run(["verify", "--identity", "lev3_div_p1", "--primes",
                       "5..61", "--jobs", "2", "--cache", str(cache),
                       "--no-timestamps"], capsys)
     assert code == 0
+    assert launched == ["fork"]
     extended = [line.split() for line in log.read_text().splitlines()]
     assert {pid for pid, _ in extended} == {str(os.getpid())}
     assert [int(target) for _, target in extended][-1] == 120

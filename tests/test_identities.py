@@ -1,14 +1,14 @@
 """Catalog checks: frozen residue anchors, status plumbing, sweep behavior."""
 import builtins
-import concurrent.futures
 import dataclasses
 import multiprocessing
+import os
 from collections import Counter
-from concurrent.futures import Future, ProcessPoolExecutor
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
+from multiprocessing.connection import Connection
 from operator import mul
 
 import pytest
@@ -905,32 +905,33 @@ def test_sweep_makes_no_batch_for_a_prime_without_points(monkeypatch):
                        [("zhao_p3", (11,))]]
 
 
-def test_sweep_starts_no_more_workers_than_batches(monkeypatch):
-    # a fork pool starts every worker up front, so a huge --jobs must be
-    # capped by the batch count, less the top prime's, which this process
-    # runs; this fake pool runs each batch inline, in place of the class
-    # sweep imports when it starts a pool
+def test_this_process_runs_the_top_batch_then_the_lightest_stripe(
+        monkeypatch, start_children_by):
+    # the batches below 31 are dealt round-robin, costliest first, into the
+    # stripes (29, 17, 7), (23, 13, 5) and (19, 11); this process runs the
+    # last, and its record is the one kept here
     started = []
+    check_batch = idmod._check_batch
 
-    class InlinePool:
-        def __init__(self, max_workers, initializer, initargs):
-            started.append(max_workers)
-            initializer(*initargs)
+    def record(batch, modulus_override):
+        started.append(batch[0])
+        return check_batch(batch, modulus_override)
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(idmod, "_check_batch", record)
+    launched = start_children_by("fork")
+    sweep("wilson", 5, 31, jobs=3)
+    assert launched == ["fork"] * 2
+    assert started == [31, 19, 11]
 
-        def __exit__(self, *exc):
-            return False
 
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+def test_sweep_starts_no_more_workers_than_batches(start_children_by):
+    # a huge --jobs must be capped by the batch count, less the top prime's,
+    # which this process runs first; of the stripes left, this process runs
+    # the last and a child each of the others
+    launched = start_children_by("fork")
     parallel = sweep("wilson", 5, 31, jobs=10**6)
-    assert started == [8]  # one batch per prime in 5..31, but 31's
+    # one batch per prime in 5..31, but 31's: 8 stripes, 7 children
+    assert launched == ["fork"] * 7
     untimed = lambda rs: [(r.identity, r.params, r.status, r.lhs, r.rhs,
                            r.modulus) for r in rs]
     assert untimed(parallel) == untimed(sweep("wilson", 5, 31))
@@ -1001,7 +1002,7 @@ def test_prime_context_builds_no_harmonic_numbers():
     pytest.param(["clausen_von_staudt", "zhao_p3"], 200, id="index-batch"),
 ])
 def test_parallel_sweep_leaves_the_table_a_serial_sweep_leaves(
-        monkeypatch, method, ids, top):
+        monkeypatch, start_children_by, method, ids, top):
     # this process runs the top prime's batch and reads as far as the
     # furthest pool batch read, whatever the start method
     def swept_table(jobs):
@@ -1012,35 +1013,68 @@ def test_parallel_sweep_leaves_the_table_a_serial_sweep_leaves(
 
     serial = swept_table(1)
     assert len(serial) == top + 1
-    context = multiprocessing.get_context(method)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        partial(ProcessPoolExecutor, mp_context=context))
+    launched = start_children_by(method)
     assert swept_table(2) == serial
+    assert launched == [method]
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-def test_pool_workers_start_with_this_process_table(monkeypatch, method):
-    # lev3_div_p1 reads B_{2p-2}, so B_120 at p = 61: a worker that starts
-    # with this process's B_0..B_122 builds none, so each batch's table
-    # still ends at B_122
+def test_pool_workers_start_with_this_process_table(monkeypatch,
+                                                    start_children_by,
+                                                    method):
+    # lev3_div_p1 reads B_{2p-2}, so B_120 at p = 61: a child that starts
+    # with this process's B_0..B_122 builds none, so each of its batches'
+    # tables still ends at B_122; what this process receives is recorded
     table = sequences.BernoulliTable()
     table.merge([bernoulli(n) for n in range(123)])
     monkeypatch.setattr(sequences, "_TABLE", table)
-    futures = []
+    received = []
+    recv = Connection.recv
 
-    class RecordingPool(ProcessPoolExecutor):
-        def submit(self, fn, *args):
-            futures.append(super().submit(fn, *args))
-            return futures[-1]
+    def record(conn):
+        received.append(recv(conn))
+        return received[-1]
 
-    context = multiprocessing.get_context(method)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        partial(RecordingPool, mp_context=context))
+    monkeypatch.setattr(Connection, "recv", record)
+    launched = start_children_by(method)
     reports = sweep("lev3_div_p1", 5, 61, jobs=2)
     assert {r.status for r in reports} == {VERIFIED}
+    assert launched == [method]
     # one batch per prime in 5..61, less 61's, which this process runs
-    assert [f.result()[1] for f in futures] == [122] * 15
+    # first; the child's stripe is every other one of the 15 left
+    [batches] = received
+    assert [top for _, top in batches] == [122] * 8
     assert table.max_index == 122
+
+
+def _interrupt():
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("fail, raised, match", [
+    pytest.param(lambda: os._exit(3), RuntimeError,
+                 "exited with code 3 before sending its batches", id="died"),
+    pytest.param(_interrupt, KeyboardInterrupt, None, id="raised"),
+])
+def test_a_child_that_fails_fails_the_sweep(monkeypatch, start_children_by,
+                                            fail, raised, match):
+    # a child that dies unsent is an error, and what a child raises is
+    # raised here; either way no child is left
+    parent = os.getpid()
+    desc = idmod._CATALOG["wilson"]
+
+    def lhs(ctx, p):
+        if os.getpid() != parent:
+            fail()
+        return desc.lhs(ctx, p)
+
+    monkeypatch.setitem(idmod._CATALOG, "wilson",
+                        dataclasses.replace(desc, lhs=lhs))
+    launched = start_children_by("fork")
+    with pytest.raises(raised, match=match):
+        sweep("wilson", 5, 31, jobs=2)
+    assert launched == ["fork"]
+    assert multiprocessing.active_children() == []
 
 
 def test_pooled_sweep_without_a_prime_batch():
