@@ -12,7 +12,6 @@ import sys
 import tempfile
 from collections import Counter
 from contextlib import ExitStack, nullcontext
-from datetime import datetime, timezone
 from functools import partial
 
 from . import cache as cache_store
@@ -99,6 +98,14 @@ _COLUMNS = ("identity", "params", "modulus", "lhs", "rhs", "status")
 _TIMED_COLUMNS = _COLUMNS + ("elapsed_ms", "timestamp")
 
 
+def _timestamp() -> str:
+    """The time now in UTC, ISO format, for a row's timestamp field; datetime
+    is imported here, so a run without the time fields never loads it."""
+    from datetime import datetime, timezone
+
+    return datetime.now(timezone.utc).isoformat()
+
+
 def _render(chunk, fmt: str, with_times: bool,
             verbose: bool) -> tuple[str, str, Counter]:
     """One chunk as its output rows, its -v echo lines (empty without -v)
@@ -133,7 +140,7 @@ def _render(chunk, fmt: str, with_times: bool,
         tail = ",%r,%s\n" if with_times else "\n"
     valued, empty = valued + tail, empty + tail
     times = (round(chunk.elapsed * 1000.0, 3),
-             datetime.now(timezone.utc).isoformat()) if with_times else ()
+             _timestamp()) if with_times else ()
     rows = "".join([
         empty % (*point[fixed:], status, *times) if lhs is None
         else valued % (*point[fixed:], lhs, rhs, status, *times)
@@ -260,6 +267,11 @@ def _cmd_verify(args: argparse.Namespace,
 def _cmd_compute(args: argparse.Namespace,
                  parser: argparse.ArgumentParser) -> int:
     what = args.what
+    if what in ("eulerian", "nk"):
+        # --k is the exponent of the modulus p^k, so it means nothing alone
+        if args.k is not None and args.p is None:
+            parser.error("--k needs --p")
+        k = 1 if args.k is None else args.k
     try:
         if what == "bernoulli":
             if args.cache:
@@ -271,14 +283,14 @@ def _cmd_compute(args: argparse.Namespace,
             if args.m < 0:  # eulerian(n, -1) is 0
                 parser.error("m must be >= 0")
             if args.p is not None:
-                print(eulerian_mod(args.n, args.m, args.p, args.k))
+                print(eulerian_mod(args.n, args.m, args.p, k))
             else:
                 print(eulerian(args.n, args.m))
         elif what == "harmonic":
             print(gen_harmonic(args.n, args.order))
         elif what == "nk":
             if args.p is not None:
-                print(even_ascent_count_mod(args.p, args.k))
+                print(even_ascent_count_mod(args.p, k))
             elif args.n is None:
                 parser.error("give N for the exact count or --p for a residue")
             else:
@@ -364,7 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c_eul.add_argument("n", type=int)
     c_eul.add_argument("m", type=int)
     c_eul.add_argument("--p", type=int, help="reduce mod a prime power")
-    c_eul.add_argument("--k", type=int, default=1)
+    c_eul.add_argument("--k", type=int,
+                       help="exponent of the modulus p^k (default 1)")
 
     c_harm = csub.add_parser("harmonic", help="harmonic number H_n^(r)")
     c_harm.add_argument("n", type=int)
@@ -375,7 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c_nk.add_argument("n", type=int, nargs="?")
     c_nk.add_argument("--p", type=int,
                       help="compute N_{p-2} mod p^k instead")
-    c_nk.add_argument("--k", type=int, default=1)
+    c_nk.add_argument("--k", type=int,
+                      help="exponent of the modulus p^k (default 1)")
 
     c_q2 = csub.add_parser("q2", help="Fermat quotient (2^(p-1) - 1)/p")
     c_q2.add_argument("p", type=int)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, repeat
@@ -71,8 +70,7 @@ class UnknownIdentity(KeyError):
     """No catalog entry under that identifier."""
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one identity check at one parameter point."""
 
     identity: str
@@ -101,9 +99,23 @@ class Chunk(NamedTuple):
     elapsed: float
 
 
-@dataclass(frozen=True)
-class IdentityDescriptor:
-    """One catalog entry: evaluators, domain, modulus, and sweep points."""
+class _DataclassFields:
+    """IdentityDescriptor.__dataclass_fields__, made on its first read and
+    then held: dataclasses.replace copies an entry by it, as
+    perfbench/tracer.py does, and a run that copies none never imports
+    dataclasses."""
+
+    def __get__(self, desc, cls):
+        from dataclasses import make_dataclass
+
+        fields = make_dataclass(cls.__name__, cls._fields).__dataclass_fields__
+        cls.__dataclass_fields__ = fields
+        return fields
+
+
+class IdentityDescriptor(NamedTuple):
+    """One catalog entry: evaluators, domain, modulus, and sweep points.
+    Copy one with _replace."""
 
     id: str
     title: str
@@ -116,6 +128,8 @@ class IdentityDescriptor:
     # the points at a prime p as parameter tuples; an index identity's: None
     points: Callable[[int | None], list[tuple[int, ...]]]
     counted: Callable[..., bool] | None = None  # None: every domain point counts
+
+    __dataclass_fields__ = _DataclassFields()
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,7 @@ oracle the closed-form Eulerian machinery is checked against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "MAX_DEGREE",
@@ -30,8 +29,7 @@ class DegreeTooLarge(ValueError):
     """Exhaustive enumeration is capped at degree MAX_DEGREE."""
 
 
-@dataclass(frozen=True)
-class PermStatProfile:
+class PermStatProfile(NamedTuple):
     """Exhaustive statistics over all permutations of degree n."""
 
     n: int

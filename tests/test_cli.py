@@ -1,5 +1,4 @@
 """Command line behavior: output formats, exit codes, cache wiring."""
-import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -7,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -47,8 +47,10 @@ def test_verify_wilson_csv(capsys):
 
 
 def test_verify_json_lines_shape(capsys):
+    start = datetime.now(timezone.utc)
     code, out, err = run(
         ["verify", "--primes", "5..11", "--identity", "result2"], capsys)
+    end = datetime.now(timezone.utc)
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
     assert [r["params"]["p"] for r in rows] == [5, 7, 11]
@@ -58,6 +60,9 @@ def test_verify_json_lines_shape(capsys):
         assert row["status"] == "verified"
         assert row["lhs"] == row["rhs"]
         assert row["modulus"] == row["params"]["p"]
+        # an ISO time in UTC, taken while the run ran
+        assert row["timestamp"].endswith("+00:00")
+        assert start <= datetime.fromisoformat(row["timestamp"]) <= end
 
 
 def test_no_timestamps_strips_volatile_fields(capsys):
@@ -177,8 +182,8 @@ def test_verify_leaves_no_spool(case, jobs, tmp_path, monkeypatch, capsys,
         argv += ["--modulus", "2"]
     if case == "interrupted":
         desc = idmod._CATALOG["result4"]
-        monkeypatch.setitem(idmod._CATALOG, "result4", dataclasses.replace(
-            desc, lhs=_raise_at_11(desc.lhs)))
+        monkeypatch.setitem(idmod._CATALOG, "result4",
+                            desc._replace(lhs=_raise_at_11(desc.lhs)))
         # the patched catalog reaches a child only through fork; at
         # --jobs 2 p = 11 is in the child's stripe
         launched = start_children_by("fork")
@@ -213,7 +218,7 @@ def test_interrupted_parallel_verify_does_not_wait_for_a_child(
         return desc.lhs(ctx, p)
 
     monkeypatch.setitem(idmod._CATALOG, "result4",
-                        dataclasses.replace(desc, lhs=lhs))
+                        desc._replace(lhs=lhs))
     launched = start_children_by("fork")
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
@@ -313,7 +318,7 @@ def test_an_evaluator_that_raises_reports_error(monkeypatch, capsys):
         return desc.lhs(ctx, p, top)
 
     monkeypatch.setitem(idmod._CATALOG, "lemma2",
-                        dataclasses.replace(desc, lhs=lhs))
+                        desc._replace(lhs=lhs))
     code, out, err = run(argv, capsys)
     assert code == 1
     # the sweep finished and only the points of the raising row changed
@@ -336,9 +341,9 @@ def test_verify_renders_the_rows_with_no_check_reports(monkeypatch, capsys):
     built = []
 
     class Counted(idmod.CheckReport):
-        def __init__(self, *args, **kwargs):
+        def __new__(cls, *args, **kwargs):
             built.append(args[0])
-            super().__init__(*args, **kwargs)
+            return super().__new__(cls, *args, **kwargs)
 
     monkeypatch.setattr(idmod, "CheckReport", Counted)
     code, out, _ = run(["verify", "--identity", "all", "--primes", "5..61",
@@ -428,17 +433,7 @@ def _csv_field(value):
 
 def test_row_templates_match_json_dumps_and_the_csv_join(monkeypatch):
     stamp = "2026-10-18T17:11:13.123456+00:00"
-
-    class Clock:
-        @staticmethod
-        def now(tz):
-            return Clock
-
-        @staticmethod
-        def isoformat():
-            return stamp
-
-    monkeypatch.setattr(cli, "datetime", Clock)
+    monkeypatch.setattr(cli, "_timestamp", lambda: stamp)
 
     def rows(ident, *points):
         return idmod._check_rows(ident, list(points), None)
@@ -486,19 +481,35 @@ def test_row_templates_match_json_dumps_and_the_csv_join(monkeypatch):
                 for row in want)
 
 
-def test_import_leaves_the_process_pool_unloaded():
-    # a serial run never starts a child process, so it pays nothing to
-    # import the machinery for one
+# modules a serial verify without the time fields has no use for: the
+# process pool's, then dataclasses, the inspect it loads, and datetime
+POOL = ("bernmod.parallel", "multiprocessing", "concurrent.futures")
+UNUSED = (*POOL, "dataclasses", "inspect", "datetime")
+
+
+def _loaded(code):
+    """The modules of UNUSED that a fresh interpreter, with src on its path,
+    holds after running code."""
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from bernmod.cli import main; "
-         "code = main(['verify', '--primes', '5..31', '--no-timestamps']); "
-         "print(code, *(name in sys.modules for name in ("
-         "'bernmod.parallel', 'multiprocessing', 'concurrent.futures')))"],
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*(name for name "
+         f"in {UNUSED!r} if name in sys.modules))"],
         capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False False False"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # a serial run never starts a child process, so it pays nothing to
+    # import the machinery for one; nor does it load the other three,
+    # unless the standard modules cli imports load them on this interpreter
+    ran = _loaded("from bernmod.cli import main\n"
+                  "if main(['verify', '--primes', '5..31', "
+                  "'--no-timestamps']): raise SystemExit(1)")
+    stdlib = _loaded("import argparse, fractions, tempfile")
+    assert not ran & set(POOL)
+    assert ran <= stdlib, ran - stdlib
 
 
 @pytest.mark.parametrize("argv", [
@@ -514,6 +525,9 @@ def test_import_leaves_the_process_pool_unloaded():
     ["compute", "eulerian", "3", "1", "--p", "4"],
     ["compute", "eulerian", "3", "-1"],
     ["compute", "nk", "--p", "4"],
+    # --k is the exponent of p^k, so without --p it is refused, not ignored
+    ["compute", "eulerian", "3", "1", "--k", "2"],
+    ["compute", "nk", "3", "--k", "2"],
     ["compute", "nk", "0"],
     ["compute", "harmonic", "-1"],
     ["compute", "q2", "2"],
@@ -778,7 +792,7 @@ def _catalog_peak_kb(primes, jobs):
 def test_catalog_sweep_peak_rss_over_5_to_401():
     # the whole catalog over 5..401 (52,764 points) in one fresh process:
     # each batch renders its rows as it checks them and spools them, so no
-    # row outlives its batch in memory; 19.3 MB measured (24.5 MB when the
+    # row outlives its batch in memory; 18.1 MB measured (24.5 MB when the
     # rendered rows were held, 63.7 MB when every report was)
     peak_kb, err = _catalog_peak_kb("5..401", "1")
     assert "checked 52764 points" in err
@@ -788,7 +802,7 @@ def test_catalog_sweep_peak_rss_over_5_to_401():
 def test_catalog_sweep_peak_rss_does_not_grow_with_the_range():
     # with a 2-worker pool, 5..1009 (274,217 points) peaks within 8 MB of
     # 5..401, as each batch spools its rows and sends back only where they
-    # lie: 4.5 MB apart measured (31 MB when the parent held the text)
+    # lie: 4.0 MB apart measured (31 MB when the parent held the text)
     small_kb, _ = _catalog_peak_kb("5..401", "2")
     large_kb, err = _catalog_peak_kb("5..1009", "2")
     assert "checked 274217 points" in err

@@ -1,6 +1,5 @@
 """Catalog checks: frozen residue anchors, status plumbing, sweep behavior."""
 import builtins
-import dataclasses
 import multiprocessing
 import os
 from collections import Counter
@@ -87,6 +86,17 @@ def test_catalog_shape():
         assert isinstance(desc, IdentityDescriptor)
         assert desc.title and desc.source
         assert desc.exponent is None or desc.exponent >= 1
+
+
+def test_dataclasses_replace_copies_a_catalog_entry():
+    # perfbench/tracer.py wraps each entry's sides through
+    # dataclasses.replace, as it did when entries were dataclasses
+    import dataclasses
+
+    desc = idmod._CATALOG["lemma2"]
+    copy = dataclasses.replace(desc, lhs=len, rhs=abs)
+    assert type(copy) is IdentityDescriptor
+    assert copy == desc._replace(lhs=len, rhs=abs)
 
 
 def test_theorem1_rhs_matches_convolution():
@@ -1069,7 +1079,7 @@ def test_a_child_that_fails_fails_the_sweep(monkeypatch, start_children_by,
         return desc.lhs(ctx, p)
 
     monkeypatch.setitem(idmod._CATALOG, "wilson",
-                        dataclasses.replace(desc, lhs=lhs))
+                        desc._replace(lhs=lhs))
     launched = start_children_by("fork")
     with pytest.raises(raised, match=match):
         sweep("wilson", 5, 31, jobs=2)
@@ -1109,7 +1119,7 @@ def test_a_row_that_raises_fails_only_its_points(monkeypatch, capsys,
         return row(ctx, p, top)
 
     monkeypatch.setitem(idmod._CATALOG, "sun_lemma",
-                        dataclasses.replace(desc, **{side: raising}))
+                        desc._replace(**{side: raising}))
     broken = untimed(sweep(ids, 5, 31))
     assert calls == [13]  # the row is evaluated once, not once per point
     assert len(broken) == len(clean)
@@ -1309,7 +1319,7 @@ def test_a_raising_one_entry_or_index_row_fails_only_its_points(
         return getattr(desc, side)(ctx, at)
 
     monkeypatch.setitem(idmod._CATALOG, ident,
-                        dataclasses.replace(desc, **{side: raising}))
+                        desc._replace(**{side: raising}))
     broken = untimed(sweep(ids, 5, 31))
     changed = [a[1] for a, b in zip(clean, broken) if a != b]
     assert len(broken) == len(clean)
