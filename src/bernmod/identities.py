@@ -135,10 +135,10 @@ class IdentityDescriptor(NamedTuple):
 # ---------------------------------------------------------------------------
 # shared evaluator pieces
 #
-# The prime-indexed sides are residues mod p^N, N = ctx.exponent, read from
-# the context's tables: a Bernoulli side that sums over a row from
-# bernoulli_residues, one that reads a few entries from bernoulli_residue, a
-# power side from power residues, a harmonic side from harmonic_residues.
+# The prime-indexed sides are residues mod p^n, read from the context's
+# tables: a Bernoulli side that sums over a row from bernoulli_residues, one
+# that reads a few entries from bernoulli_residue, a power side from power
+# residues, a harmonic side from harmonic_residues.
 
 def _divided_convolution(t: int) -> Fraction:
     """sum_{j=2}^{t-2} (B_j/j)(B_{t-j}/(t-j)); odd j contribute nothing."""
@@ -147,39 +147,39 @@ def _divided_convolution(t: int) -> Fraction:
         for j in range(2, t - 1, 2))
 
 
-def _convolution_residue(ctx: PrimeContext, p: int, s: int) -> int:
-    """sum_{j=2}^{t-2} B_j B_{t-j} mod p^N at t = p - s, s odd."""
+def _convolution_residue(ctx: PrimeContext, p: int, n: int, s: int) -> int:
+    """sum_{j=2}^{t-2} B_j B_{t-j} mod p^n at t = p - s, s odd."""
     t = p - s
-    b = ctx.bernoulli_residues(ctx.exponent, t)
-    return sum(map(mul, b[2:t - 1:2], b[t - 2:1:-2])) % p ** ctx.exponent
+    b = ctx.bernoulli_residues(n, t)
+    return sum(map(mul, b[2:t - 1:2], b[t - 2:1:-2])) % p ** n
 
 
-def _divided_residue(ctx: PrimeContext, p: int, s: int) -> int:
-    """sum_{j=2}^{t-2} (B_j/j)(B_{t-j}/(t-j)) mod p^N at t = p - s, s odd."""
-    t, q = p - s, p ** ctx.exponent
-    b = ctx.bernoulli_residues(ctx.exponent, t)
-    inverses = ctx.inverse_residues(ctx.exponent)
+def _divided_residue(ctx: PrimeContext, p: int, n: int, s: int) -> int:
+    """sum_{j=2}^{t-2} (B_j/j)(B_{t-j}/(t-j)) mod p^n at t = p - s, s odd."""
+    t, q = p - s, p ** n
+    b = ctx.bernoulli_residues(n, t)
+    inverses = ctx.inverse_residues(n)
     d = [b[j] * inverses[j] for j in range(2, t - 1, 2)]
     return sum(map(mul, d, reversed(d))) % q
 
 
-def _theorem1_lhs(ctx: PrimeContext, p: int) -> int:
-    """CB(p) = sum_{i=2}^{p-3} (B_i / 2^i) B_{p-1-i} mod p^N; odd i
+def _theorem1_lhs(ctx: PrimeContext, p: int, n: int) -> int:
+    """CB(p) = sum_{i=2}^{p-3} (B_i / 2^i) B_{p-1-i} mod p^n; odd i
     contribute nothing, so the weights step by 1/4."""
-    q = p ** ctx.exponent
-    b = ctx.bernoulli_residues(ctx.exponent, p - 1)
+    q = p ** n
+    b = ctx.bernoulli_residues(n, p - 1)
     w = _quarter_powers(q, (p - 1) // 2)
     return sum(b[i] * w[i // 2] * b[p - 1 - i]
                for i in range(2, p - 2, 2)) % q
 
 
-def _p_bernoulli_row(ctx: PrimeContext, top: int) -> list[int]:
-    """p B_n mod p^N for n = 0..top from the Bernoulli row, which holds
-    p B_n itself where p divides the denominator, at n a multiple of p - 1."""
-    p, q = ctx.p, ctx.p ** ctx.exponent
-    b = ctx.bernoulli_residues(ctx.exponent, top)[:top + 1]
-    return [x if n and n % (p - 1) == 0 else p * x % q
-            for n, x in enumerate(b)]
+def _p_bernoulli_row(ctx: PrimeContext, n: int, top: int) -> list[int]:
+    """p B_i mod p^n for i = 0..top from the Bernoulli row, which holds
+    p B_i itself where p divides the denominator, at i a multiple of p - 1."""
+    p, q = ctx.p, ctx.p ** n
+    b = ctx.bernoulli_residues(n, top)[:top + 1]
+    return [x if i and i % (p - 1) == 0 else p * x % q
+            for i, x in enumerate(b)]
 
 
 def _quarter_powers(q: int, count: int) -> list[int]:
@@ -226,7 +226,7 @@ def theorem1_rhs(p: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# evaluators: a prime-indexed side takes (ctx, p), ctx the PrimeContext; an
+# evaluators: a prime-indexed side takes (ctx, p, n) and reads mod p^n; an
 # index identity's exact side takes its point's parameters alone (see _each)
 
 def _euler_lhs(n):
@@ -248,21 +248,21 @@ def _miki_rhs(n):
     return _divided_convolution(n) - 2 * divided_bernoulli(n) * harmonic(n)
 
 
-def _one_rhs(ctx, p):
+def _one_rhs(ctx, p, n):
     return 1
 
 
-def _zhao_p3_rhs(ctx, p):
-    return -2 * ctx.bernoulli_residue(ctx.exponent, p - 3)
+def _zhao_p3_rhs(ctx, p, n):
+    return -2 * ctx.bernoulli_residue(n, p - 3)
 
 
-def _zhao_p5_rhs(ctx, p):
-    n, q = ctx.exponent, p ** ctx.exponent
+def _zhao_p5_rhs(ctx, p, n):
+    q = p ** n
     return (-2 * ctx.bernoulli_residue(n, p - 5) - 2 * pow(3, -1, q)
             * ctx.bernoulli_residue(n, p - 3) ** 2) % q
 
 
-def _lev3_p1_rhs(ctx, p):
+def _lev3_p1_rhs(ctx, p, n):
     # digit 2 of 2p B_{2p-2}/(2p-2) - p^2 (B_{p-1}/(p-1))^2, that is of
     # (p B_{2p-2} - (p B_{p-1})^2 / (p-1)) / (p-1), read at p^3
     r = p ** 3
@@ -271,13 +271,12 @@ def _lev3_p1_rhs(ctx, p):
     return (b2 - b1 ** 2 * inv) * inv % r // (p * p)
 
 
-def _lev3_shifted_rhs(ctx, p, s):
+def _lev3_shifted_rhs(ctx, p, n, s):
     # 2 (A_p - 1) D_{p-s} + 2 (digit 1 of D_{2p-1-s} - D_{p-s}), D_i = B_i/i,
     # less D_{p-3}^2 at s = 5; A_p and the digit read B_i mod p^(N+1).  For
     # p >= 5 the one divisor that p divides is 0 = p - s, at s = p
     if s == p:
         raise NotPIntegral(f"D_0 = B_0/0 is not p-integral at p={p}")
-    n = ctx.exponent
     r = p ** (n + 1)
     d = {i: ctx.bernoulli_residue(n + 1, i) * pow(i, -1, r) % r
          for i in (p - 3, p - s, 2 * p - 1 - s)}
@@ -288,10 +287,10 @@ def _lev3_shifted_rhs(ctx, p, s):
     return value % p ** n
 
 
-def _sub_h_lhs(ctx, p, r=1):
+def _sub_h_lhs(ctx, p, n, r=1):
     # sum_{k<p} H_k^(r) / (k 2^k); 1/k is H_k - H_{k-1}
-    q = p ** ctx.exponent
-    h, h2, _ = ctx.harmonic_residues(ctx.exponent)
+    q = p ** n
+    h, h2, _ = ctx.harmonic_residues(n)
     hr = h if r == 1 else h2
     half, w, total = pow(2, -1, q), 1, 0
     for k in range(1, p):
@@ -300,44 +299,42 @@ def _sub_h_lhs(ctx, p, r=1):
     return total % q
 
 
-def _sub_h_rhs(ctx, p):
-    b = ctx.bernoulli_residue(ctx.exponent, p - 3)
-    q = p ** ctx.exponent
+def _sub_h_rhs(ctx, p, n):
+    b = ctx.bernoulli_residue(n, p - 3)
+    q = p ** n
     return 7 * pow(24, -1, q) * p * b % q
 
 
-def _sub_h2_rhs(ctx, p):
-    q = p ** ctx.exponent
-    return -3 * pow(8, -1, q) * ctx.bernoulli_residue(ctx.exponent, p - 3) % q
+def _sub_h2_rhs(ctx, p, n):
+    q = p ** n
+    return -3 * pow(8, -1, q) * ctx.bernoulli_residue(n, p - 3) % q
 
 
-def _lev3_b_lhs(ctx, p):
+def _lev3_b_lhs(ctx, p, n):
     # sum_{k=1}^{p-2} B_k / (k 2^k); odd k > 1 contribute nothing
-    n, q = ctx.exponent, p ** ctx.exponent
+    q = p ** n
     b, inverses = ctx.bernoulli_residues(n, p - 2), ctx.inverse_residues(n)
     w = _quarter_powers(q, (p - 1) // 2)
     return (b[1] * inverses[2] + sum(b[k] * w[k // 2] * inverses[k]
                                      for k in range(2, p - 1, 2))) % q
 
 
-def _lev3_b_rhs(ctx, p):
+def _lev3_b_rhs(ctx, p, n):
     # -H_{(p-1)/2} / 2 + A_p - 1
-    n = ctx.exponent
     q = p ** n
     h, _, _ = ctx.harmonic_residues(n)
     return (-h[(p - 1) // 2] * pow(2, -1, q)
             + _agoh_giuga_residue(ctx, n) - 1) % q
 
 
-def _even_ascent_lhs(ctx, p):
-    return ctx.even_ascent_residue(ctx.exponent)
+def _even_ascent_lhs(ctx, p, n):
+    return ctx.even_ascent_residue(n)
 
 
-def _result1_rhs(ctx, p):
+def _result1_rhs(ctx, p, n):
     # sum_m T_m regrouped by K: H_K meets 1/j once for every p < j < p + K
     # with j = K (mod 2), so one running sum per parity of K covers it; the
     # tails are multiplied by p, so they count only mod p^(N-1)
-    n = ctx.exponent
     h, _, shifted = ctx.harmonic_residues(n - 1)
     parity_sums, tails = [0, 0], 0
     for K in range(2, p - 1):
@@ -346,80 +343,79 @@ def _result1_rhs(ctx, p):
     return (ctx.odd_power_residue(n) - p * tails) % p ** n
 
 
-def _q2_lhs(ctx, p):
+def _q2_lhs(ctx, p, n):
     return fermat_quotient_2(p)
 
 
-def _result2_rhs(ctx, p):
-    return 2 * ctx.even_ascent_residue(ctx.exponent) - 1
+def _result2_rhs(ctx, p, n):
+    return 2 * ctx.even_ascent_residue(n) - 1
 
 
-def _result3_lhs(ctx, p):
+def _result3_lhs(ctx, p, n):
     # the odd x <= p-2: P_{p-2} of the parity row
-    return ctx.parity_power_residues(ctx.exponent)[p - 2]
+    return ctx.parity_power_residues(n)[p - 2]
 
 
-def _result3_rhs(ctx, p):
+def _result3_rhs(ctx, p, n):
     # p A_p needs A_p mod p^(N-1) only
     d0, d1 = _two_n_digits(ctx)
-    n = ctx.exponent
     ag = _agoh_giuga_residue(ctx, n - 1)
     return (d0 - 1 + p * (ag + d1 - (d0 - 1) ** 2 - 2)) % p ** n
 
 
-def _odd_harmonic_sum(ctx, p):
+def _odd_harmonic_sum(ctx, p, n):
     # H_1 + H_3 + ... + H_{p-2}
-    h, _, _ = ctx.harmonic_residues(ctx.exponent)
-    return sum(h[1:p - 1:2]) % p ** ctx.exponent
+    h, _, _ = ctx.harmonic_residues(n)
+    return sum(h[1:p - 1:2]) % p ** n
 
 
-def _odd_reciprocal_sum(ctx, p):
+def _odd_reciprocal_sum(ctx, p, n):
     # 1 + 1/3 + ... + 1/(p-2) is H_{p-1} less its even terms, which add up
     # to H_{(p-1)/2} / 2
-    q = p ** ctx.exponent
-    h, _, _ = ctx.harmonic_residues(ctx.exponent)
+    q = p ** n
+    h, _, _ = ctx.harmonic_residues(n)
     return (h[p - 1] - h[(p - 1) // 2] * pow(2, -1, q)) % q
 
 
 # The identities with a parameter after p have row evaluators: lhs(ctx, p,
-# top) and rhs(ctx, p, top) give the residues at k = 0..top (at m = 0..top
-# for lemma2), each in one pass over the context's tables.  An index
-# identity's lhs(ctx, points) and rhs(ctx, points) are rows over its points.
+# n, top) and rhs(ctx, p, n, top) give the residues mod p^n at k = 0..top
+# (m = 0..top for lemma2), each in one pass over the context's tables; an
+# index identity's lhs(ctx, points) and rhs(ctx, points), over its points.
 
-def _lehmer_i_lhs(ctx, p, top):
-    return _p_bernoulli_row(ctx, 2 * top)[::2]
+def _lehmer_i_lhs(ctx, p, n, top):
+    return _p_bernoulli_row(ctx, n, 2 * top)[::2]
 
 
-def _lehmer_i_rhs(ctx, p, top):
+def _lehmer_i_rhs(ctx, p, n, top):
     # p - 2a for a = 1..(p-1)/2 runs over the odd numbers below p, the full
     # range less the even bases 2a: (S_{p-1,2k} - 4^k S_{h,2k}) / 2^(2k-1)
-    n, q = ctx.exponent, p ** ctx.exponent
+    q = p ** n
     full = ctx.full_power_residues(n, 2 * top)[::2]
     half = ctx.half_power_residues(n, 2 * top)[::2]
     return [2 * (w * f - h) % q
             for w, f, h in zip(_quarter_powers(q, top + 1), full, half)]
 
 
-def _lehmer_ii_lhs(ctx, p, top):
-    return ctx.half_power_residues(ctx.exponent, 2 * top)[:2 * top + 1:2]
+def _lehmer_ii_lhs(ctx, p, n, top):
+    return ctx.half_power_residues(n, 2 * top)[:2 * top + 1:2]
 
 
-def _lehmer_ii_rhs(ctx, p, top):
+def _lehmer_ii_rhs(ctx, p, n, top):
     # (2^(1-2k) - 1) p B_{2k} / 2 = (4^(-k) - 2^(-1)) p B_{2k}
-    q = p ** ctx.exponent
-    half, b = pow(2, -1, q), _p_bernoulli_row(ctx, 2 * top)[::2]
+    q = p ** n
+    half, b = pow(2, -1, q), _p_bernoulli_row(ctx, n, 2 * top)[::2]
     return [(w - half) * x % q
             for w, x in zip(_quarter_powers(q, top + 1), b)]
 
 
-def _sun_lhs(ctx, p, top):
-    return ctx.full_power_residues(ctx.exponent, top)
+def _sun_lhs(ctx, p, n, top):
+    return ctx.full_power_residues(n, top)
 
 
-def _sun_rhs(ctx, p, top):
+def _sun_rhs(ctx, p, n, top):
     # p B_k + (p^2 / 2) k B_{k-1}; at k = 0 the second term vanishes
-    q = p ** ctx.exponent
-    b, half = _p_bernoulli_row(ctx, top), pow(2, -1, q)
+    q = p ** n
+    b, half = _p_bernoulli_row(ctx, n, top), pow(2, -1, q)
     return [(b[k] + p * k * b[k - 1] * half) % q for k in range(top + 1)]
 
 
@@ -475,26 +471,25 @@ def _prop1_rhs(ctx, points):
         2 * L * L) for n, s in points]
 
 
-def _lemma1_lhs(ctx, p):
-    return ctx.odd_power_residue(ctx.exponent)
+def _lemma1_lhs(ctx, p, n):
+    return ctx.odd_power_residue(n)
 
 
-def _lemma1_rhs(ctx, p):
+def _lemma1_rhs(ctx, p, n):
     # d0/2 + p (d0/2 + d1/2 - (d0-1)^2/2 - CB/2 - 1)
     d0, d1 = _two_n_digits(ctx)
-    q = p ** ctx.exponent
-    cb = _theorem1_lhs(ctx, p)
+    q = p ** n
+    cb = _theorem1_lhs(ctx, p, n)
     return ((d0 + p * (d0 + d1 - (d0 - 1) ** 2 - cb - 2))
             * pow(2, -1, q) % q)
 
 
-def _lemma2_lhs(ctx, p, top):
+def _lemma2_lhs(ctx, p, n, top):
     # -p times the tails T_j = sum_{K=j}^{p-2} H_K / (K + 2m + 2) at
     # j = p-2m-1, which count only mod p^(N-1).  K = j + i meets the divisor
     # p+1+i, so T_j is slot j + p - 4 of the product of two ints that hold
     # H_0..H_{p-2} and the inverses of 2p-3 down to p+1 in slots of w bytes,
     # room for a sum of p products; only the slots of m = 1..top are read
-    n = ctx.exponent
     h, _, inverses = ctx.harmonic_residues(n - 1)
     w = (2 * (p ** (n - 1)).bit_length() + p.bit_length() + 7) // 8
     t = _slots(_pack(h[:p - 1], w) * _pack(reversed(inverses), w), w,
@@ -502,22 +497,22 @@ def _lemma2_lhs(ctx, p, top):
     return [0] + [-p * x % p ** n for x in t[::-2]]
 
 
-def _lemma2_rhs(ctx, p, top):
-    # p (2 H_n^(2) - 2 H_n H_{n+1} + sum_{s<n} H_s/(n-s)) at n = 2m; that
-    # sum is H_n^2 - H_n^(2), since both equal 2 sum_{s<=n} H_{s-1}/s
-    q = p ** ctx.exponent
-    h, h2, _ = ctx.harmonic_residues(ctx.exponent - 1)
-    return [p * (h2[n] + h[n] * (h[n] - 2 * h[n + 1])) % q
-            for n in range(0, 2 * top + 1, 2)]
+def _lemma2_rhs(ctx, p, n, top):
+    # p (2 H_j^(2) - 2 H_j H_{j+1} + sum_{s<j} H_s/(j-s)) at j = 2m; that
+    # sum is H_j^2 - H_j^(2), since both equal 2 sum_{s<=j} H_{s-1}/s
+    q = p ** n
+    h, h2, _ = ctx.harmonic_residues(n - 1)
+    return [p * (h2[j] + h[j] * (h[j] - 2 * h[j + 1])) % q
+            for j in range(0, 2 * top + 1, 2)]
 
 
-def _theorem1_rhs(ctx, p):
+def _theorem1_rhs(ctx, p, n):
     # -1 + 2 d1(d0(2S)/2) + d1(2 d0(S)) + 6S + 4G - 4X - 4S^2 + 2T, where
     # d_i is base-p digit i; S = H_1 + H_3 + ... + H_{p-2}, G sums H_{2m}^(2)
     # and X sums H_{2m} H_{2m+1} over m <= (p-3)/2, and T sums H_{2m}^2 -
     # H_{2m}^(2) over 2 <= m <= (p-3)/2 (see theorem1_rhs)
-    q = p ** ctx.exponent
-    h, h2, _ = ctx.harmonic_residues(ctx.exponent)
+    q = p ** n
+    h, h2, _ = ctx.harmonic_residues(n)
     S = sum(h[1:p - 1:2])
     G = sum(h2[2:p - 2:2])
     X = sum(map(mul, h[2:p - 2:2], h[3:p - 1:2]))
@@ -528,36 +523,36 @@ def _theorem1_rhs(ctx, p):
             + 2 * T) % q
 
 
-def _remark1b_rhs(ctx, p):
-    q = p ** ctx.exponent
-    return (_odd_reciprocal_sum(ctx, p) + 1) * pow(2, -1, q) % q
+def _remark1b_rhs(ctx, p, n):
+    q = p ** n
+    return (_odd_reciprocal_sum(ctx, p, n) + 1) * pow(2, -1, q) % q
 
 
-def _eisenstein_rhs(ctx, p):
+def _eisenstein_rhs(ctx, p, n):
     # half the alternating sum 1 - 1/2 + ... - 1/(p-1) = H_{p-1} - H_{(p-1)/2}
-    q = p ** ctx.exponent
-    h, _, _ = ctx.harmonic_residues(ctx.exponent)
+    q = p ** n
+    h, _, _ = ctx.harmonic_residues(n)
     return (h[p - 1] - h[(p - 1) // 2]) * pow(2, -1, q) % q
 
 
-def _wolstenholme_lhs(ctx, p):
-    return ctx.harmonic_residues(ctx.exponent)[0][p - 1]
+def _wolstenholme_lhs(ctx, p, n):
+    return ctx.harmonic_residues(n)[0][p - 1]
 
 
-def _zero_rhs(ctx, p):
+def _zero_rhs(ctx, p, n):
     return 0
 
 
-def _factorial_lhs(ctx, p):
+def _factorial_lhs(ctx, p, n):
     return factorial(p - 1)
 
 
-def _glaisher_rhs(ctx, p):
+def _glaisher_rhs(ctx, p, n):
     # p B_{p-1} - p; the residue is p B_{p-1} itself
-    return (ctx.bernoulli_residue(ctx.exponent, p - 1) - p) % p ** ctx.exponent
+    return (ctx.bernoulli_residue(n, p - 1) - p) % p ** n
 
 
-def _wilson_rhs(ctx, p):
+def _wilson_rhs(ctx, p, n):
     return -1
 
 
@@ -899,9 +894,10 @@ def _sides(desc: IdentityDescriptor, ctx: PrimeContext | None,
     p = ctx.p
     if len(desc.params) > 1:
         top = max(k for _, k in points)
-        lhs, rhs = desc.lhs(ctx, p, top), desc.rhs(ctx, p, top)
+        lhs = desc.lhs(ctx, p, exponent, top)
+        rhs = desc.rhs(ctx, p, exponent, top)
         return [(lhs[k], rhs[k]) for _, k in points]
-    lhs, rhs = desc.lhs(ctx, p), desc.rhs(ctx, p)
+    lhs, rhs = desc.lhs(ctx, p, exponent), desc.rhs(ctx, p, exponent)
     if exponent is not None:
         lhs, rhs = mod_reduce(lhs, p, exponent), mod_reduce(rhs, p, exponent)
     return [(lhs, rhs)]
@@ -917,7 +913,8 @@ def _check_rows(identity: str, points: list[tuple[int, ...]],
     points share the call's time evenly.
 
     The PrimeContext is the one prime test, so it comes before the domain
-    predicate; it carries the exponent of the reduction to its residues."""
+    predicate.  Every side is given the exponent of the modulus, the
+    declared one or the override, and reads the context's rows at it."""
     desc = _CATALOG[identity]
     start = time.perf_counter()
     p = points[0][0] if desc.params[0] == "p" else None
@@ -929,8 +926,6 @@ def _check_rows(identity: str, points: list[tuple[int, ...]],
         ctx = None if p is None else get_prime_context(p)
     except ValueError:  # not a prime >= 5
         ctx = domain = None
-    if ctx:
-        ctx.exponent = exponent
     applies = [domain is not None and domain(*point) for point in points]
     inside = [point for point, ok in zip(points, applies) if ok]
     failure, values = None, repeat((None, None))

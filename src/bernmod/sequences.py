@@ -6,7 +6,7 @@ numbers, sums of powers, the Eulerian triangle with its even-ascent column
 sums, the Fermat quotient of 2, and the power-weighted Bernoulli convolution.
 Everything returns exact ints or Fractions; the *_mod variants work purely in
 modular arithmetic; fraction_sum adds exact terms over one denominator.
-PrimeContext caches per-prime residue tables; N_{p-2} mod p^k is read off its
+PrimeContext caches per-prime residue rows; N_{p-2} mod p^k is read off its
 parity row of same-parity sums of a^(p-2).  Exact harmonic numbers are held
 in one store, the per-order memo behind harmonic and gen_harmonic.
 """
@@ -437,24 +437,23 @@ def _half_power_sums(h: int, top: int, q: int) -> list[int]:
 class PrimeContext:
     """Per-prime workspace shared by congruence evaluators.
 
-    Caches the residue tables of the catalog's prime-indexed sides mod p^N,
-    a row per exponent: Bernoulli numbers, half-range power sums, inverses,
-    harmonic numbers and the parity row of a^(p-2), which also holds the
-    odd-power total and N_{p-2}.  Every row grows by one rule, _grow: one
-    source call, or a reduction of a finer row.  Full power sums are built
-    from the half-range row at each read.  It holds no exact harmonic
-    numbers.  Building one is a check's prime test, and check sets
-    `exponent` to the power of p it reduces at, for the residue evaluators.
+    Holds rows only: the residue tables of the catalog's prime-indexed
+    sides mod p^N, a row per exponent N that the reader names: Bernoulli
+    numbers, half-range and full-range power sums, inverses, harmonic
+    numbers and the parity row of a^(p-2), which also holds the odd-power
+    total and N_{p-2}.  Every row grows by one rule, _grow: one source call,
+    or a reduction of a finer row.  It holds no exact harmonic numbers.
+    Building one is a check's prime test.
     """
 
     def __init__(self, p: int):
         if p < 5 or not is_prime(p):
             raise ValueError(f"need a prime >= 5, got {p}")
         self.p = p
-        self.exponent: int | None = None
         self._parity_power: dict[int, list[int]] = {}
         self._bernoulli: dict[int, list[int]] = {}
         self._half_power: dict[int, list[int]] = {}
+        self._full_power: dict[int, list[int]] = {}
         self._harmonic: dict[int, list[int]] = {}
         self._inverse: dict[int, list[int]] = {}
 
@@ -555,18 +554,21 @@ class PrimeContext:
                           partial(_half_power_sums, (self.p - 1) // 2))
 
     def full_power_residues(self, exponent: int, top: int) -> list[int]:
-        """S_{p-1,k} mod p^exponent for k = 0..top by E. Lehmer's pairing of
-        a with p - a: (p - a)^k expanded in powers of p leaves S_{h,k} +
-        (-1)^k sum_{i < exponent} C(k, i) (-p)^i S_{h,k-i}, a pass per i,
-        at each call: twice a prime in a sweep, at p^3 and at p^2."""
-        q, s = self.p ** exponent, self.half_power_residues(exponent, top)
-        t = s[:top + 1]  # the term i = 0
-        for i in range(1, min(exponent, top + 1)):
-            c = (-self.p) ** i
-            t[i:] = [x + comb(k, i) * c * y
-                     for k, x, y in zip(range(i, top + 1), t[i:], s)]
-        return [(y - x if k % 2 else y + x) % q
-                for k, (x, y) in enumerate(zip(t, s))]
+        """S_{p-1,k} mod p^exponent for k = 0..top, a row grown by _grow
+        from the half-range row by E. Lehmer's pairing of a with p - a:
+        (p - a)^k expanded in powers of p leaves S_{h,k} + (-1)^k
+        sum_{i < exponent} C(k, i) (-p)^i S_{h,k-i}, a pass per i."""
+        def paired(top: int, q: int) -> list[int]:
+            s = self.half_power_residues(exponent, top)
+            t = s[:top + 1]  # the term i = 0
+            for i in range(1, min(exponent, top + 1)):
+                c = (-self.p) ** i
+                t[i:] = [x + comb(k, i) * c * y
+                         for k, x, y in zip(range(i, top + 1), t[i:], s)]
+            return [(y - x if k % 2 else y + x) % q
+                    for k, (x, y) in enumerate(zip(t, s))]
+
+        return self._grow(self._full_power, exponent, top, paired)[:top + 1]
 
     def harmonic_residues(
             self, exponent: int) -> tuple[list[int], list[int], list[int]]:

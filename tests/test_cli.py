@@ -154,10 +154,10 @@ def test_verify_unwritable_tmpdir_exits_two_before_sweeping(
 
 
 def _raise_at_11(side):
-    def raising(ctx, p):
+    def raising(ctx, p, n):
         if p == 11:
             raise KeyboardInterrupt
-        return side(ctx, p)
+        return side(ctx, p, n)
     return raising
 
 
@@ -210,12 +210,12 @@ def test_interrupted_parallel_verify_does_not_wait_for_a_child(
     parent = os.getpid()
     desc = idmod._CATALOG["result4"]
 
-    def lhs(ctx, p):
+    def lhs(ctx, p, n):
         if os.getpid() != parent:
             time.sleep(60)
         elif p < 13:
             raise KeyboardInterrupt
-        return desc.lhs(ctx, p)
+        return desc.lhs(ctx, p, n)
 
     monkeypatch.setitem(idmod._CATALOG, "result4",
                         desc._replace(lhs=lhs))
@@ -312,10 +312,10 @@ def test_an_evaluator_that_raises_reports_error(monkeypatch, capsys):
     desc = idmod._CATALOG["lemma2"]
 
     # lemma2's lhs is a row evaluator: it raises for every m at p = 11
-    def lhs(ctx, p, top):
+    def lhs(ctx, p, n, top):
         if p == 11:
             raise ZeroDivisionError("deliberate")
-        return desc.lhs(ctx, p, top)
+        return desc.lhs(ctx, p, n, top)
 
     monkeypatch.setitem(idmod._CATALOG, "lemma2",
                         desc._replace(lhs=lhs))

@@ -131,8 +131,7 @@ def test_harmonic_convolution_closed_form_matches_the_sum():
     p = 199
     ctx = get_prime_context(p)
     for e in (2, 3):
-        ctx.exponent = e
-        row = catalog()["lemma2"].rhs(ctx, p, 98)
+        row = catalog()["lemma2"].rhs(ctx, p, e, 98)
         for m in range(1, 99):
             want = p * (2 * gen_harmonic(2 * m, 2)
                         - 2 * harmonic(2 * m) * harmonic(2 * m + 1)
@@ -163,8 +162,7 @@ def test_result1_rhs_matches_the_double_loop():
         ctx = get_prime_context(p)
         want = _exact_side("result1", "rhs", (("p", p),))
         for e in (1, 2, 3):
-            ctx.exponent = e
-            assert idmod._result1_rhs(ctx, p) == mod_reduce(want, p, e), p
+            assert idmod._result1_rhs(ctx, p, e) == mod_reduce(want, p, e), p
 
 
 # ---------------------------------------------------------------------------
@@ -235,54 +233,55 @@ EXACT_KERNEL_ORACLES = {
 
 # ---------------------------------------------------------------------------
 # the per-point evaluators that the rows of the four per-(p, k) families
-# replaced, kept here as oracles: (identity, side) -> the residue at one
-# (p, k or m), read from the context's tables
+# replaced, kept here as oracles: (identity, side) -> the residue mod p^e at
+# one (p, k or m), read from the context's tables
 
-def _p_bernoulli_residue(ctx, n):
-    """p B_n mod p^N; the Bernoulli row holds p B_n itself at even n > 0
+def _p_bernoulli_residue(ctx, e, n):
+    """p B_n mod p^e; the Bernoulli row holds p B_n itself at even n > 0
     with (p - 1) | n."""
-    p, q = ctx.p, ctx.p ** ctx.exponent
-    b = ctx.bernoulli_residues(ctx.exponent, n)[n]
+    p, q = ctx.p, ctx.p ** e
+    b = ctx.bernoulli_residues(e, n)[n]
     return b if n and n % (p - 1) == 0 else p * b % q
 
 
-def _full_power_residue(ctx, k):
-    """S_{p-1,k} mod p^N by pairing a with p - a, one k at a time."""
-    p, n = ctx.p, ctx.exponent
-    s = ctx.half_power_residues(n, k)
+def _full_power_residue(ctx, e, k):
+    """S_{p-1,k} mod p^e by pairing a with p - a, one k at a time."""
+    p = ctx.p
+    s = ctx.half_power_residues(e, k)
     total = sum(comb(k, i) * p ** i * (-1) ** (k - i) * s[k - i]
-                for i in range(min(n, k + 1)))
-    return (s[k] + total) % p ** n
+                for i in range(min(e, k + 1)))
+    return (s[k] + total) % p ** e
 
 
-def _lemma2_tail_residue(ctx, p, m):
-    """-p sum_{K=p-2m-1}^{p-2} H_K / (K + 2m + 2) mod p^N, term by term."""
-    h, _, inverses = ctx.harmonic_residues(ctx.exponent - 1)
+def _lemma2_tail_residue(ctx, e, p, m):
+    """-p sum_{K=p-2m-1}^{p-2} H_K / (K + 2m + 2) mod p^e, term by term."""
+    h, _, inverses = ctx.harmonic_residues(e - 1)
     tail = sum(map(mul, h[p - 2 * m - 1:p - 1], inverses))
-    return -p * tail % p ** ctx.exponent
+    return -p * tail % p ** e
 
 
-def _lemma2_form_residue(ctx, p, m):
-    """p (H_n^(2) + H_n (H_n - 2 H_{n+1})) mod p^N at n = 2m."""
-    h, h2, _ = ctx.harmonic_residues(ctx.exponent - 1)
+def _lemma2_form_residue(ctx, e, p, m):
+    """p (H_n^(2) + H_n (H_n - 2 H_{n+1})) mod p^e at n = 2m."""
+    h, h2, _ = ctx.harmonic_residues(e - 1)
     n = 2 * m
-    return p * (h2[n] + h[n] * (h[n] - 2 * h[n + 1])) % p ** ctx.exponent
+    return p * (h2[n] + h[n] * (h[n] - 2 * h[n + 1])) % p ** e
 
 
 POINT_ORACLES = {
-    ("lehmer_i", "lhs"): lambda ctx, p, k: _p_bernoulli_residue(ctx, 2 * k),
-    ("lehmer_i", "rhs"): lambda ctx, p, k: 2 * (
-        pow(4, -k, p ** ctx.exponent) * _full_power_residue(ctx, 2 * k)
-        - ctx.half_power_residues(ctx.exponent, 2 * k)[2 * k]),
-    ("lehmer_ii", "lhs"): lambda ctx, p, k: ctx.half_power_residues(
-        ctx.exponent, 2 * k)[2 * k],
-    ("lehmer_ii", "rhs"): lambda ctx, p, k: (
-        (pow(2, -2 * k, p ** ctx.exponent) - pow(2, -1, p ** ctx.exponent))
-        * _p_bernoulli_residue(ctx, 2 * k)),
-    ("sun_lemma", "lhs"): lambda ctx, p, k: _full_power_residue(ctx, k),
-    ("sun_lemma", "rhs"): lambda ctx, p, k: (
-        _p_bernoulli_residue(ctx, k) + p * k * _p_bernoulli_residue(ctx, k - 1)
-        * pow(2, -1, p ** ctx.exponent)),
+    ("lehmer_i", "lhs"): lambda ctx, e, p, k: _p_bernoulli_residue(
+        ctx, e, 2 * k),
+    ("lehmer_i", "rhs"): lambda ctx, e, p, k: 2 * (
+        pow(4, -k, p ** e) * _full_power_residue(ctx, e, 2 * k)
+        - ctx.half_power_residues(e, 2 * k)[2 * k]),
+    ("lehmer_ii", "lhs"): lambda ctx, e, p, k: ctx.half_power_residues(
+        e, 2 * k)[2 * k],
+    ("lehmer_ii", "rhs"): lambda ctx, e, p, k: (
+        (pow(2, -2 * k, p ** e) - pow(2, -1, p ** e))
+        * _p_bernoulli_residue(ctx, e, 2 * k)),
+    ("sun_lemma", "lhs"): lambda ctx, e, p, k: _full_power_residue(ctx, e, k),
+    ("sun_lemma", "rhs"): lambda ctx, e, p, k: (
+        _p_bernoulli_residue(ctx, e, k)
+        + p * k * _p_bernoulli_residue(ctx, e, k - 1) * pow(2, -1, p ** e)),
     ("lemma2", "lhs"): _lemma2_tail_residue,
     ("lemma2", "rhs"): _lemma2_form_residue,
 }
@@ -312,13 +311,14 @@ def test_rows_match_the_per_point_oracles(identity, hi, overrides):
         assert points
         top = max(pt[name] for pt in points)
         for override in overrides:
-            e = ctx.exponent = override or desc.exponent
-            rows = {"lhs": desc.lhs(ctx, p, top), "rhs": desc.rhs(ctx, p, top)}
+            e = override or desc.exponent
+            rows = {"lhs": desc.lhs(ctx, p, e, top),
+                    "rhs": desc.rhs(ctx, p, e, top)}
             assert [len(row) for row in rows.values()] == [top + 1] * 2
             for params in points:
                 i = params[name]
                 for side, row in rows.items():
-                    want = POINT_ORACLES[identity, side](ctx, **params)
+                    want = POINT_ORACLES[identity, side](ctx, e, **params)
                     assert row[i] == mod_reduce(want, p, e), (
                         side, params, e)
 
@@ -618,17 +618,16 @@ def test_residue_sides_report_a_pole_as_not_p_integral():
     # lev3_div_p5's rhs divides by p - 5, which p = 5 makes a pole; the
     # domain keeps p = 5 out, so the evaluator is called directly
     ctx = get_prime_context(5)
-    ctx.exponent = 1
     with pytest.raises(NotPIntegral):
-        idmod._lev3_shifted_rhs(ctx, 5, s=5)
+        idmod._lev3_shifted_rhs(ctx, 5, 1, s=5)
     desc = IdentityDescriptor(
         id="test_residue_pole",
         title="deliberate pole in a residue side",
         source="test fixture",
         params=("p",),
         exponent=2,
-        lhs=lambda ctx, p: mod_reduce(Fraction(1, 2 * p), p, ctx.exponent),
-        rhs=lambda ctx, p: 0,
+        lhs=lambda ctx, p, n: mod_reduce(Fraction(1, 2 * p), p, n),
+        rhs=lambda ctx, p, n: 0,
         domain=lambda p: p >= 5,
         points=lambda p: [],
     )
@@ -648,12 +647,11 @@ def test_lev3_shifted_rhs_has_its_one_pole_at_s_equal_to_p(p, s, n):
     # D_{p-s} = B_0/0 at s = p; every other divisor is a unit mod p, in or
     # out of the catalog's domain
     ctx = get_prime_context(p)
-    ctx.exponent = n
     if p == s:
         with pytest.raises(NotPIntegral):
-            idmod._lev3_shifted_rhs(ctx, p, s=s)
+            idmod._lev3_shifted_rhs(ctx, p, n, s=s)
         return
-    got = idmod._lev3_shifted_rhs(ctx, p, s=s)
+    got = idmod._lev3_shifted_rhs(ctx, p, n, s=s)
     assert 0 <= got < p ** n
     assert got == mod_reduce(_lev3_shifted_rhs_oracle(ctx, p, s), p, n)
 
@@ -827,8 +825,8 @@ def test_not_p_integral_status_via_pole_evaluator():
         source="test fixture",
         params=("p",),
         exponent=1,
-        lhs=lambda ctx, p: Fraction(1, p),
-        rhs=lambda ctx, p: Fraction(0),
+        lhs=lambda ctx, p, n: Fraction(1, p),
+        rhs=lambda ctx, p, n: Fraction(0),
         domain=lambda p: p >= 5,
         points=lambda p: [],
     )
@@ -1073,10 +1071,10 @@ def test_a_child_that_fails_fails_the_sweep(monkeypatch, start_children_by,
     parent = os.getpid()
     desc = idmod._CATALOG["wilson"]
 
-    def lhs(ctx, p):
+    def lhs(ctx, p, n):
         if os.getpid() != parent:
             fail()
-        return desc.lhs(ctx, p)
+        return desc.lhs(ctx, p, n)
 
     monkeypatch.setitem(idmod._CATALOG, "wilson",
                         desc._replace(lhs=lhs))
@@ -1112,11 +1110,11 @@ def test_a_row_that_raises_fails_only_its_points(monkeypatch, capsys,
     row = getattr(desc, side)
     calls = []
 
-    def raising(ctx, p, top):
+    def raising(ctx, p, n, top):
         if p == 13:
             calls.append(top)
             raise raised
-        return row(ctx, p, top)
+        return row(ctx, p, n, top)
 
     monkeypatch.setitem(idmod._CATALOG, "sun_lemma",
                         desc._replace(**{side: raising}))
@@ -1161,8 +1159,8 @@ def test_a_catalog_sweep_counts_the_even_ascents_once_per_prime(
     assert len(calls) <= 11998
 
 
-_TABLES = ("_parity_power", "_bernoulli", "_half_power", "_harmonic",
-           "_inverse")
+_TABLES = ("_parity_power", "_bernoulli", "_half_power", "_full_power",
+           "_harmonic", "_inverse")
 
 
 @pytest.mark.parametrize("ids, hi, override, tables", [
@@ -1205,9 +1203,8 @@ def test_result1_is_the_odd_power_total_plus_the_lemma2_tails():
     for p in primes_in(5, 401):
         ctx = get_prime_context(p)
         for n in (1, 2, 3, 4):
-            ctx.exponent = n
-            tails = catalog()["lemma2"].lhs(ctx, p, (p - 3) // 2)
-            assert catalog()["result1"].rhs(ctx, p) == (
+            tails = catalog()["lemma2"].lhs(ctx, p, n, (p - 3) // 2)
+            assert catalog()["result1"].rhs(ctx, p, n) == (
                 ctx.odd_power_residue(n) + sum(tails)) % p ** n, (p, n)
 
 
@@ -1216,11 +1213,11 @@ _BERNOULLI_IDS = ["conv_order_p1", "zhao_p3", "zhao_p5", "lev3_div_p1",
                   "clausen_von_staudt"]
 
 
-def _divided_residue_oracle(ctx, p, s):
-    """The divided convolution with its own inverses, as it was summed
-    before it read them off the harmonic row."""
-    t, q = p - s, p ** ctx.exponent
-    b = ctx.bernoulli_residues(ctx.exponent, t)
+def _divided_residue_oracle(ctx, p, e, s):
+    """The divided convolution mod p^e with its own inverses, as it was
+    summed before it read them off the harmonic row."""
+    t, q = p - s, p ** e
+    b = ctx.bernoulli_residues(e, t)
     d = [b[j] * pow(j, -1, q) for j in range(2, t - 1, 2)]
     return sum(map(mul, d, reversed(d))) % q
 
@@ -1229,13 +1226,12 @@ def test_divided_convolutions_read_their_inverses_off_one_row(monkeypatch):
     for p in primes_in(5, 199):
         ctx = get_prime_context(p)
         for e in (1, 2, 3):
-            ctx.exponent = e
             inverses = ctx.inverse_residues(e)
             assert [j * v % p ** e for j, v in enumerate(inverses)] == [
                 0] + [1] * (p - 1), (p, e)
             for s in (1, 3, 5):
-                assert idmod._divided_residue(ctx, p, s) == \
-                    _divided_residue_oracle(ctx, p, s), (p, e, s)
+                assert idmod._divided_residue(ctx, p, e, s) == \
+                    _divided_residue_oracle(ctx, p, e, s), (p, e, s)
     # so a Bernoulli-side sweep inverts far less: 10,092 pow calls over
     # 5..199 when each divided convolution took its own inverses
     bernoulli(400)
@@ -1269,6 +1265,28 @@ def test_a_sweep_gives_the_reports_check_gives():
         for point in _points(desc, 5, 31))
     assert [_outcome(r) for r in reports] == [
         _outcome(check(r.identity, r.params)) for r in reports]
+
+
+@pytest.mark.parametrize("p", [5, 31, 199])
+def test_one_context_read_at_any_exponent_reports_what_a_fresh_one_does(p):
+    # sides are given the exponent they read at, so one context checked at
+    # p^3, p, p^2 and the declared powers in turn, its rows grown and
+    # reduced across them, reports every point as a fresh context does; it
+    # keeps rows, not the modulus of the last check
+    points = [(ident, dict(zip(desc.params, point)))
+              for ident, desc in catalog().items() if "p" in desc.params
+              for point in desc.points(p)]
+    get_prime_context.cache_clear()
+    ctx = get_prime_context(p)
+    shared = {(ident, tuple(params.items()), override): check(
+        ident, params, modulus_override=override)
+        for override in (3, 1, 2, None) for ident, params in points}
+    assert get_prime_context(p) is ctx
+    for (ident, params, override), report in shared.items():
+        get_prime_context.cache_clear()
+        fresh = check(ident, dict(params), modulus_override=override)
+        assert _outcome(report) == _outcome(fresh), (ident, params, override)
+    assert not hasattr(get_prime_context(p), "exponent")
 
 
 def _h_over_shift_point(n, s):
@@ -1313,10 +1331,11 @@ def test_a_raising_one_entry_or_index_row_fails_only_its_points(
     clean = untimed(sweep(ids, 5, 31))
     desc = idmod._CATALOG[ident]
 
-    def raising(ctx, at):
+    # wilson's side also takes the exponent; alzer's takes the points alone
+    def raising(ctx, at, *exponent):
         if params is None or at == params[0]:
             raise ZeroDivisionError("deliberate")
-        return getattr(desc, side)(ctx, at)
+        return getattr(desc, side)(ctx, at, *exponent)
 
     monkeypatch.setitem(idmod._CATALOG, ident,
                         desc._replace(**{side: raising}))
