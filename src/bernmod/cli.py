@@ -110,7 +110,7 @@ def _render(chunk, fmt: str, with_times: bool,
             verbose: bool) -> tuple[str, str, Counter]:
     """One chunk as its output rows, its -v echo lines (empty without -v)
     and the count of each status; run in the sweep's batches, so a
-    timestamp records when its point was checked.
+    timestamp records when its point's batch was checked.
 
     A chunk holds the points of one identity at one prime, or of one
     index-parameterized identity.  Its rows come from two %-templates, with
@@ -153,43 +153,25 @@ def _render(chunk, fmt: str, with_times: bool,
     return rows, echo, Counter(chunk.status)
 
 
-# this process's spool: (pid, directory, file open for appending); a forked
-# --jobs child inherits its parent's and opens its own
-_spool = None
-
-
-def _spool_chunk(chunk, directory: str, fmt: str, with_times: bool,
-                 verbose: bool) -> tuple[str, int, int, int, Counter]:
-    """Render a chunk and append its rows, then its -v echo, to this
-    process's spool in directory, opened by its first chunk.  Returns where
-    they lie, (file name, offset, rows length, echo length), and the chunk's
-    status counts: all a batch sends back, so no rendered text outlives the
-    chunk in memory."""
-    global _spool
-    pid = os.getpid()
-    if _spool is None or _spool[:2] != (pid, directory):
-        # a spawned child starts with the int/str digit limit: lift it for
-        # the child's life, as main does for the run in the parent
-        getattr(sys, "set_int_max_str_digits", lambda limit: None)(0)
-        _spool = (pid, directory,
-                  open(os.path.join(directory, str(pid)), "xb"))
-    spool = _spool[2]
-    rows, echo, counts = _render(chunk, fmt, with_times, verbose)
-    offset = spool.tell()
-    # ASCII, so each length in characters is the length in bytes
-    spool.write((rows + echo).encode("ascii"))
-    # flushed per chunk: a child process exits without flushing, and this
-    # process's spool is open when it forks a child, so a child that drops
-    # the inherited file object must find nothing buffered in it to write
-    spool.flush()
-    return str(pid), offset, len(rows), len(echo), counts
-
-
-def _close_spool() -> None:
-    global _spool
-    if _spool is not None:
-        _spool[2].close()
-        _spool = None
+# a spawned --jobs child starts with the int/str digit limit
+@cache_store.unlimited_int_digits()
+def _spool_batch(chunks, directory: str, fmt: str, with_times: bool,
+                 verbose: bool) -> list[tuple[str, int, int, int, Counter]]:
+    """Render a batch's chunks and append each one's rows, then its -v echo,
+    to this process's spool file in directory, open for this batch alone.
+    Returns per chunk where they lie, (file name, offset, rows length, echo
+    length), and its status counts: all a batch sends back, so no rendered
+    text outlives the batch in memory, and no file of this process is open
+    when it forks a child."""
+    name = str(os.getpid())
+    records = []
+    with open(os.path.join(directory, name), "ab") as spool:
+        for chunk in chunks:
+            rows, echo, counts = _render(chunk, fmt, with_times, verbose)
+            records.append((name, spool.tell(), len(rows), len(echo), counts))
+            # ASCII, so each length in characters is the length in bytes
+            spool.write((rows + echo).encode("ascii"))
+    return records
 
 
 def _copy_ranges(directory: str, ranges, stream) -> None:
@@ -234,16 +216,13 @@ def _cmd_verify(args: argparse.Namespace,
             if args.cache:
                 cached = _load_cache(args.cache)
             selected = args.identity if args.identity else "all"
-            render = partial(_spool_chunk, directory=directory,
+            render = partial(_spool_batch, directory=directory,
                              fmt=args.format,
                              with_times=not args.no_timestamps,
                              verbose=args.verbose)
-            try:
-                records = [record for _, record in sweep(
-                    selected, lo, hi, jobs=args.jobs,
-                    modulus_override=args.modulus, render=render)]
-            finally:
-                _close_spool()
+            records = [record for _, record in sweep(
+                selected, lo, hi, jobs=args.jobs,
+                modulus_override=args.modulus, render=render)]
             if args.cache:
                 _save_cache(args.cache, cached)
             if args.verbose:

@@ -31,7 +31,6 @@ from .sequences import (
     _slots,
     alternating_eulerian_sum,
     bernoulli,
-    bernoulli_table,
     divided_bernoulli,
     fermat_quotient_2,
     fraction_sum,
@@ -963,21 +962,20 @@ def _check_batch(batch: tuple[int | None, tuple[str, ...]],
 
 def _run_batch(batch: tuple[int | None, tuple[str, ...]],
                modulus_override: int | None,
-               render: Callable[[Chunk], object] | None
-               ) -> tuple[list[tuple[tuple, object]], int]:
-    """Check a batch: per chunk, the sort key of its first point and
-    render(chunk), or the chunk without render (points ascend within a
-    prime, so the chunks sort into report order); and the last index of its
-    process's Bernoulli table, which holds every entry the batch read."""
-    chunks = [((chunk.identity, chunk.points[0]),
-               chunk if render is None else render(chunk))
-              for chunk in _check_batch(batch, modulus_override)]
-    return chunks, bernoulli_table().max_index
+               render: Callable[[list[Chunk]], list] | None
+               ) -> list[tuple[tuple, object]]:
+    """Check a batch: per chunk, the sort key of its first point and its
+    record, one of render(chunks), or the chunk without render (points
+    ascend within a prime, so the chunks sort into report order)."""
+    chunks = _check_batch(batch, modulus_override)
+    records = chunks if render is None else render(chunks)
+    return [((chunk.identity, chunk.points[0]), record)
+            for chunk, record in zip(chunks, records)]
 
 
 def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
           jobs: int = 1, modulus_override: int | None = None,
-          render: Callable[[Chunk], object] | None = None
+          render: Callable[[list[Chunk]], list] | None = None
           ) -> list:
     """Check every selected identity over its parameter points in [lo, hi].
 
@@ -989,17 +987,19 @@ def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
     Reports come back sorted by (identity, parameter tuple) no matter how
     many workers ran or in what order the ids were given.
 
-    With `render`, a picklable callable, each batch renders each identity's
-    Chunk as it checks it, in the process that runs the batch, and sweep
-    returns (sort key of the chunk's first point, render(chunk)) in that
-    order instead of reports: one per identity per batch.
+    With `render`, a picklable callable, each batch renders its chunks, one
+    per identity with points, once it has checked them, in the process that
+    runs the batch: render(chunks) returns one record per chunk, and sweep
+    returns (sort key of the chunk's first point, its record) in that order
+    instead of reports.
 
-    `jobs` processes check points, this one included.  This process runs
-    the top prime's batch first, then deals the other batches round-robin
-    into at most `jobs` stripes: a child process runs each stripe but the
-    last, starting with the Bernoulli table that batch left, and this
-    process runs the last.  Afterwards this process's table is the one a
-    serial sweep leaves, with or without children.
+    `jobs` processes check points, this one included, and every `jobs`
+    runs one schedule.  This process runs the top prime's batch first, as
+    it reads furthest into the Bernoulli table, then deals the other
+    batches round-robin into at most `jobs` stripes: with two or more, a
+    child process runs each stripe but the last, starting with this
+    process's table, and this process runs the last.  Afterwards this
+    process's table is the one a serial sweep leaves.
     """
     if lo < 5:
         raise ValueError(f"sweep range must start at 5 or above, got {lo}")
@@ -1014,34 +1014,28 @@ def sweep(identities: str | Iterable[str], lo: int, hi: int, *,
     by_prime = tuple(sorted((i for i in ids if "p" in _CATALOG[i].params),
                             key=lambda i: -_CATALOG[i].exponent))
 
-    # costliest first, so no long batch starts last: the fixed-size
-    # index-parameter batches, then the primes with points from the top of
-    # the range down
+    # the top prime's batch, then the rest costliest first, so no long
+    # batch starts last: the fixed-size index-parameter batches, then the
+    # primes with points from the top of the range down
     index = [(None, (i,)) for i in ids if "p" not in _CATALOG[i].params]
     primed = [(p, by_prime) for p in reversed(primes_in(lo, hi))
               if any(_CATALOG[i].points(p) for i in by_prime)] \
         if by_prime else []
     run = partial(_run_batch, modulus_override=modulus_override,
                   render=render)
-    if jobs <= 1 or len(index) + len(primed) <= 2:
-        # with two batches this process would run both and start no child
-        done = [run(batch) for batch in index + primed]
-    else:
+    done = [run(batch) for batch in primed[:1]]
+    rest = index + primed[1:]
+    count = min(jobs, len(rest))
+    if count > 1:
         # imported here, so a serial sweep loads neither this module nor
-        # multiprocessing
+        # multiprocessing; dealt round-robin, so the last stripe, which this
+        # process runs, is the lightest
         from .parallel import run_stripes
 
-        # the top prime's batch reads furthest into the Bernoulli table, so
-        # it runs here first, and the children start with that table; the
-        # rest are dealt round-robin, so the last stripe, which this process
-        # runs, is the lightest
-        done = [run(batch) for batch in primed[:1]]
-        pooled = index + primed[1:]
-        count = min(jobs, len(pooled))
-        done += run_stripes(run, [pooled[i::count] for i in range(count)])
-        # an index batch can read further (clausen_von_staudt reads B_200)
-        bernoulli_table().value(max(top for _, top in done))
-    chunks = sorted((c for batch_chunks, _ in done for c in batch_chunks),
+        done += run_stripes(run, [rest[i::count] for i in range(count)])
+    else:
+        done += map(run, rest)
+    chunks = sorted((c for batch_chunks in done for c in batch_chunks),
                     key=itemgetter(0))
     if render is not None:
         return chunks

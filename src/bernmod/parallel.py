@@ -1,7 +1,8 @@
 """The processes of a parallel sweep: this one, and a child per stripe of
 batches but the last, each sending its results back once over a pipe.
 
-`identities.sweep` imports this module only when it runs with jobs > 1.
+`identities.sweep` imports this module only when it deals two or more
+stripes.
 """
 from __future__ import annotations
 
@@ -15,12 +16,13 @@ from .sequences import bernoulli_table
 def _run_stripe(run: Callable, stripe: list, values: list[Fraction],
                 writer) -> None:
     """A child's work: its table takes B_0, B_1, ... from values, then it
-    runs each batch of the stripe and sends the results over writer, once;
-    or sends what it raised, for the parent to raise, and raises it here
-    too, so its traceback reaches stderr."""
+    runs each batch of the stripe and sends over writer, once, the results
+    and the last index of its table, which holds every entry they read; or
+    sends what it raised, for the parent to raise, and raises it here too,
+    so its traceback reaches stderr."""
     try:
         bernoulli_table().merge(values)
-        result = [run(batch) for batch in stripe]
+        result = [run(batch) for batch in stripe], bernoulli_table().max_index
     except BaseException as exc:
         writer.send(exc)
         raise
@@ -31,9 +33,10 @@ def run_stripes(run: Callable, stripes: list[list]) -> list:
     """Run each stripe of batches but the last in a daemonic child process
     of its own, started by multiprocessing's default context with this
     process's Bernoulli table, and the last here; return run(batch) of every
-    batch.  run must be picklable.  A child's exception is raised here, and
-    so is a child that exits without sending; an exception here terminates
-    the children without waiting for their stripes."""
+    batch, with this process's table grown as far as each child's reached.
+    run must be picklable.  A child's exception is raised here, and so is a
+    child that exits without sending; an exception here terminates the
+    children without waiting for their stripes."""
     context = multiprocessing.get_context()
     values = bernoulli_table().entries()
     children = []
@@ -58,7 +61,10 @@ def run_stripes(run: Callable, stripes: list[list]) -> list:
                     f"{child.exitcode} before sending its batches") from None
             if isinstance(result, BaseException):
                 raise result
-            done += result
+            results, top = result
+            done += results
+            # an index batch can read further (clausen_von_staudt reads B_200)
+            bernoulli_table().value(top)
     except BaseException:
         for child, _ in children:
             child.terminate()

@@ -168,14 +168,14 @@ def test_verify_leaves_no_spool(case, jobs, tmp_path, monkeypatch, capsys,
     # the spool directory is made in $TMPDIR and removed on every exit
     monkeypatch.setenv("TMPDIR", str(tmp_path))
     made = []
-    if jobs == "1":  # a spy on a pool worker's chunks would not pickle
-        real_spool_chunk = cli._spool_chunk
+    if jobs == "1":  # a spy on a pool worker's batches would not pickle
+        real_spool_batch = cli._spool_batch
 
-        def spool_chunk(chunk, directory, **kwargs):
+        def spool_batch(chunks, directory, **kwargs):
             made.append(directory)
-            return real_spool_chunk(chunk, directory, **kwargs)
+            return real_spool_batch(chunks, directory, **kwargs)
 
-        monkeypatch.setattr(cli, "_spool_chunk", spool_chunk)
+        monkeypatch.setattr(cli, "_spool_batch", spool_batch)
     argv = ["verify", "--primes", "5..13", "--identity", "result4",
             "--no-timestamps", "--jobs", jobs]
     if case == "failed":  # N_9 differs from H_1 + ... + H_9 mod 121
@@ -197,7 +197,45 @@ def test_verify_leaves_no_spool(case, jobs, tmp_path, monkeypatch, capsys,
     if jobs == "1":
         assert made and {os.path.dirname(d) for d in made} == {str(tmp_path)}
     assert list(tmp_path.iterdir()) == []
-    assert cli._spool is None
+
+
+def _open_under(directory):
+    """How many of this process's open files lie under directory."""
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the listing's own descriptor, closed since
+            continue
+        count += target.startswith(directory + os.sep)
+    return count
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="reads the open files from /proc")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_holds_no_spool_file_open_between_batches(
+        jobs, tmp_path, monkeypatch, capsys):
+    # a batch opens this process's spool file and closes it before it
+    # returns, so none is open when a batch starts, when a child forks from
+    # this process, or after main returns
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    directory = os.path.realpath(tmp_path)
+    opened = []
+    check_batch = idmod._check_batch
+
+    def record(batch, modulus_override):
+        opened.append(_open_under(directory))
+        return check_batch(batch, modulus_override)
+
+    monkeypatch.setattr(idmod, "_check_batch", record)
+    code, out, _ = run(["verify", "--primes", "5..31", "--identity", "wilson",
+                        "--no-timestamps", "--jobs", jobs], capsys)
+    assert code == 0 and len(out.splitlines()) == 9
+    # a batch per prime; at --jobs 2 this process runs 31's and the stripe
+    # (23, 17, 11, 5); a child runs the other
+    assert opened == [0] * (9 if jobs == "1" else 5)
+    assert _open_under(directory) == 0
 
 
 def test_interrupted_parallel_verify_does_not_wait_for_a_child(
@@ -231,23 +269,24 @@ def test_interrupted_parallel_verify_does_not_wait_for_a_child(
 
 
 def test_spawned_worker_renders_beyond_the_str_digit_limit(tmp_path):
-    # 5^7000 and 7^7000 have 4893 and 5916 digits; under spawn a worker
-    # starts with the interpreter's 4300-digit limit
+    # 5^7000, 7^7000 and 11^7000 have 4893, 5916 and 7290 digits; under
+    # spawn a worker starts with the interpreter's 4300-digit limit, and
+    # this process runs 11's batch and 5's, a spawned child 7's
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
            "TMPDIR": str(tmp_path)}
     proc = subprocess.run(
         [sys.executable, "-c", START_METHOD_MAIN, "spawn", "verify",
-         "--identity", "wilson", "--primes", "5..7", "--modulus", "7000",
+         "--identity", "wilson", "--primes", "5..11", "--modulus", "7000",
          "--no-timestamps", "--jobs", "2"],
         capture_output=True, text=True, timeout=120, env=env)
-    # Wilson's theorem holds mod p only: two failed points, exit 1
+    # Wilson's theorem holds mod p only: three failed points, exit 1
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
     with unlimited_int_digits():
         rows = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert [r["modulus"] for r in rows] == [5 ** 7000, 7 ** 7000]
-    assert [r["rhs"] for r in rows] == [5 ** 7000 - 1, 7 ** 7000 - 1]
+    assert [r["modulus"] for r in rows] == [p ** 7000 for p in (5, 7, 11)]
+    assert [r["rhs"] for r in rows] == [p ** 7000 - 1 for p in (5, 7, 11)]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -882,6 +882,8 @@ def test_sweep_reports_are_sorted_and_complete():
 
 
 def test_sweep_runs_costliest_batches_first(monkeypatch):
+    # at any jobs, the top prime's batch first, as it reads furthest into
+    # the Bernoulli table, then the index batches and the other primes down
     started = []
     check_batch = idmod._check_batch
 
@@ -891,7 +893,7 @@ def test_sweep_runs_costliest_batches_first(monkeypatch):
 
     monkeypatch.setattr(idmod, "_check_batch", record)
     sweep(["wilson", "alzer", "lemma2"], 5, 13)
-    assert started == ["alzer", 13, 11, 7, 5]
+    assert started == [13, "alzer", 11, 7, 5]
 
 
 def test_sweep_makes_no_batch_for_a_prime_without_points(monkeypatch):
@@ -965,10 +967,33 @@ def test_points_ascend_within_a_prime_and_match_per_prime(ident):
         assert keys == sorted(keys) and len(set(keys)) == len(keys), p
 
 
+def _batch_reports(chunks):
+    """A sweep's render, picklable under any start method: each chunk of a
+    batch as its reports."""
+    return [idmod._reports(chunk) for chunk in chunks]
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_rendered_chunks_hold_the_reports_in_order(jobs):
+def test_rendered_chunks_hold_the_reports_in_order(jobs, monkeypatch):
     ids = ["alzer", "lemma2", "wilson", "zhao_p5"]
-    chunks = sweep(ids, 5, 17, jobs=jobs, render=idmod._reports)
+    render, checked, rendered = _batch_reports, [], []
+    if jobs == 1:  # spies on a child's batches would not pickle
+        check_batch = idmod._check_batch
+
+        def record(batch, modulus_override):
+            checked.append(check_batch(batch, modulus_override))
+            return checked[-1]
+
+        def render(chunks):
+            rendered.append(chunks)
+            return _batch_reports(chunks)
+
+        monkeypatch.setattr(idmod, "_check_batch", record)
+    chunks = sweep(ids, 5, 17, jobs=jobs, render=render)
+    if jobs == 1:
+        # one call per batch, alzer's and the primes' 5..17, with its chunks
+        assert len(rendered) == len(checked) == 6
+        assert all(r is c for r, c in zip(rendered, checked))
     keys = [key for key, _ in chunks]
     assert keys == sorted(keys)
     # one chunk per index-parameterized identity, one per prime for the rest
@@ -1031,8 +1056,8 @@ def test_pool_workers_start_with_this_process_table(monkeypatch,
                                                     start_children_by,
                                                     method):
     # lev3_div_p1 reads B_{2p-2}, so B_120 at p = 61: a child that starts
-    # with this process's B_0..B_122 builds none, so each of its batches'
-    # tables still ends at B_122; what this process receives is recorded
+    # with this process's B_0..B_122 builds none, so its table still ends
+    # at B_122 after its stripe; what this process receives is recorded
     table = sequences.BernoulliTable()
     table.merge([bernoulli(n) for n in range(123)])
     monkeypatch.setattr(sequences, "_TABLE", table)
@@ -1050,8 +1075,8 @@ def test_pool_workers_start_with_this_process_table(monkeypatch,
     assert launched == [method]
     # one batch per prime in 5..61, less 61's, which this process runs
     # first; the child's stripe is every other one of the 15 left
-    [batches] = received
-    assert [top for _, top in batches] == [122] * 8
+    [(batches, top)] = received
+    assert len(batches) == 8 and top == 122
     assert table.max_index == 122
 
 
@@ -1086,7 +1111,8 @@ def test_a_child_that_fails_fails_the_sweep(monkeypatch, start_children_by,
 
 
 def test_pooled_sweep_without_a_prime_batch():
-    # no batch at all, and index batches only: this process runs none
+    # no batch at all, and index batches only, with no top prime's batch
+    # to run first
     assert sweep("wilson", 24, 28, jobs=2) == []
     ids = ["alzer", "clausen_von_staudt", "euler_identity"]
     untimed = lambda rs: [(r.identity, r.params, r.status, r.lhs, r.rhs,
