@@ -10,9 +10,9 @@ from bernmod import (
     eulerian_mod,
     even_ascent_count,
     even_ascent_count_mod,
-    euler_number_sides,
     profile,
 )
+from bernmod.sequences import alternating_eulerian_sum, tangent_side
 
 print("The Eulerian triangle E(n, m) counts permutations by ascents:")
 for n in range(1, 8):
@@ -45,14 +45,15 @@ small = even_ascent_count_mod(7, 2)
 assert small == even_ascent_count(5) % 49
 
 print()
-print("E(n, m) itself reduces modularly too, without big integers:")
+print("E(n, m) itself reduces modularly too, by the explicit sum with its")
+print("powers taken mod p^k:")
 print(f"  E(40, 20) mod 11^2 = {eulerian_mod(40, 20, 11, 2)}")
 assert eulerian_mod(40, 20, 11, 2) == eulerian(40, 20) % 121
 
 print()
 print("Alternating row sums recover scaled Bernoulli numbers (odd n):")
 for n in (1, 3, 5, 7, 9):
-    lhs, rhs = euler_number_sides(n)
+    lhs, rhs = tangent_side(n), alternating_eulerian_sum(n)
     print(f"  n={n}: 2^{n + 1}(2^{n + 1}-1) B_{n + 1}/{n + 1} = {lhs}, "
           f"row sum = {rhs}")
     assert lhs == rhs

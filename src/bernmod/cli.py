@@ -268,10 +268,12 @@ def _cmd_compute(args: argparse.Namespace,
         elif what == "harmonic":
             print(gen_harmonic(args.n, args.order))
         elif what == "nk":
+            # --p reads N_{p-2}, so an N beside it would be ignored
+            if (args.n is None) == (args.p is None):
+                parser.error("give either N for the exact count or --p for "
+                             "a residue")
             if args.p is not None:
                 print(even_ascent_count_mod(args.p, k))
-            elif args.n is None:
-                parser.error("give N for the exact count or --p for a residue")
             else:
                 print(even_ascent_count(args.n))
         elif what == "q2":

@@ -4,8 +4,8 @@ Bernoulli numbers (both B_1 conventions read one table, built from the
 tangent numbers), divided Bernoulli numbers, harmonic and generalized harmonic
 numbers, sums of powers, the Eulerian triangle with its even-ascent column
 sums, the Fermat quotient of 2, and the power-weighted Bernoulli convolution.
-Everything returns exact ints or Fractions; the *_mod variants work purely in
-modular arithmetic; fraction_sum adds exact terms over one denominator.
+Everything returns exact ints or Fractions; the *_mod variants return residues
+mod p^k; fraction_sum adds exact terms over one denominator.
 PrimeContext caches per-prime residue rows; N_{p-2} mod p^k is read off its
 parity row of same-parity sums of a^(p-2).  Exact harmonic numbers are held
 in one store, the per-order memo behind harmonic and gen_harmonic.
@@ -39,7 +39,6 @@ __all__ = [
     "eulerian_mod",
     "even_ascent_count",
     "even_ascent_count_mod",
-    "euler_number_sides",
     "tangent_side",
     "alternating_eulerian_sum",
     "fermat_quotient_2",
@@ -242,7 +241,16 @@ def sum_powers_bernoulli(n: int, k: int) -> int:
     return int(acc)
 
 
-_EULER_ROWS: list[tuple[int, ...]] = [(), (1,)]
+@lru_cache(maxsize=1)
+def _eulerian_row(n: int) -> tuple[int, ...]:
+    """E(n, 0..n-1), built down the triangle one row at a time; only the
+    last row asked for is kept."""
+    row = (1,)
+    for d in range(2, n + 1):
+        prev = (0, *row, 0)
+        row = tuple((j + 1) * prev[j + 1] + (d - j) * prev[j]
+                    for j in range(d))
+    return row
 
 
 def eulerian(n: int, m: int) -> int:
@@ -251,17 +259,7 @@ def eulerian(n: int, m: int) -> int:
         raise ValueError(f"degree must be >= 1, got {n}")
     if m < 0 or m > n - 1:
         return 0
-    rows = _EULER_ROWS
-    while len(rows) <= n:
-        prev = rows[-1]
-        d = len(rows)  # degree of the row being built
-        row = tuple(
-            (j + 1) * (prev[j] if j < d - 1 else 0)
-            + (d - j) * (prev[j - 1] if j >= 1 else 0)
-            for j in range(d)
-        )
-        rows.append(row)
-    return rows[n][m]
+    return _eulerian_row(n)[m]
 
 
 def eulerian_explicit(n: int, m: int) -> int:
@@ -275,34 +273,9 @@ def eulerian_explicit(n: int, m: int) -> int:
     )
 
 
-def _signed_binomials_mod(n: int, top: int, p: int, k: int) -> list[int]:
-    """(-1)^j C(n+1, j) mod p^k for j = 0..top, where top <= n.
-
-    The running binomial is kept as unit * p^v with the p-part tracked
-    separately so the incremental update stays valid when j or n+2-j is
-    divisible by p.
-    """
-    pk = p ** k
-    out = [1]
-    unit = 1
-    val = 0
-    for j in range(1, top + 1):
-        a = n + 2 - j
-        while a % p == 0:
-            a //= p
-            val += 1
-        b = j
-        while b % p == 0:
-            b //= p
-            val -= 1
-        unit = unit * a % pk * pow(b, -1, pk) % pk
-        c = unit * p ** val % pk
-        out.append(-c % pk if j % 2 else c)
-    return out
-
-
 def eulerian_mod(n: int, m: int, p: int, k: int = 1) -> int:
-    """E(n, m) mod p^k in [0, p^k), computed purely modularly in O(m) steps."""
+    """E(n, m) mod p^k in [0, p^k) by the alternating binomial sum in O(m)
+    steps: the powers are taken mod p^k, the binomials exactly."""
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
     if not is_prime(p):
@@ -312,8 +285,10 @@ def eulerian_mod(n: int, m: int, p: int, k: int = 1) -> int:
     pk = p ** k
     if m < 0 or m > n - 1:
         return 0
-    total = sum(c * pow(m + 1 - j, n, pk)
-                for j, c in enumerate(_signed_binomials_mod(n, m, p, k)) if c)
+    total, c = 0, 1  # c = (-1)^j C(n+1, j)
+    for j in range(m + 1):
+        total += c * pow(m + 1 - j, n, pk)
+        c = -c * (n + 1 - j) // (j + 1)
     return total % pk
 
 
@@ -328,12 +303,6 @@ def even_ascent_count_mod(p: int, k: int = 1) -> int:
     """N_{p-2} mod p^k, in [0, p^k), for a prime p >= 5, off the parity
     row of its PrimeContext."""
     return get_prime_context(p).even_ascent_residue(k)
-
-
-def euler_number_sides(n: int) -> tuple[Fraction, Fraction]:
-    """Both sides of the tangent-number relation at odd n:
-    (tangent_side(n), alternating_eulerian_sum(n))."""
-    return tangent_side(n), alternating_eulerian_sum(n)
 
 
 def _require_odd(n: int) -> None:

@@ -27,15 +27,16 @@ from bernmod.modular import mod_reduce
 from bernmod.permutations import profile
 from bernmod.sequences import (
     BernoulliTable,
+    alternating_eulerian_sum,
     bernoulli,
     eulerian,
     eulerian_explicit,
     even_ascent_count,
-    euler_number_sides,
     fermat_quotient_2,
     get_prime_context,
     sum_powers,
     sum_powers_bernoulli,
+    tangent_side,
     weighted_convolution,
 )
 
@@ -246,7 +247,7 @@ def test_criterion_8_oracle_equivalence():
             assert prof.even_ascent_total == even_ascent_count(n), n
             assert prof.alternating_total == zz[n], n
             if n % 2 == 1:
-                lhs, rhs = euler_number_sides(n)
+                lhs, rhs = tangent_side(n), alternating_eulerian_sum(n)
                 assert abs(rhs) == zz[n]
                 assert lhs == rhs
         for n in range(1, 61):

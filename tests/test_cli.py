@@ -567,6 +567,8 @@ def test_import_leaves_the_process_pool_unloaded():
     # --k is the exponent of p^k, so without --p it is refused, not ignored
     ["compute", "eulerian", "3", "1", "--k", "2"],
     ["compute", "nk", "3", "--k", "2"],
+    # --p reads N_{p-2}, so an N beside it is refused, not ignored
+    ["compute", "nk", "10", "--p", "7"],
     ["compute", "nk", "0"],
     ["compute", "harmonic", "-1"],
     ["compute", "q2", "2"],

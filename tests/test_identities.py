@@ -750,7 +750,8 @@ def test_out_of_domain_is_inapplicable():
 def test_each_tangent_side_computes_only_its_own_value(monkeypatch):
     desc = catalog()["euler_tangent_relation"]
     points = [(n,) for n in range(1, 32, 2)]
-    want = [sequences.euler_number_sides(n) for n, in points]
+    want = [(sequences.tangent_side(n), sequences.alternating_eulerian_sum(n))
+            for n, in points]
 
     def unread(*args):
         raise AssertionError("read by the other side")

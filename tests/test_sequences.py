@@ -20,8 +20,8 @@ from bernmod.sequences import (
     BernoulliTable,
     PrimeContext,
     bernoulli,
+    alternating_eulerian_sum,
     divided_bernoulli,
-    euler_number_sides,
     eulerian,
     eulerian_explicit,
     eulerian_mod,
@@ -35,6 +35,7 @@ from bernmod.sequences import (
     product_term,
     sum_powers,
     sum_powers_bernoulli,
+    tangent_side,
     von_staudt_denominator,
     weighted_convolution,
 )
@@ -397,6 +398,22 @@ def test_eulerian_mod_rejects_bad_args():
         eulerian_mod(5, 2, 7, 0)
 
 
+def test_eulerian_keeps_one_row():
+    # E(600, m) runs to about 4,700 bits: one row of the triangle is about
+    # 0.4 MB, and every row up to 600 together about 56 MB
+    tracemalloc.start()
+    try:
+        eulerian(600, 300)
+        n600 = even_ascent_count(600)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 1024 * 1024
+    # at even n the row is symmetric about an odd centre, so half of Sym(n)
+    # has an even number of ascents
+    assert n600 == factorial(600) // 2
+
+
 def test_even_ascent_count_frozen():
     assert [even_ascent_count(n) for n in range(1, 7)] == [
         1, 1, 2, 12, 68, 360]
@@ -410,14 +427,15 @@ def test_even_ascent_count_mod_matches_exact(p, k):
 
 
 def test_euler_number_sides_frozen():
-    assert euler_number_sides(1) == (Fraction(1), Fraction(1))
-    assert euler_number_sides(3) == (Fraction(-2), Fraction(-2))
-    assert euler_number_sides(5) == (Fraction(16), Fraction(16))
+    for n, want in ((1, Fraction(1)), (3, Fraction(-2)), (5, Fraction(16))):
+        assert tangent_side(n) == want
+        assert alternating_eulerian_sum(n) == want
     for n in range(1, 22, 2):
-        lhs, rhs = euler_number_sides(n)
-        assert lhs == rhs, n
+        assert tangent_side(n) == alternating_eulerian_sum(n), n
     with pytest.raises(ValueError):
-        euler_number_sides(4)
+        tangent_side(4)
+    with pytest.raises(ValueError):
+        alternating_eulerian_sum(4)
 
 
 def test_fermat_quotient_frozen():
