@@ -1,13 +1,17 @@
 """Command line front end: verify sweeps, single computations, brute-force oracle.
 
 Exit codes: 0 all checks passed, 1 at least one failed, hit a p-adic pole or
-raised an error, 2 usage error, 141 (128 + SIGPIPE) the reader closed the
-output pipe before the last row, as in `bernmod verify ... | head -1`.
+raised an error, or a write failed (one `<command>: error:` line, as on a
+full device), 2 usage error, named by the command's own usage line, 141
+(128 + SIGPIPE) the reader closed the output pipe before the last row, as in
+`bernmod verify ... | head -1`, 143 (128 + SIGTERM) the run was terminated;
+on each the spool directory is removed and no --jobs child is left running.
 """
 from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 import tempfile
 from collections import Counter
@@ -194,8 +198,7 @@ def _byte_stream(stream):
     return stream.buffer
 
 
-def _cmd_verify(args: argparse.Namespace,
-                parser: argparse.ArgumentParser) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = args.primes
     # each process appends its rendered chunks to a file in a directory
     # made here before the sweep, as --out is opened, so a failure costs no
@@ -204,14 +207,14 @@ def _cmd_verify(args: argparse.Namespace,
     try:
         spool = tempfile.TemporaryDirectory(prefix="bernmod-", dir=tmp)
     except OSError as exc:
-        parser.error(f"cannot make a spool directory in {tmp}: "
-                     f"{exc.strerror}")
+        args.parser.error(f"cannot make a spool directory in {tmp}: "
+                          f"{exc.strerror}")
     with spool as directory:
         try:
             out = (open(args.out, "wb") if args.out
                    else nullcontext(_byte_stream(sys.stdout)))
         except OSError as exc:
-            parser.error(f"cannot write --out {args.out}: {exc.strerror}")
+            args.parser.error(f"cannot write --out {args.out}: {exc.strerror}")
         with out as stream:
             if args.cache:
                 cached = _load_cache(args.cache)
@@ -234,6 +237,8 @@ def _cmd_verify(args: argparse.Namespace,
                 stream.write((",".join(columns) + "\n").encode())
             _copy_ranges(directory, [(name, at, rows) for
                                      name, at, rows, _, _ in records], stream)
+            # a full device fails here, before the summary, not at exit
+            stream.flush()
     counts = Counter()
     for *_, chunk_counts in records:
         counts.update(chunk_counts)
@@ -243,54 +248,46 @@ def _cmd_verify(args: argparse.Namespace,
     return 1 if bad else 0
 
 
-def _cmd_compute(args: argparse.Namespace,
-                 parser: argparse.ArgumentParser) -> int:
-    what = args.what
-    if what in ("eulerian", "nk"):
-        # --k is the exponent of the modulus p^k, so it means nothing alone
-        if args.k is not None and args.p is None:
-            parser.error("--k needs --p")
-        k = 1 if args.k is None else args.k
-    try:
-        if what == "bernoulli":
-            if args.cache:
-                cached = _load_cache(args.cache)
-            print(bernoulli(args.n, convention=args.convention))
-            if args.cache:
-                _save_cache(args.cache, cached)
-        elif what == "eulerian":
-            if args.m < 0:  # eulerian(n, -1) is 0
-                parser.error("m must be >= 0")
-            if args.p is not None:
-                print(eulerian_mod(args.n, args.m, args.p, k))
-            else:
-                print(eulerian(args.n, args.m))
-        elif what == "harmonic":
-            print(gen_harmonic(args.n, args.order))
-        elif what == "nk":
-            # --p reads N_{p-2}, so an N beside it would be ignored
-            if (args.n is None) == (args.p is None):
-                parser.error("give either N for the exact count or --p for "
-                             "a residue")
-            if args.p is not None:
-                print(even_ascent_count_mod(args.p, k))
-            else:
-                print(even_ascent_count(args.n))
-        elif what == "q2":
-            print(fermat_quotient_2(args.p))
-        elif what == "conv":
-            print(weighted_convolution(args.p, args.a))
-    except ValueError as exc:
-        parser.error(str(exc))
-    return 0
+def _cmd_bernoulli(args: argparse.Namespace) -> None:
+    cached = _load_cache(args.cache) if args.cache else 0
+    print(bernoulli(args.n, convention=args.convention))
+    if args.cache:
+        _save_cache(args.cache, cached)
 
 
-def _cmd_oracle(args: argparse.Namespace,
-                parser: argparse.ArgumentParser) -> int:
-    try:
-        prof = profile(args.n)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_eulerian(args: argparse.Namespace) -> None:
+    # --k is the exponent of the modulus p^k, so it means nothing alone
+    if args.k is not None and args.p is None:
+        args.parser.error("--k needs --p")
+    if args.m < 0:  # eulerian(n, -1) is 0
+        args.parser.error("m must be >= 0")
+    k = 1 if args.k is None else args.k
+    print(eulerian(args.n, args.m) if args.p is None
+          else eulerian_mod(args.n, args.m, args.p, k))
+
+
+def _cmd_harmonic(args: argparse.Namespace) -> None:
+    print(gen_harmonic(args.n, args.order))
+
+
+def _cmd_nk(args: argparse.Namespace) -> None:
+    if args.k is not None and args.p is None:  # --k is the exponent of p^k
+        args.parser.error("--k needs --p")
+    k = 1 if args.k is None else args.k
+    print(even_ascent_count(args.n) if args.p is None
+          else even_ascent_count_mod(args.p, k))
+
+
+def _cmd_q2(args: argparse.Namespace) -> None:
+    print(fermat_quotient_2(args.p))
+
+
+def _cmd_conv(args: argparse.Namespace) -> None:
+    print(weighted_convolution(args.p, args.a))
+
+
+def _cmd_oracle(args: argparse.Namespace) -> int:
+    prof = profile(args.n)
     print(f"n = {prof.n}")
     print("eulerian row:", " ".join(str(v) for v in prof.eulerian_row))
     print("even-ascent total:", prof.even_ascent_total)
@@ -339,12 +336,13 @@ def _build_parser() -> argparse.ArgumentParser:
                              "reproducible output")
     verify.add_argument("-v", "--verbose", action="store_true",
                         help="echo each check to stderr")
-    verify.set_defaults(func=_cmd_verify)
+    verify.set_defaults(func=_cmd_verify, parser=verify)
 
     compute = sub.add_parser("compute", help="print one value exactly")
     csub = compute.add_subparsers(dest="what", required=True)
 
     c_bern = csub.add_parser("bernoulli", help="Bernoulli number B_n")
+    c_bern.set_defaults(func=_cmd_bernoulli, parser=c_bern)
     c_bern.add_argument("n", type=int)
     c_bern.add_argument("--convention", choices=[MINUS_HALF, PLUS_HALF],
                         default=MINUS_HALF,
@@ -354,6 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="Bernoulli cache file (default $BERNMOD_CACHE)")
 
     c_eul = csub.add_parser("eulerian", help="Eulerian number E(n, m)")
+    c_eul.set_defaults(func=_cmd_eulerian, parser=c_eul)
     c_eul.add_argument("n", type=int)
     c_eul.add_argument("m", type=int)
     c_eul.add_argument("--p", type=int, help="reduce mod a prime power")
@@ -361,48 +360,74 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="exponent of the modulus p^k (default 1)")
 
     c_harm = csub.add_parser("harmonic", help="harmonic number H_n^(r)")
+    c_harm.set_defaults(func=_cmd_harmonic, parser=c_harm)
     c_harm.add_argument("n", type=int)
     c_harm.add_argument("--order", type=int, default=1, metavar="R")
 
     c_nk = csub.add_parser(
         "nk", help="even-ascent permutation count N_n, exact or mod p^k")
-    c_nk.add_argument("n", type=int, nargs="?")
-    c_nk.add_argument("--p", type=int,
-                      help="compute N_{p-2} mod p^k instead")
+    c_nk.set_defaults(func=_cmd_nk, parser=c_nk)
+    n_or_p = c_nk.add_mutually_exclusive_group(required=True)
+    n_or_p.add_argument("n", type=int, nargs="?")
+    n_or_p.add_argument("--p", type=int,
+                        help="compute N_{p-2} mod p^k instead")
     c_nk.add_argument("--k", type=int,
                       help="exponent of the modulus p^k (default 1)")
 
     c_q2 = csub.add_parser("q2", help="Fermat quotient (2^(p-1) - 1)/p")
+    c_q2.set_defaults(func=_cmd_q2, parser=c_q2)
     c_q2.add_argument("p", type=int)
 
     c_conv = csub.add_parser(
         "conv", help="order-(p-1) convolution of a^-j-weighted Bernoullis")
+    c_conv.set_defaults(func=_cmd_conv, parser=c_conv)
     c_conv.add_argument("--p", type=int, required=True)
     c_conv.add_argument("--a", type=int, default=2)
-
-    compute.set_defaults(func=_cmd_compute)
 
     oracle = sub.add_parser(
         "oracle",
         help="brute-force permutation statistics for small n, cross-checked")
     oracle.add_argument("n", type=int)
-    oracle.set_defaults(func=_cmd_oracle)
+    oracle.set_defaults(func=_cmd_oracle, parser=oracle)
 
     return parser
 
 
+def _exit_on_sigterm(signum: int, frame) -> None:
+    """SIGTERM as SystemExit(143), which unwinds through the blocks that
+    remove the spool and kill the --jobs children (a forked child inherits
+    it, so one signalled with its group exits 143 too).  Any further
+    SIGTERM, such as the second one timeout(1) sends to its process group,
+    is ignored, so it cannot cut that unwinding short."""
+    signal.signal(signum, signal.SIG_IGN)
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         # every number converted here was computed or validated here
         with cache_store.unlimited_int_digits():
-            return args.func(args, parser)
+            status = args.func(args) or 0
+        # buffered output meets a full device here, not at shutdown
+        sys.stdout.flush()
+        return status
     except BrokenPipeError:
         # stdout goes nowhere from here on, so the flush at shutdown finds
         # no closed pipe to complain about
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except OSError as exc:  # a write failed: a full device, say
+        print(f"{args.parser.prog}: error: {exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except ValueError as exc:
+        if args.command == "verify":  # a fault, not a refused value
+            raise
+        args.parser.error(str(exc))
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -35,8 +35,11 @@ def run_stripes(run: Callable, stripes: list[list]) -> list:
     process's Bernoulli table, and the last here; return run(batch) of every
     batch, with this process's table grown as far as each child's reached.
     run must be picklable.  A child's exception is raised here, and so is a
-    child that exits without sending; an exception here terminates the
-    children without waiting for their stripes."""
+    child that exits without sending; an exception here kills the children
+    without waiting for their stripes.  It kills them with SIGKILL, which
+    cannot be lost: a forked child inherits this process's Python signal
+    handlers, and a SIGTERM that reaches it before its interpreter has
+    finished forking is dropped."""
     context = multiprocessing.get_context()
     values = bernoulli_table().entries()
     children = []
@@ -67,7 +70,7 @@ def run_stripes(run: Callable, stripes: list[list]) -> list:
             bernoulli_table().value(top)
     except BaseException:
         for child, _ in children:
-            child.terminate()
+            child.kill()
         raise
     finally:
         for child, reader in children:

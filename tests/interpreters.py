@@ -6,15 +6,17 @@ Each interpreter runs with PYTHONPATH=src and needs only the standard
 library.  For each one this prints the SHA-256 of the report stream of
 `bernmod verify --identity all --primes 5..401 --no-timestamps`, and of the
 output of the "Console script" step of .github/workflows/tests.yml, run by
-bash with `bernmod` and `python` standing for that interpreter, under a
-temporary directory that is removed afterwards.  It exits 1 if a run fails
-or a digest differs between interpreters.  The file name does not match
-test_*.py, so pytest does not collect it.
+bash with `bernmod` and `python` standing for that interpreter (commands on
+PATH, so `timeout` can run them too), under a temporary directory that is
+removed afterwards.  It exits 1 if a run fails or a digest differs between
+interpreters.  The file name does not match test_*.py, so pytest does not
+collect it.
 """
 from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -24,7 +26,9 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 STREAM = ["verify", "--identity", "all", "--primes", "5..401",
           "--no-timestamps"]
-PRELUDE = 'bernmod() { "$PY" -m bernmod "$@"; }\npython() { "$PY" "$@"; }\n'
+# the step's commands, each a script that becomes the interpreter $PY
+COMMANDS = {"bernmod": 'exec "$PY" -m bernmod "$@"',
+            "python": 'exec "$PY" "$@"'}
 
 
 def console_script() -> str:
@@ -50,7 +54,7 @@ def main(pythons: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    script = PRELUDE + console_script()
+    script = console_script()
     digests: dict[str, set[str]] = {"stream": set(), "console": set()}
     ok = True
     for python in pythons:
@@ -58,14 +62,21 @@ def main(pythons: list[str]) -> int:
             [python, "-c", "import platform; print(platform.python_version())"],
             capture_output=True, text=True, env=env).stdout.strip()
         with tempfile.TemporaryDirectory() as tmp:
+            bin_dir = Path(tmp, "bin")
+            bin_dir.mkdir()
+            for name, body in COMMANDS.items():
+                (bin_dir / name).write_text(f"#!/bin/sh\n{body}\n")
+                (bin_dir / name).chmod(0o755)
+            path = os.pathsep.join([str(bin_dir), env["PATH"]])
             runs = {
                 "stream": subprocess.run([python, "-m", "bernmod", *STREAM],
                                          capture_output=True, env=env,
                                          cwd=ROOT),
                 "console": subprocess.run(["bash", "-e", "-c", script],
                                           capture_output=True, cwd=ROOT,
-                                          env={**env, "PY": python,
-                                               "TMPDIR": tmp}),
+                                          env={**env, "PATH": path,
+                                               "PY": shutil.which(python)
+                                               or python, "TMPDIR": tmp}),
             }
         for name, proc in runs.items():
             digest = hashlib.sha256(proc.stdout).hexdigest()

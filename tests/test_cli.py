@@ -3,6 +3,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -149,7 +150,7 @@ def test_verify_unwritable_tmpdir_exits_two_before_sweeping(
     assert calls == []
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if "error" in line] == [
-        f"bernmod: error: cannot make a spool directory in "
+        f"bernmod verify: error: cannot make a spool directory in "
         f"{tmp_path / 'missing'}: No such file or directory"]
 
 
@@ -582,6 +583,10 @@ def test_usage_errors_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    # the usage line is the refused command's own, a compute leaf's included
+    command = " ".join(argv[:2] if argv[0] == "compute" else argv[:1])
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: bernmod {command} "), err
 
 
 @pytest.mark.parametrize("argv,expected", [
@@ -871,6 +876,121 @@ def test_a_closed_pipe_exits_141_without_a_traceback(tmp_path):
         proc.wait()
         proc.stderr.close()
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _session_members(sid):
+    """The pids of the processes left in session sid."""
+    members = []
+    for name in os.listdir("/proc"):
+        try:
+            if name.isdigit() and os.getsid(int(name)) == sid:
+                members.append(int(name))
+        except OSError:  # gone since the listing
+            continue
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="lists the session's processes from /proc")
+@pytest.mark.parametrize("target", ["parent", "group", "group twice"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sigterm_removes_the_spool_and_the_children(jobs, target, tmp_path):
+    # SIGTERM to this process alone, or to its whole group, once every
+    # process has spooled rows: the run exits 143 quietly, its spool goes and
+    # no child outlives it; wilson's rows over 5..30000 are spooled within a
+    # second, and the run would go on for several more.  timeout(1) signals
+    # the command and then its group: a second SIGTERM does not cut the
+    # cleanup short, though one that comes after it ends the process (-15)
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+           "TMPDIR": str(spool)}
+    with open(tmp_path / "err", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bernmod", "verify", "--identity",
+             "wilson", "--primes", "5..30000", "--no-timestamps", "--jobs",
+             jobs],
+            stdout=subprocess.DEVNULL, stderr=err, env=env,
+            start_new_session=True)
+    try:
+        deadline = time.monotonic() + 120
+        while time.monotonic() < deadline:
+            files = [f for d in spool.iterdir() for f in d.iterdir()]
+            if len(files) == int(jobs) and all(f.stat().st_size
+                                               for f in files):
+                break
+            time.sleep(0.02)
+        if target == "parent":
+            proc.send_signal(signal.SIGTERM)
+        else:
+            os.killpg(proc.pid, signal.SIGTERM)
+        if target == "group twice":
+            os.killpg(proc.pid, signal.SIGTERM)
+        assert proc.wait(timeout=60) in ((143, -signal.SIGTERM)
+                                         if target == "group twice"
+                                         else (143,))
+        deadline = time.monotonic() + 5
+        while _session_members(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _session_members(proc.pid) == []
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    assert (tmp_path / "err").read_text() == ""
+    assert list(spool.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="writes to /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv,to_out", [
+    (["verify", "--identity", "wilson", "--primes", "5..7",
+      "--no-timestamps"], False),
+    (["verify", "--identity", "all", "--primes", "5..61",
+      "--no-timestamps", "--jobs", "2"], False),
+    (["verify", "--identity", "wilson", "--primes", "5..7",
+      "--no-timestamps", "--out", "/dev/full"], True),
+    (["compute", "bernoulli", "12"], False),
+    (["oracle", "5"], False),
+])
+def test_a_write_failure_is_one_line(argv, to_out, unbuffered, tmp_path):
+    # a full device, as stdout or as --out, and with stdout buffered or not:
+    # one error line naming the command, exit 1, and the spool removed
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+           "TMPDIR": str(tmp_path), "PYTHONUNBUFFERED": unbuffered}
+    with open(os.devnull if to_out else "/dev/full", "wb") as out:
+        proc = subprocess.run([sys.executable, "-m", "bernmod", *argv],
+                              stdout=out, stderr=subprocess.PIPE, env=env,
+                              text=True, timeout=120)
+    command = " ".join(argv[:2] if argv[0] == "compute" else argv[:1])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == (f"bernmod {command}: error: [Errno 28] No space "
+                           f"left on device\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_spool_write_failure_is_one_line(tmp_path):
+    # a $TMPDIR that cannot take the rows, as a file-size limit of 64 kB
+    # makes it: the spool write fails mid-sweep, with one error line, exit 1
+    # and the spool removed
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+           "TMPDIR": str(tmp_path)}
+    limit = [sys.executable, "-c", "import os, resource, sys; "
+             "resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, 1 << 16)); "
+             "os.execv(sys.executable, sys.argv[1:])"]
+    proc = subprocess.run(
+        [*limit, sys.executable, "-m", "bernmod", "verify", "--identity",
+         "all", "--primes", "5..61", "--no-timestamps"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "bernmod verify: error: [Errno 27] File too large\n"
     assert list(tmp_path.iterdir()) == []
 
 
