@@ -82,7 +82,7 @@ def _load_cache(path: str) -> int:
     except (cache_store.CorruptCache, OSError) as exc:
         print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
         return 0
-    bernoulli_table().merge(loaded.entries())
+    bernoulli_table().merge(loaded)
     return loaded.max_index + 1
 
 
@@ -157,8 +157,6 @@ def _render(chunk, fmt: str, with_times: bool,
     return rows, echo, Counter(chunk.status)
 
 
-# a spawned --jobs child starts with the int/str digit limit
-@cache_store.unlimited_int_digits()
 def _spool_batch(chunks, directory: str, fmt: str, with_times: bool,
                  verbose: bool) -> list[tuple[str, int, int, int, Counter]]:
     """Render a batch's chunks and append each one's rows, then its -v echo,

@@ -7,47 +7,55 @@ stripes.
 from __future__ import annotations
 
 import multiprocessing
-from fractions import Fraction
+from multiprocessing.util import register_after_fork
 from typing import Callable
 
-from .sequences import bernoulli_table
+from .cache import unlimited_int_digits
+from .sequences import BernoulliTable, bernoulli_table
 
 
-def _run_stripe(run: Callable, stripe: list, values: list[Fraction],
+def _run_stripe(run: Callable, stripe: list, table: BernoulliTable,
                 writer) -> None:
-    """A child's work: its table takes B_0, B_1, ... from values, then it
-    runs each batch of the stripe and sends over writer, once, the results
-    and the last index of its table, which holds every entry they read; or
-    sends what it raised, for the parent to raise, and raises it here too,
-    so its traceback reaches stderr."""
+    """A child's work: its table merges table, then, with no int/str digit
+    limit, it runs each batch of the stripe and sends over writer, once, the
+    results and its table's last index, or sends what it raised and raises it.
+    A parent's death ends it quietly, before the next batch or at the send: a
+    forked child has closed the readers it inherited."""
     try:
-        bernoulli_table().merge(values)
-        result = [run(batch) for batch in stripe], bernoulli_table().max_index
+        with unlimited_int_digits():
+            bernoulli_table().merge(table)
+            results = []
+            for batch in stripe:
+                if not multiprocessing.parent_process().is_alive():
+                    return
+                results.append(run(batch))
+        writer.send((results, bernoulli_table().max_index))
     except BaseException as exc:
-        writer.send(exc)
-        raise
-    writer.send(result)
+        if not isinstance(exc, BrokenPipeError):  # else the parent is gone
+            writer.send(exc)
+            raise
 
 
 def run_stripes(run: Callable, stripes: list[list]) -> list:
-    """Run each stripe of batches but the last in a daemonic child process
-    of its own, started by multiprocessing's default context with this
-    process's Bernoulli table, and the last here; return run(batch) of every
-    batch, with this process's table grown as far as each child's reached.
-    run must be picklable.  A child's exception is raised here, and so is a
-    child that exits without sending; an exception here kills the children
-    without waiting for their stripes.  It kills them with SIGKILL, which
-    cannot be lost: a forked child inherits this process's Python signal
-    handlers, and a SIGTERM that reaches it before its interpreter has
-    finished forking is dropped."""
+    """Run each stripe of batches but the last in a daemonic child process of
+    its own, started by multiprocessing's default context, and the last here;
+    return run(batch) of every batch, with this process's table grown as far as
+    each child's reached.  A child gets this process's Bernoulli table and
+    keeps, of the pipes, its own write end alone.  run must be picklable.  A
+    child's exception is raised here, as is a child's exit unsent; an exception
+    here kills the children without waiting for their stripes, by SIGKILL,
+    which cannot be lost: a forked child inherits this process's Python signal
+    handlers, and a SIGTERM that reaches it before its interpreter has finished
+    forking is dropped."""
     context = multiprocessing.get_context()
-    values = bernoulli_table().entries()
+    table = bernoulli_table()
     children = []
     try:
         for stripe in stripes[:-1]:
             reader, writer = context.Pipe(duplex=False)
+            register_after_fork(reader, type(reader).close)
             child = context.Process(target=_run_stripe, daemon=True,
-                                    args=(run, stripe, values, writer))
+                                    args=(run, stripe, table, writer))
             child.start()
             children.append((child, reader))
             # this process's copy closed, so a child that dies unsent

@@ -103,9 +103,12 @@ class BernoulliTable:
     def items(self) -> list[tuple[int, Fraction]]:
         return list(enumerate(self._entries))
 
-    def entries(self) -> list[Fraction]:
-        """B_0..B_max, the entries held."""
-        return self._entries[:]
+    def __getstate__(self):  # Python 3.10 would pickle each Fraction as str
+        return [b.as_integer_ratio() for b in self._entries], self._column
+
+    def __setstate__(self, state):
+        pairs, self._column = state
+        self._entries = [Fraction(*pair) for pair in pairs]
 
     def value(self, n: int) -> Fraction:
         if n < 0:
@@ -132,14 +135,15 @@ class BernoulliTable:
             e.append(Fraction((-1) ** (m - 1) * n * col[m],
                               (1 << n) * ((1 << n) - 1)))
 
-    def merge(self, values: list[Fraction]) -> None:
-        """Adopt B_0, B_1, ... from `values` past where this table ends; an
-        index it already holds must agree."""
-        mine = self._entries
-        for n, (a, b) in enumerate(zip(mine, values)):
+    def merge(self, other: BernoulliTable) -> None:
+        """Adopt other's entries past this table's end, and its tangent
+        column if further on; an index this table holds must agree."""
+        mine, theirs = self._entries, other._entries
+        for n, (a, b) in enumerate(zip(mine, theirs)):
             if a != b:
                 raise ValueError(f"conflicting value for B_{n}")
-        mine.extend(values[len(mine):])
+        mine.extend(theirs[len(mine):])
+        self._column = max(self._column, other._column[:], key=len)
 
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError on violation."""
@@ -493,7 +497,7 @@ class PrimeContext:
             table = bernoulli_table()
             table.value(top)
             return [0 if i % 2 and i > 1 else self._bernoulli_mod(x, q)
-                    for i, x in enumerate(table.entries()[:top + 1])]
+                    for i, x in enumerate(table._entries[:top + 1])]
 
         return self._grow(self._bernoulli, exponent, top, exact)
 

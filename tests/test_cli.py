@@ -944,6 +944,59 @@ def test_sigterm_removes_the_spool_and_the_children(jobs, target, tmp_path):
     assert list(spool.iterdir()) == []
 
 
+def _running(pids):
+    """The pids that are not zombies: an orphan that exits stays one until
+    its new parent waits for it, which not every init does."""
+    def state(pid):
+        try:
+            with open(f"/proc/{pid}/stat") as stat:
+                return stat.read().rpartition(")")[2].split()[0]
+        except OSError:  # reaped since the listing
+            return "X"
+    return [pid for pid in pids if state(pid) not in "ZX"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="lists the session's processes from /proc")
+def test_sigkill_of_the_parent_leaves_no_child(tmp_path):
+    # SIGKILL to a --jobs 2 run once both processes have spooled rows: the
+    # child, whose results for wilson over 5..30000 overflow a 64 KiB pipe,
+    # stops before its next batch, or meets a closed pipe if its stripe is
+    # done, and leaves quietly
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+           "TMPDIR": str(spool)}
+    with open(tmp_path / "err", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bernmod", "verify", "--identity",
+             "wilson", "--primes", "5..30000", "--no-timestamps", "--jobs",
+             "2"],
+            stdout=subprocess.DEVNULL, stderr=err, env=env,
+            start_new_session=True)
+    try:
+        deadline = time.monotonic() + 120
+        while time.monotonic() < deadline:
+            files = [f for d in spool.iterdir() for f in d.iterdir()]
+            if len(files) == 2 and all(f.stat().st_size for f in files):
+                break
+            time.sleep(0.02)
+        proc.kill()
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+        deadline = time.monotonic() + 10
+        while (_running(_session_members(proc.pid))
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert _running(_session_members(proc.pid)) == []
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    assert (tmp_path / "err").read_text() == ""
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="writes to /dev/full")
 @pytest.mark.parametrize("unbuffered", ["1", ""])

@@ -9,13 +9,14 @@ from itertools import accumulate
 from math import comb, lcm
 from multiprocessing.connection import Connection
 from operator import mul
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bernmod.identities as idmod
-from bernmod import sequences
+from bernmod import parallel, sequences
 from bernmod.identities import (
     FAILED,
     INAPPLICABLE,
@@ -1060,7 +1061,7 @@ def test_pool_workers_start_with_this_process_table(monkeypatch,
     # with this process's B_0..B_122 builds none, so its table still ends
     # at B_122 after its stripe; what this process receives is recorded
     table = sequences.BernoulliTable()
-    table.merge([bernoulli(n) for n in range(123)])
+    table.value(122)
     monkeypatch.setattr(sequences, "_TABLE", table)
     received = []
     recv = Connection.recv
@@ -1109,6 +1110,30 @@ def test_a_child_that_fails_fails_the_sweep(monkeypatch, start_children_by,
         sweep("wilson", 5, 31, jobs=2)
     assert launched == ["fork"]
     assert multiprocessing.active_children() == []
+
+
+def test_a_child_whose_parent_is_gone_stops_quietly(monkeypatch):
+    # run in this process as a child's stripe: the parent dies during the
+    # first batch, so the second never starts and nothing is sent; a send
+    # that meets a pipe with no reader ends the stripe without an error
+    alive = [True]
+    monkeypatch.setattr(multiprocessing, "parent_process",
+                        lambda: SimpleNamespace(is_alive=lambda: alive[0]))
+    ran = []
+
+    def run(batch):
+        ran.append(batch)
+        alive[0] = False
+        return batch
+
+    reader, writer = multiprocessing.Pipe(duplex=False)
+    parallel._run_stripe(run, ["first", "second"], bernoulli_table(), writer)
+    assert ran == ["first"] and not reader.poll()
+    alive[0] = True
+    reader.close()
+    parallel._run_stripe(run, ["again"], bernoulli_table(), writer)
+    assert ran == ["first", "again"]
+    writer.close()
 
 
 def test_pooled_sweep_without_a_prime_batch():

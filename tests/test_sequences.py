@@ -1,6 +1,7 @@
 """Bernoulli, harmonic, Eulerian and derived quantities against independent
 oracles: sympy, direct summation, and hand-frozen values."""
 import itertools
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -119,7 +120,7 @@ def test_bernoulli_table_merge_and_validate():
     a.value(10)
     b = BernoulliTable()
     b.value(20)
-    a.merge(b.entries())
+    a.merge(b)
     assert a.max_index == 20
     assert a.value(20) == Fraction(-174611, 330)
     a.validate()
@@ -127,14 +128,15 @@ def test_bernoulli_table_merge_and_validate():
     # appended
     c = BernoulliTable()
     c.value(30)
-    a.merge(c.entries())
+    a.merge(c)
     assert a.items() == c.items()
-    a.merge(c.entries()[:7])  # wholly inside: nothing changes
+    a.merge(BernoulliTable(entries=dict(c.items()[:7])))  # wholly inside
     assert a.items() == c.items()
-    bad = c.entries() + [Fraction(0)]  # one past this table's end
+    bad = dict(c.items())
     bad[12] = Fraction(1, 2730)
+    bad[31] = Fraction(0)  # one past this table's end
     with pytest.raises(ValueError, match="conflicting value for B_12"):
-        a.merge(bad)
+        a.merge(BernoulliTable(entries=bad))
     assert a.items() == c.items()  # a rejected merge appends nothing
 
     tampered = dict(b.items())
@@ -200,7 +202,7 @@ def test_bernoulli_table_does_not_depend_on_request_order():
 
     loaded = BernoulliTable(entries=dict(enumerate(want[:30])))
     merged = BernoulliTable()
-    merged.merge(loaded.entries())
+    merged.merge(loaded)
     assert merged.max_index == 29
     assert merged.value(100) == want[100]
     assert agrees(merged)
@@ -223,20 +225,56 @@ def test_bernoulli_table_ends_at_the_largest_index_read():
 
 
 def test_bernoulli_table_extends_past_a_longer_merged_table():
-    # the merge leaves this table's tangent column behind its entries, as a
-    # loaded cache or a pool worker's adopted entries do
+    # a loaded table's tangent column is column 1, so this table keeps its
+    # own, which lags the entries the merge adopts, as after a cache load
     table = BernoulliTable()
     table.value(500)
-    longer = BernoulliTable()
-    longer.value(802)
-    table.merge(longer.entries())
-    assert table.max_index == 802
+    built = BernoulliTable()
+    built.value(802)
+    table.merge(BernoulliTable(entries=dict(built.items())))
+    assert table.max_index == 802 and len(table._column) == 251
     table.value(900)
     assert table.max_index == 900
     one_pass = BernoulliTable()
     one_pass.value(900)
     assert table.items() == one_pass.items()
     table.validate()
+
+
+def test_merge_of_a_longer_table_adopts_its_tangent_column():
+    # as a spawned --jobs child merges this process's table: the column
+    # comes with the entries, so the next read walks only the new columns
+    table = BernoulliTable()
+    table.value(500)
+    longer = BernoulliTable()
+    longer.value(802)  # column 401 ends in T_401
+    table.merge(longer)
+    assert table._column == longer._column
+    assert table._column is not longer._column
+    steps = []
+
+    class Counting(list):  # _extend appends once per column step
+        def append(self, value):
+            steps.append(value)
+            super().append(value)
+
+    table._column = Counting(table._column)
+    assert table.value(900) == recurrence_oracle(900)[900]
+    assert len(steps) == 450 - 401
+    assert len(longer._column) == 402  # the source's column is its own
+    # a merge of a table whose column is behind keeps this one's
+    table.merge(longer)
+    assert len(table._column) == 451
+
+
+def test_a_pickled_table_keeps_its_entries_and_column():
+    # as it crosses to a spawned --jobs child; past B_2064 a numerator has
+    # more digits than the interpreter's int/str limit, which a Fraction
+    # pickled through str, as Python 3.10 pickles it, would not get past
+    table = BernoulliTable()
+    table.value(2100)
+    copy = pickle.loads(pickle.dumps(table))
+    assert copy.items() == table.items() and copy._column == table._column
 
 
 def test_von_staudt_denominator_is_2_at_odd_n():
@@ -276,7 +314,7 @@ def test_validate_agrees_with_the_fraction_oracle(top):
         for i, k in delta.items():
             entries[i] += k
         table = BernoulliTable(entries=entries)
-        holds = recurrence_sum(table.entries()) == 0
+        holds = recurrence_sum([b for _, b in table.items()]) == 0
         assert holds == (len(delta) != 1), delta
         if holds:
             table.validate()
