@@ -1,4 +1,5 @@
 """Command line behavior: output formats, exit codes, cache wiring."""
+import contextlib
 import hashlib
 import json
 import multiprocessing
@@ -891,17 +892,13 @@ def _session_members(sid):
     return members
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc"),
-                    reason="lists the session's processes from /proc")
-@pytest.mark.parametrize("target", ["parent", "group", "group twice"])
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_sigterm_removes_the_spool_and_the_children(jobs, target, tmp_path):
-    # SIGTERM to this process alone, or to its whole group, once every
-    # process has spooled rows: the run exits 143 quietly, its spool goes and
-    # no child outlives it; wilson's rows over 5..30000 are spooled within a
-    # second, and the run would go on for several more.  timeout(1) signals
-    # the command and then its group: a second SIGTERM does not cut the
-    # cleanup short, though one that comes after it ends the process (-15)
+@contextlib.contextmanager
+def _spooling_wilson_run(tmp_path, jobs):
+    """Yield a verify run of wilson over 5..30000 with --jobs jobs, in a
+    session of its own, once each of its processes has spooled rows (within a
+    second; the run would go on for several more).  Its spool directory is
+    tmp_path/"spool", its stderr goes to tmp_path/"err", and whatever is left
+    of its session is killed on the way out."""
     spool = tmp_path / "spool"
     spool.mkdir()
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
@@ -922,6 +919,25 @@ def test_sigterm_removes_the_spool_and_the_children(jobs, target, tmp_path):
                                                for f in files):
                 break
             time.sleep(0.02)
+        yield proc
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="lists the session's processes from /proc")
+@pytest.mark.parametrize("target", ["parent", "group", "group twice"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sigterm_removes_the_spool_and_the_children(jobs, target, tmp_path):
+    # SIGTERM to this process alone, or to its whole group, once every
+    # process has spooled rows: the run exits 143 quietly, its spool goes and
+    # no child outlives it.  timeout(1) signals the command and then its
+    # group: a second SIGTERM does not cut the cleanup short, though one that
+    # comes after it ends the process (-15)
+    with _spooling_wilson_run(tmp_path, jobs) as proc:
         if target == "parent":
             proc.send_signal(signal.SIGTERM)
         else:
@@ -935,13 +951,8 @@ def test_sigterm_removes_the_spool_and_the_children(jobs, target, tmp_path):
         while _session_members(proc.pid) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert _session_members(proc.pid) == []
-    finally:
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
     assert (tmp_path / "err").read_text() == ""
-    assert list(spool.iterdir()) == []
+    assert list((tmp_path / "spool").iterdir()) == []
 
 
 def _running(pids):
@@ -963,25 +974,7 @@ def test_sigkill_of_the_parent_leaves_no_child(tmp_path):
     # child, whose results for wilson over 5..30000 overflow a 64 KiB pipe,
     # stops before its next batch, or meets a closed pipe if its stripe is
     # done, and leaves quietly
-    spool = tmp_path / "spool"
-    spool.mkdir()
-    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
-           "TMPDIR": str(spool)}
-    with open(tmp_path / "err", "wb") as err:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "bernmod", "verify", "--identity",
-             "wilson", "--primes", "5..30000", "--no-timestamps", "--jobs",
-             "2"],
-            stdout=subprocess.DEVNULL, stderr=err, env=env,
-            start_new_session=True)
-    try:
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            files = [f for d in spool.iterdir() for f in d.iterdir()]
-            if len(files) == 2 and all(f.stat().st_size for f in files):
-                break
-            time.sleep(0.02)
+    with _spooling_wilson_run(tmp_path, "2") as proc:
         proc.kill()
         assert proc.wait(timeout=60) == -signal.SIGKILL
         deadline = time.monotonic() + 10
@@ -989,11 +982,6 @@ def test_sigkill_of_the_parent_leaves_no_child(tmp_path):
                and time.monotonic() < deadline):
             time.sleep(0.05)
         assert _running(_session_members(proc.pid)) == []
-    finally:
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
     assert (tmp_path / "err").read_text() == ""
 
 
