@@ -80,18 +80,21 @@ def _parse_header(line: str, path: str) -> None:
 def load(path: str | os.PathLike) -> BernoulliTable:
     """Read and fully validate a cache file.
 
-    Raises CorruptCache for any structural or arithmetic defect, a header
-    naming any convention but minus_half included, and OSError when the
-    file cannot be read at all.
+    Raises CorruptCache for any structural or arithmetic defect, a file
+    that is not ASCII text and a header naming any convention but
+    minus_half included, and OSError when the file cannot be read at all.
     """
     path = os.fspath(path)
-    with open(path, "r") as handle:
+    with open(path, "rb") as handle:
         raw = handle.read()
-    lines = raw.splitlines()
+    try:
+        lines = raw.decode("ascii").splitlines()
+    except UnicodeDecodeError:
+        raise CorruptCache(f"{path}: not ASCII text") from None
     if not lines:
         raise CorruptCache(f"{path}: empty file")
     _parse_header(lines[0], path)
-    entries: dict[int, Fraction] = {}
+    entries: list[Fraction] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -104,17 +107,17 @@ def load(path: str | os.PathLike) -> BernoulliTable:
             raise CorruptCache(
                 f"{path}:{lineno}: non-integer field"
             ) from None
-        if n < 0 or n in entries:
-            raise CorruptCache(f"{path}:{lineno}: bad or repeated index {n}")
+        if n != len(entries):
+            raise CorruptCache(f"{path}:{lineno}: expected B_{len(entries)}")
         if den <= 0:
             raise CorruptCache(f"{path}:{lineno}: denominator must be > 0")
         if gcd(num, den) != 1:
             raise CorruptCache(f"{path}:{lineno}: fraction not reduced")
-        entries[n] = Fraction(num, den)
+        entries.append(Fraction(num, den))
     if not entries:
         raise CorruptCache(f"{path}: header but no entries")
+    table = BernoulliTable(entries)
     try:
-        table = BernoulliTable(entries=entries)
         table.validate()
     except ValueError as exc:
         raise CorruptCache(f"{path}: {exc}") from None

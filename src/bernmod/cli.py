@@ -33,6 +33,7 @@ from .sequences import (
     eulerian_mod,
     fermat_quotient_2,
     gen_harmonic,
+    set_bernoulli_table,
     weighted_convolution,
 )
 
@@ -71,7 +72,8 @@ def _positive_int(text: str) -> int:
 
 
 def _load_cache(path: str) -> int:
-    """Advisory read: a missing or bad cache never stops a run.
+    """Advisory read: a missing or bad cache never stops a run, and a good
+    one becomes this process's table.
 
     Returns how many entries the file holds; an unusable file holds none.
     """
@@ -82,7 +84,7 @@ def _load_cache(path: str) -> int:
     except (cache_store.CorruptCache, OSError) as exc:
         print(f"warning: ignoring cache {path}: {exc}", file=sys.stderr)
         return 0
-    bernoulli_table().merge(loaded)
+    set_bernoulli_table(loaded)
     return loaded.max_index + 1
 
 

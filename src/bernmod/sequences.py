@@ -28,6 +28,7 @@ __all__ = [
     "BernoulliTable",
     "bernoulli",
     "bernoulli_table",
+    "set_bernoulli_table",
     "divided_bernoulli",
     "von_staudt_denominator",
     "harmonic",
@@ -88,12 +89,10 @@ class BernoulliTable:
     costs O(j) integer operations.
     """
 
-    def __init__(self, entries: dict[int, Fraction] | None = None):
-        if entries is None:
-            entries = {0: Fraction(1), 1: Fraction(-1, 2)}
-        if not entries or sorted(entries) != list(range(len(entries))):
-            raise ValueError("entries must be contiguous from index 0")
-        self._entries = [entries[n] for n in range(len(entries))]
+    def __init__(self, entries: Iterable[Fraction] = (Fraction(1),
+                                                      Fraction(-1, 2))):
+        """A table holding B_0, B_1, ... as given, in index order."""
+        self._entries = list(entries)
         self._column = [0, 1]  # column 1: T_1 = 1
 
     @property
@@ -119,7 +118,7 @@ class BernoulliTable:
 
     def _extend(self, target: int) -> None:
         """Append B_{max+1}..B_target.  The column may lag the entries (after
-        a merge or a load); it advances from where it is either way."""
+        a cache load); it advances from where it is either way."""
         e, col = self._entries, self._column
         for n in range(len(e), target + 1):
             if n % 2 == 1:
@@ -134,16 +133,6 @@ class BernoulliTable:
             # 1 << n is 4^m
             e.append(Fraction((-1) ** (m - 1) * n * col[m],
                               (1 << n) * ((1 << n) - 1)))
-
-    def merge(self, other: BernoulliTable) -> None:
-        """Adopt other's entries past this table's end, and its tangent
-        column if further on; an index this table holds must agree."""
-        mine, theirs = self._entries, other._entries
-        for n, (a, b) in enumerate(zip(mine, theirs)):
-            if a != b:
-                raise ValueError(f"conflicting value for B_{n}")
-        mine.extend(theirs[len(mine):])
-        self._column = max(self._column, other._column[:], key=len)
 
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError on violation."""
@@ -183,6 +172,13 @@ _TABLE = BernoulliTable()
 def bernoulli_table() -> BernoulliTable:
     """The process-wide shared table, which serves both conventions."""
     return _TABLE
+
+
+def set_bernoulli_table(table: BernoulliTable) -> None:
+    """Make table the process-wide shared table, as a cache load and a
+    --jobs child's start-up do."""
+    global _TABLE
+    _TABLE = table
 
 
 def bernoulli(n: int, convention: str = MINUS_HALF) -> Fraction:

@@ -93,6 +93,15 @@ def test_corruption_is_detected(tmp_path, old, new, reason):
         load(path)
 
 
+def test_a_file_that_is_not_ascii_text_is_corrupt(tmp_path):
+    # a byte past ASCII is a corrupt file, whatever the locale's encoding
+    path = tmp_path / "bern.cache"
+    save(fresh_table(12), path)
+    path.write_bytes(path.read_bytes().replace(b"2 1 6", b"2 1 \xff6"))
+    with pytest.raises(CorruptCache, match="not ASCII text"):
+        load(path)
+
+
 @pytest.mark.parametrize("index,field,reason", [
     (400, 2, "denominator"),
     (800, 2, "denominator"),

@@ -292,6 +292,29 @@ def test_spawned_worker_renders_beyond_the_str_digit_limit(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("primes", ["5..61", "5..401"])
+def test_a_spawned_child_that_dies_at_start_up_fails_the_run(tmp_path,
+                                                             primes):
+    # a script with no __main__ guard: a spawned child runs it again as it
+    # starts and dies there, exit 1, before it reads its stripe and the
+    # table, B_0..B_120 (it waits unread in the child's socket) or
+    # B_0..B_800 (it would overflow the spawn launcher's pipe)
+    script = tmp_path / "guardless.py"
+    script.write_text(START_METHOD_MAIN)
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+           "TMPDIR": str(spool)}
+    proc = subprocess.run(
+        [sys.executable, str(script), "spawn", "verify", "--identity",
+         "lev3_div_p1", "--primes", primes, "--no-timestamps", "--jobs", "2"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert "exited with code 1 before sending its batches" in proc.stderr
+    assert list(spool.iterdir()) == []
+
+
 # SHA-256 of the stdout of `verify --identity all --primes 5..61
 # --no-timestamps` (3503 points), which pins every field of every report, at
 # the declared exponents and at --modulus 1 and 4, with the exit code
@@ -747,6 +770,45 @@ def test_verify_corrupt_cache_warns_but_runs(tmp_path, capsys):
     assert code == 0
     assert "warning" in err
     assert len(out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--primes", "5..61", "--identity", "lev3_div_p1",
+     "--no-timestamps"],
+    ["compute", "bernoulli", "12"],
+], ids=["verify", "compute"])
+def test_a_cache_that_is_not_ascii_text_is_ignored(tmp_path, capsys,
+                                                   monkeypatch, argv):
+    # a byte past ASCII in the file: the run warns, rebuilds and writes the
+    # file anew, and its output is that of a run without a cache
+    monkeypatch.setattr(sequences, "_TABLE", BernoulliTable())
+    _, want, _ = run(argv, capsys)
+    cache = tmp_path / "bern.cache"
+    save(BernoulliTable(), cache)
+    cache.write_bytes(cache.read_bytes() + b"\xff\n")
+    monkeypatch.setattr(sequences, "_TABLE", BernoulliTable())
+    code, out, err = run(argv + ["--cache", str(cache)], capsys)
+    assert (code, out) == (0, want)
+    assert f"warning: ignoring cache {cache}: {cache}: not ASCII text" in err
+    assert load(cache).max_index >= 12
+
+
+def test_a_loaded_cache_replaces_a_warm_table(tmp_path, capsys,
+                                              monkeypatch):
+    # cli.main run again in one process: the table the file holds becomes
+    # this process's, so the file is written back with its own entries and
+    # what this run read, not with what earlier runs here left in the table
+    warm = BernoulliTable()
+    warm.value(100)
+    monkeypatch.setattr(sequences, "_TABLE", warm)
+    cache = tmp_path / "bern.cache"
+    table = BernoulliTable()
+    table.value(20)
+    save(table, cache)
+    code, out, _ = run(["compute", "bernoulli", "30", "--cache", str(cache)],
+                       capsys)
+    assert (code, out) == (0, f"{warm.value(30)}\n")
+    assert load(cache).items() == warm.items()[:31]
 
 
 def test_compute_bernoulli_env_cache(tmp_path, capsys, monkeypatch):

@@ -1113,9 +1113,12 @@ def test_a_child_that_fails_fails_the_sweep(monkeypatch, start_children_by,
 
 
 def test_a_child_whose_parent_is_gone_stops_quietly(monkeypatch):
-    # run in this process as a child's stripe: the parent dies during the
-    # first batch, so the second never starts and nothing is sent; a send
-    # that meets a pipe with no reader ends the stripe without an error
+    # run in this process as a child's stripe, sent with a fresh table whose
+    # pickle fits the pipe's buffer unread: the parent dies during the first
+    # batch, so the second never starts and nothing is sent; a send that
+    # meets a pipe with no reader ends the stripe without an error, and a
+    # child whose parent is gone before it has sent the stripe runs nothing
+    monkeypatch.setattr(sequences, "_TABLE", sequences.BernoulliTable())
     alive = [True]
     monkeypatch.setattr(multiprocessing, "parent_process",
                         lambda: SimpleNamespace(is_alive=lambda: alive[0]))
@@ -1126,14 +1129,18 @@ def test_a_child_whose_parent_is_gone_stops_quietly(monkeypatch):
         alive[0] = False
         return batch
 
-    reader, writer = multiprocessing.Pipe(duplex=False)
-    parallel._run_stripe(run, ["first", "second"], bernoulli_table(), writer)
-    assert ran == ["first"] and not reader.poll()
+    parent, child = multiprocessing.Pipe()
+    parent.send((["first", "second"], bernoulli_table()))
+    parallel._run_stripe(run, child)
+    assert ran == ["first"] and not parent.poll()
     alive[0] = True
-    reader.close()
-    parallel._run_stripe(run, ["again"], bernoulli_table(), writer)
+    parent.send((["again"], bernoulli_table()))
+    parent.close()
+    parallel._run_stripe(run, child)
     assert ran == ["first", "again"]
-    writer.close()
+    parallel._run_stripe(run, child)
+    assert ran == ["first", "again"]
+    child.close()
 
 
 def test_pooled_sweep_without_a_prime_batch():

@@ -21,6 +21,7 @@ from bernmod.sequences import (
     BernoulliTable,
     PrimeContext,
     bernoulli,
+    bernoulli_table,
     alternating_eulerian_sum,
     divided_bernoulli,
     eulerian,
@@ -34,6 +35,7 @@ from bernmod.sequences import (
     get_prime_context,
     harmonic,
     product_term,
+    set_bernoulli_table,
     sum_powers,
     sum_powers_bernoulli,
     tangent_side,
@@ -108,42 +110,26 @@ def test_divided_bernoulli():
         divided_bernoulli(0)
 
 
-def test_bernoulli_table_rejects_gaps():
-    with pytest.raises(ValueError):
-        BernoulliTable(entries={0: Fraction(1), 2: Fraction(1, 6)})
+def test_bernoulli_rejects_an_unknown_convention():
     with pytest.raises(ValueError):
         bernoulli(2, "no_such_convention")
 
 
-def test_bernoulli_table_merge_and_validate():
-    a = BernoulliTable()
-    a.value(10)
-    b = BernoulliTable()
-    b.value(20)
-    a.merge(b)
-    assert a.max_index == 20
-    assert a.value(20) == Fraction(-174611, 330)
-    a.validate()
-    # the entries held must agree, and what lies beyond this table's end is
-    # appended
-    c = BernoulliTable()
-    c.value(30)
-    a.merge(c)
-    assert a.items() == c.items()
-    a.merge(BernoulliTable(entries=dict(c.items()[:7])))  # wholly inside
-    assert a.items() == c.items()
-    bad = dict(c.items())
-    bad[12] = Fraction(1, 2730)
-    bad[31] = Fraction(0)  # one past this table's end
-    with pytest.raises(ValueError, match="conflicting value for B_12"):
-        a.merge(BernoulliTable(entries=bad))
-    assert a.items() == c.items()  # a rejected merge appends nothing
+def test_bernoulli_table_from_entries_and_validate():
+    # a table is built from its entries in index order, and copies the list
+    built = BernoulliTable()
+    built.value(20)
+    entries = [b for _, b in built.items()]
+    table = BernoulliTable(entries)
+    entries[20] = Fraction(0)
+    assert table.max_index == 20
+    assert table.value(20) == Fraction(-174611, 330)
+    table.validate()
 
-    tampered = dict(b.items())
-    tampered[4] = Fraction(1, 30)  # right denominator, wrong numerator
-    broken = BernoulliTable(entries=tampered)
+    entries = [b for _, b in built.items()]
+    entries[4] = Fraction(1, 30)  # right denominator, wrong numerator
     with pytest.raises(ValueError):
-        broken.validate()
+        BernoulliTable(entries).validate()
 
 
 @cache
@@ -200,14 +186,12 @@ def test_bernoulli_table_does_not_depend_on_request_order():
         assert mixed.value(n) == want[n], n
     assert agrees(mixed)
 
-    loaded = BernoulliTable(entries=dict(enumerate(want[:30])))
-    merged = BernoulliTable()
-    merged.merge(loaded)
-    assert merged.max_index == 29
-    assert merged.value(100) == want[100]
-    assert agrees(merged)
+    loaded = BernoulliTable(want[:30])
+    assert loaded.max_index == 29
+    assert loaded.value(100) == want[100]
+    assert agrees(loaded)
 
-    only_b0 = BernoulliTable(entries={0: Fraction(1)})
+    only_b0 = BernoulliTable(want[:1])
     assert [only_b0.value(n) for n in range(5)] == want[:5]
 
 
@@ -218,21 +202,19 @@ def test_bernoulli_table_ends_at_the_largest_index_read():
     assert ascending.max_index == 400
 
     want = recurrence_oracle(100)
-    loaded = BernoulliTable(entries=dict(enumerate(want[:30])))
+    loaded = BernoulliTable(want[:30])
     assert loaded.value(100) == want[100]
     assert loaded.max_index == 100
     assert [b for _, b in loaded.items()] == want
 
 
-def test_bernoulli_table_extends_past_a_longer_merged_table():
-    # a loaded table's tangent column is column 1, so this table keeps its
-    # own, which lags the entries the merge adopts, as after a cache load
-    table = BernoulliTable()
-    table.value(500)
+def test_bernoulli_table_extends_past_a_loaded_table():
+    # a table built from entries, as a cache load builds one, starts at
+    # tangent column 1, which lags its entries; the column advances from there
     built = BernoulliTable()
     built.value(802)
-    table.merge(BernoulliTable(entries=dict(built.items())))
-    assert table.max_index == 802 and len(table._column) == 251
+    table = BernoulliTable(b for _, b in built.items())
+    assert table.max_index == 802 and len(table._column) == 2
     table.value(900)
     assert table.max_index == 900
     one_pass = BernoulliTable()
@@ -241,16 +223,18 @@ def test_bernoulli_table_extends_past_a_longer_merged_table():
     table.validate()
 
 
-def test_merge_of_a_longer_table_adopts_its_tangent_column():
-    # as a spawned --jobs child merges this process's table: the column
-    # comes with the entries, so the next read walks only the new columns
-    table = BernoulliTable()
-    table.value(500)
-    longer = BernoulliTable()
-    longer.value(802)  # column 401 ends in T_401
-    table.merge(longer)
-    assert table._column == longer._column
-    assert table._column is not longer._column
+def test_set_bernoulli_table_replaces_the_shared_table_whole(monkeypatch):
+    # as a --jobs child takes the table it is sent: the column comes with
+    # the entries, so the next read walks only the new columns, and what the
+    # shared table held before, past the new one's end too, is gone
+    warm = BernoulliTable()
+    warm.value(1000)
+    monkeypatch.setattr(sequences, "_TABLE", warm)
+    sent = BernoulliTable()
+    sent.value(802)  # column 401 ends in T_401
+    table = pickle.loads(pickle.dumps(sent))
+    set_bernoulli_table(table)
+    assert bernoulli_table() is table and table.max_index == 802
     steps = []
 
     class Counting(list):  # _extend appends once per column step
@@ -259,12 +243,9 @@ def test_merge_of_a_longer_table_adopts_its_tangent_column():
             super().append(value)
 
     table._column = Counting(table._column)
-    assert table.value(900) == recurrence_oracle(900)[900]
+    assert bernoulli(900) == recurrence_oracle(900)[900]
     assert len(steps) == 450 - 401
-    assert len(longer._column) == 402  # the source's column is its own
-    # a merge of a table whose column is behind keeps this one's
-    table.merge(longer)
-    assert len(table._column) == 451
+    assert table.max_index == 900 and warm.max_index == 1000
 
 
 def test_a_pickled_table_keeps_its_entries_and_column():
@@ -310,10 +291,10 @@ def test_validate_agrees_with_the_fraction_oracle(top):
     if n >= 4:
         cases.append({2: comb(n + 1, 4), 4: -comb(n + 1, 2)})
     for delta in cases:
-        entries = dict(good.items())
+        entries = [b for _, b in good.items()]
         for i, k in delta.items():
             entries[i] += k
-        table = BernoulliTable(entries=entries)
+        table = BernoulliTable(entries)
         holds = recurrence_sum([b for _, b in table.items()]) == 0
         assert holds == (len(delta) != 1), delta
         if holds:
